@@ -15,15 +15,11 @@ Quickstart::
     from repro.fleet import DeploymentSpec
     world = DeploymentSpec(clients=1, setup="endbox_sgx", use_case="FW").build()
     world.connect_all()
-
-(:func:`repro.core.scenarios.build_deployment` remains as a deprecated
-kwargs shim over the spec.)
 """
 
 __version__ = "1.0.0"
 
-from repro.core.scenarios import build_deployment  # noqa: F401  (deprecated shim)
 from repro.costs import default_cost_model  # noqa: F401
 from repro.fleet import DeploymentSpec  # noqa: F401
 
-__all__ = ["__version__", "DeploymentSpec", "build_deployment", "default_cost_model"]
+__all__ = ["__version__", "DeploymentSpec", "default_cost_model"]

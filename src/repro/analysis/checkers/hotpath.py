@@ -5,7 +5,7 @@ zero-copy slices end-to-end.  That refactor needs a complete map of
 where the per-packet path copies today, and a regression gate once it
 stops copying.  This pass runs the whole-program hot-path engine of
 :mod:`~repro.analysis.hotgraph` — seeded at the code-reviewed per-packet
-entry points (compiled Click dispatch, ``Router.process_batch``, the
+entry points (``Router.process``/``process_batch``, the
 gateway ecall crossings, data-channel crypto, netsim frame delivery) —
 and reports:
 

@@ -12,12 +12,11 @@ The machinery reuses the :mod:`~repro.analysis.ownergraph` call-graph
 engine (function tables keyed by dotted and bare names, resolved call
 and reference edges, reachability fixpoint); only the seed set differs.
 Hot seeds are the code-reviewed :data:`HOT_SEEDS` table of per-packet
-entry points: compiled Click dispatch closures, ``Router.process`` /
-``process_batch``, the gateway ``ecall``/``ecall_batch``/``ocall``
-crossings, ``ecall_process_packet(_batch)``, data-channel
-protect/unprotect, keystream generation, and netsim frame delivery.
-Bound method references (``push = target.push``) count as call edges so
-compiled dispatch pulls every ``Element.push`` body into the hot set.
+entry points: ``Router.process`` / ``process_batch``, the gateway
+``ecall``/``ecall_batch``/``ocall`` crossings, ``ecall_process_packet``,
+data-channel protect/unprotect, keystream generation, and netsim frame
+delivery.  Bound method references (``push = target.push``) count as
+call edges.
 
 Five rules are reported over hot functions:
 
@@ -141,16 +140,6 @@ HOT_ALLOWANCES: List[HotAllowance] = [
             "object; there is no pre-existing buffer to view into"
         ),
     ),
-    HotAllowance(
-        rule="HP703",
-        path="repro/click/compiler.py",
-        contains="f-string",
-        note=(
-            "instrument names are formatted once per element *class*, not "
-            "per packet: Router.charge caches the counter pair and the "
-            "telemetry name registry dedupes registration"
-        ),
-    ),
 ]
 
 
@@ -166,14 +155,11 @@ def hot_allowance_for(finding: Finding) -> Optional[HotAllowance]:
 # analysis tables
 # ----------------------------------------------------------------------
 #: code-reviewed per-packet entry points: (module, qualname) pairs that
-#: seed hot reachability.  Nested dispatch closures use their dotted
-#: qualname (``_make_edge.edge``).
+#: seed hot reachability.  Nested closures use their dotted qualname
+#: (``outer.inner``).
 HOT_SEEDS: FrozenSet[Tuple[str, str]] = frozenset(
     {
-        # compiled Click dispatch closures + the interpreted router path
-        ("repro.click.compiler", "_make_edge.edge"),
-        ("repro.click.compiler", "_make_output.compiled_output"),
-        ("repro.click.compiler", "_make_entry_receive.entry_receive"),
+        # the Click router
         ("repro.click.router", "Router.process"),
         ("repro.click.router", "Router.process_batch"),
         # the enclave crossing itself and the per-packet ecall handlers
@@ -181,7 +167,6 @@ HOT_SEEDS: FrozenSet[Tuple[str, str]] = frozenset(
         ("repro.sgx.gateway", "EnclaveGateway.ecall_batch"),
         ("repro.sgx.gateway", "EnclaveGateway.ocall"),
         ("repro.core.enclave_app", "ecall_process_packet"),
-        ("repro.core.enclave_app", "ecall_process_packet_batch"),
         # data-channel crypto
         ("repro.vpn.channel", "DataChannel.protect"),
         ("repro.vpn.channel", "DataChannel.protect_batch"),
@@ -326,9 +311,9 @@ class HotPathAnalysis(OwnershipAnalysis):
         """Callee edges plus escaping/bound function references.
 
         Beyond the call and call-argument edges of the SS6xx engine,
-        a plain ``push = target.push`` binding counts: compiled Click
-        dispatch stores bound methods and calls them per packet, so the
-        referenced bodies are hot whenever the binder is.
+        a plain ``push = target.push`` binding counts: code that stores
+        bound methods and calls them per packet makes the referenced
+        bodies hot whenever the binder is.
 
         Constructor bodies (``__init__``/``__new__``) are deliberately
         NOT traversed: per-packet construction is already flagged HP702

@@ -22,7 +22,6 @@ The paper's five evaluation configurations (NOP, LB, FW, IDPS, DDoS,
 §V-B) are provided by :mod:`~repro.click.configs`.
 """
 
-from repro.click.compiler import CompiledEdge, DispatchPlan, compile_router
 from repro.click.config import ClickSyntaxError, parse_config
 from repro.click.element import Element, ElementError, Packet
 from repro.click.registry import element_registry, register_element
@@ -33,15 +32,12 @@ from repro.click import configs
 
 __all__ = [
     "ClickSyntaxError",
-    "CompiledEdge",
-    "DispatchPlan",
     "Element",
     "ElementError",
     "HotSwapManager",
     "Packet",
     "Router",
     "SwapTimings",
-    "compile_router",
     "configs",
     "element_registry",
     "parse_config",

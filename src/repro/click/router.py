@@ -21,19 +21,35 @@ from repro.click.element import Element, ElementError, Packet
 from repro.click.registry import lookup_element
 from repro.netsim.packet import IPv4Packet
 from repro.sgx.gateway import CostLedger
-from repro.telemetry.registry import Registry
+from repro.telemetry import names as _tm_names
+from repro.telemetry.registry import Counter, Registry
+
+
+def element_instruments(registry, element_type: type) -> Tuple[Counter, Counter]:
+    """The ``(packets, seconds)`` telemetry counters for an element class.
+
+    Registers ``click.<class>.packets`` / ``click.<class>.seconds`` on
+    first use.  A recording :class:`Router` looks the pairs up once per
+    element class at construction, never per packet.
+    """
+    class_key = element_type.__name__.lower()
+    pkts_name = _tm_names.register(
+        f"click.{class_key}.packets", "counter", "packets",
+        f"packets dispatched through {element_type.__name__} elements",
+    )
+    secs_name = _tm_names.register(
+        f"click.{class_key}.seconds", "counter", "seconds",
+        f"simulated seconds charged by {element_type.__name__} elements",
+    )
+    return (registry.counter(pkts_name), registry.counter(secs_name))
 
 
 class Router:
     """An instantiated Click configuration.
 
-    On construction the wired graph is compiled into a fused dispatch
-    plan (see :mod:`repro.click.compiler`): per-instance ``output``
-    closures with precomputed port routing and prebound charge calls
-    replace the generic ``output``/``_receive`` interpreter.  Hot swaps
-    build a new router and therefore recompile automatically.  The
-    interpreted path stays available via :meth:`uncompile` for
-    equivalence testing.
+    Packets traverse the graph through ``Element.output`` /
+    ``Element._receive``, which charge every element's cost through
+    :meth:`charge`.  Hot swaps build a new router.
     """
 
     def __init__(
@@ -52,19 +68,20 @@ class Router:
         self.elements: Dict[str, Element] = {}
         self._entry: Optional[Element] = None
         self.packets_processed = 0
-        #: the registry this router (and its compiled plan) reports into;
-        #: fixed at construction so hot-swapped replacements built inside
-        #: the same simulator attach to the same scope.
+        #: the registry this router reports into; fixed at construction
+        #: so hot-swapped replacements built inside the same simulator
+        #: attach to the same scope.
         self.telemetry = Registry.current()
         self._tm_packets = self.telemetry.counter("click.router.packets", private=True)
-        # populated lazily, and only when recording: per-element-class
-        # (packets, seconds) instrument pairs for the interpreted path
-        self._tm_element_cache: Optional[Dict[str, tuple]] = (
-            {} if self.telemetry.recording else None
-        )
-        self._plan = None
         self._build(parse_config(config_text))
-        self.recompile()
+        # only when recording: every element class's (packets, seconds)
+        # counters, registered up front so charge() never formats a name
+        self._tm_elements: Optional[Dict[type, Tuple[Counter, Counter]]] = None
+        if self.telemetry.recording:
+            classes = dict.fromkeys(type(element) for element in self.elements.values())
+            self._tm_elements = {
+                cls: element_instruments(self.telemetry, cls) for cls in classes
+            }
 
     # ------------------------------------------------------------------
     def _build(self, parsed: ParsedConfig) -> None:
@@ -85,60 +102,23 @@ class Router:
         self._entry = entries[0] if entries else None
 
     # ------------------------------------------------------------------
-    # compiled dispatch
-    # ------------------------------------------------------------------
-    def recompile(self) -> None:
-        """(Re)build the fused dispatch plan for the current graph."""
-        from repro.click.compiler import compile_router
-
-        if self._plan is not None:
-            self._plan.uninstall()
-        self._plan = compile_router(self)
-
-    def uncompile(self) -> None:
-        """Drop the compiled plan; dispatch reverts to the interpreted
-        ``output``/``_receive`` path (for equivalence testing)."""
-        if self._plan is not None:
-            self._plan.uninstall()
-            self._plan = None
-
-    @property
-    def compiled(self) -> bool:
-        return self._plan is not None
-
-    @property
-    def plan(self):
-        """The current :class:`~repro.click.compiler.DispatchPlan`."""
-        return self._plan
-
-    # ------------------------------------------------------------------
     def charge(self, element: Element, packet: Packet) -> None:
         """Add an element's per-packet cost to the ledger.
 
-        Interpreted-path telemetry hangs off this hook (the compiled
-        path fuses its counting into the edge closures instead): when
-        the router's registry is recording, the same per-element-class
-        packet and simulated-second counters are incremented here.
+        When the router's registry is recording, the per-element-class
+        packet and simulated-second counters are incremented here too.
         """
-        cache = self._tm_element_cache
-        if cache is None:
+        instruments = self._tm_elements
+        if instruments is None:
             if self.ledger is not None:
                 self.ledger.add(element.cost(packet))
             return
-        class_key = type(element).__name__
-        pair = cache.get(class_key)
-        if pair is None:
-            from repro.click.compiler import element_instruments
-
-            pair = element_instruments(self.telemetry, type(element))
-            cache[class_key] = pair
+        packets, seconds = instruments[type(element)]
+        packets.inc()
         if self.ledger is not None:
             cost = element.cost(packet)
             self.ledger.add(cost)
-            pair[0].inc()
-            pair[1].inc(cost)
-        else:
-            pair[0].inc()
+            seconds.inc(cost)
 
     def process(self, ip_packet: IPv4Packet) -> Tuple[bool, IPv4Packet]:
         """Run one packet through the graph.
@@ -146,50 +126,17 @@ class Router:
         Returns ``(accepted, packet)`` where ``packet`` reflects any
         header/payload rewrites elements performed.
         """
-        wrap = Packet
-        plan = self._plan
-        if plan is not None and plan.entry_receive is not None:
-            packet = wrap(ip_packet)
-            self.packets_processed += 1
-            self._tm_packets.inc()
-            plan.entry_receive(packet)
-            return packet.verdict == "accept", packet.ip
         if self._entry is None:
             raise ElementError("configuration has no FromDevice entry point")
-        packet = wrap(ip_packet)
+        packet = Packet(ip_packet)  # endbox-lint: hotpath(HP702) the per-packet verdict carrier
         self.packets_processed += 1
         self._tm_packets.inc()
         self._entry._receive(0, packet)
-        accepted = packet.verdict == "accept"
-        return accepted, packet.ip
+        return packet.verdict == "accept", packet.ip
 
     def process_batch(self, ip_packets) -> List[Tuple[bool, IPv4Packet]]:
-        """Run a burst of packets through the graph (one per dispatch).
-
-        Semantically a loop over :meth:`process` — per-packet results
-        and all counters/ledger charges are identical — but with the
-        entry thunk and packet wrapper bound once per burst, which is
-        what the batched ecall path calls.
-        """
-        plan = self._plan
-        if plan is not None and plan.entry_receive is not None:
-            entry_receive = plan.entry_receive
-            wrap = Packet
-            results: List[Tuple[bool, IPv4Packet]] = []
-            append = results.append
-            for ip_packet in ip_packets:
-                packet = wrap(ip_packet)
-                entry_receive(packet)
-                append((packet.verdict == "accept", packet.ip))
-            self.packets_processed += len(results)
-            self._tm_packets.inc(len(results))
-            return results
-        process = self.process
-        results = []
-        append = results.append
-        for ip_packet in ip_packets:
-            append(process(ip_packet))
-        return results
+        """Run a burst of packets through the graph: a loop over :meth:`process`."""
+        return [self.process(ip) for ip in ip_packets]  # endbox-lint: hotpath(HP702) per burst
 
     # ------------------------------------------------------------------
     def element(self, name: str) -> Element:

@@ -27,7 +27,7 @@ from repro.core.endbox_client import EndBoxClient
 from repro.core.endbox_server import EndBoxServer
 from repro.core.config_update import ConfigBundle, ConfigFileServer, ConfigPublisher, UpdateTimings
 from repro.core.provisioning import provision_client
-from repro.core.scenarios import EndBoxDeployment, build_deployment
+from repro.core.scenarios import EndBoxDeployment
 
 __all__ = [
     "CertificateAuthority",
@@ -40,7 +40,6 @@ __all__ = [
     "EndBoxServer",
     "EnrollmentError",
     "UpdateTimings",
-    "build_deployment",
     "build_endbox_image",
     "provision_client",
 ]

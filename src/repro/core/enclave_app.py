@@ -185,96 +185,6 @@ def ecall_process_packet(
     return accepted, packet
 
 
-def ecall_process_packet_batch(
-    enclave, gateway, packets, direction: str, mode_value: str, c2c_flagging: bool
-):
-    """Burst form of :func:`ecall_process_packet`: one crossing, N packets.
-
-    Charges the same per-packet costs as N scalar calls would — the only
-    accounting differences are the ones batching is *for*: the gateway
-    charges a single transition pair for the whole burst, EPC residency
-    is sampled once per crossing (it cannot change while the enclave
-    holds the data plane), and the burst's boundary/EPC/crypto charges
-    land as one summed ledger entry instead of three per packet (same
-    total up to float rounding; the egress arm also books all charges
-    before running Click).  Per-packet charges are a pure function of
-    the packet size, so the burst loop prices each *distinct* size once
-    and replays the figure for the runs of equal-sized packets a
-    fragmented datagram produces.  Shared state (the Click router, cost
-    model, protection mode) is resolved once per burst, which — with the
-    fused ``process_batch`` dispatch — is where the wall-clock win over
-    N scalar ecalls comes from.
-    """
-    state = enclave.trusted_state
-    manager: HotSwapManager = state["click"]
-    model = state["cost_model"]
-    memcpy = model.memcpy
-    hmac = model.hmac
-    aes = model.aes
-    hardware = enclave.mode is EnclaveMode.HARDWARE
-    if hardware:
-        epc_per_byte = model.epc_per_byte
-        epc_page_fault = model.epc_page_fault
-        paging = enclave.epc.paging_fraction()
-    encrypting = _PROTECTION_MODES[mode_value] is ProtectionMode.ENCRYPT_AND_MAC
-    router = manager.router
-
-    last_size = -1
-    last_cost = 0.0
-    last_faults = 0.0
-    total_cost = 0.0
-    total_faults = 0.0
-
-    def charge(size: int) -> None:
-        nonlocal last_size, last_cost, last_faults, total_cost, total_faults
-        if size != last_size:
-            cost = 2 * memcpy(size)
-            faults = 0.0
-            if hardware:
-                cost += size * epc_per_byte
-                if paging > 0.0:
-                    faults = paging * (size // 4096 + 4)
-                    cost += faults * epc_page_fault
-            cost += hmac(size)
-            if encrypting:
-                cost += aes(size)
-            last_size = size
-            last_cost = cost
-            last_faults = faults
-        total_cost += last_cost
-        total_faults += last_faults
-
-    def book() -> None:
-        gateway.ledger.add(total_cost)
-        if total_faults:
-            gateway.epc_faults.inc(total_faults)
-
-    if direction == "egress":
-        for packet in packets:
-            charge(len(packet))
-        book()
-        results = router.process_batch(packets)
-        if not c2c_flagging:
-            return results
-        flag = ENDBOX_PROCESSED_TOS
-        for index, (accepted, packet) in enumerate(results):
-            if accepted:
-                results[index] = (True, packet.with_tos(flag))
-        return results
-    process = router.process
-    bypass = c2c_flagging
-    results = []
-    append = results.append
-    for packet in packets:
-        charge(len(packet))
-        if bypass and packet.tos == ENDBOX_PROCESSED_TOS:
-            append((True, packet))
-        else:
-            append(process(packet))
-    book()
-    return results
-
-
 def ecall_apply_config(enclave, gateway, blob: bytes) -> Tuple[int, SwapTimings]:
     """Fig 5 step 8: verify, decrypt and hot-swap a configuration bundle.
 
@@ -380,7 +290,6 @@ ENDBOX_ECALLS = {
     "seal_state": ecall_seal_state,
     "restore_state": ecall_restore_state,
     "process_packet": ecall_process_packet,
-    "process_packet_batch": ecall_process_packet_batch,
     "apply_config": ecall_apply_config,
     "export_handshake_credentials": ecall_export_handshake_credentials,
     "get_certificate": ecall_get_certificate,
@@ -434,7 +343,6 @@ class EndBoxEnclave:
             copy_cost_per_byte=0.0,  # boundary copies are charged in-handler
         )
         gateway.set_ecall_validator("process_packet", _validate_process_packet)
-        gateway.set_ecall_validator("process_packet_batch", _validate_process_packet_batch)
         gateway.set_ecall_validator("apply_config", _validate_blob)
         gateway.set_ecall_validator("provision", _validate_provision)
         return cls(enclave=enclave, gateway=gateway)
@@ -451,23 +359,6 @@ def _validate_process_packet(packet, direction, mode_value, c2c_flagging) -> boo
         and isinstance(c2c_flagging, bool)
         and len(packet) <= 65535
     )
-
-
-def _validate_process_packet_batch(packets, direction, mode_value, c2c_flagging) -> bool:
-    # same per-packet checks as the scalar validator; the burst container
-    # itself is untrusted input too, so its type and size are capped
-    if not isinstance(packets, (list, tuple)) or not 0 < len(packets) <= 4096:
-        return False
-    if (
-        direction not in ("egress", "ingress")
-        or mode_value not in _PROTECTION_MODE_VALUES
-        or not isinstance(c2c_flagging, bool)
-    ):
-        return False
-    for packet in packets:
-        if not isinstance(packet, IPv4Packet) or len(packet) > 65535:
-            return False
-    return True
 
 
 def _validate_blob(blob) -> bool:

@@ -1,4 +1,4 @@
-"""Deployment dataclasses + the deprecated kwargs entry point (§II-A, §V-B).
+"""Deployment dataclasses and use-case tables (§II-A, §V-B).
 
 The builder itself lives behind :class:`repro.fleet.DeploymentSpec` — a
 declarative, JSON-round-trippable description of a whole simulated
@@ -21,14 +21,11 @@ two deployment scenarios:
   traffic-protection optimisation).
 
 This module keeps the :class:`EndBoxDeployment` result type (the fleet
-deployment subclasses it), the use-case configuration table and
-:func:`build_deployment`, the **deprecated** kwargs shim over
-``DeploymentSpec`` retained for out-of-tree callers.
+deployment subclasses it) and the use-case configuration table.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -148,60 +145,6 @@ class EndBoxDeployment:
     def internal(self) -> Host:
         """The first internal service host."""
         return self.internal_hosts[0]
-
-
-def build_deployment(
-    n_clients: int = 1,
-    setup: str = "endbox_sgx",
-    use_case: str = "NOP",
-    scenario: str = "enterprise",
-    cost_model: Optional[CostModel] = None,
-    charge_cpu: bool = True,
-    ping_interval: float = 1.0,
-    n_internal_hosts: int = 1,
-    protect_internal: bool = True,
-    isp_no_encryption: bool = False,
-    single_ecall_optimization: bool = True,
-    c2c_flagging: bool = True,
-    ecall_batching: bool = False,
-    ecall_batch_limit: int = 32,
-    with_config_server: bool = True,
-    seed: bytes = b"deployment",
-) -> EndBoxDeployment:
-    """Deprecated: build a deployment from kwargs.
-
-    Thin shim over :class:`repro.fleet.DeploymentSpec` — constructs the
-    equivalent single-gateway spec and builds it, so the resulting world
-    is byte-identical to what this function historically produced.  New
-    code should construct the spec directly (it round-trips through
-    JSON and scales past one gateway).
-    """
-    warnings.warn(
-        "build_deployment() is deprecated; construct a "
-        "repro.fleet.DeploymentSpec and call .build() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.fleet import DeploymentSpec
-
-    spec = DeploymentSpec(
-        setup=setup,
-        use_case=use_case,
-        scenario=scenario,
-        clients=n_clients,
-        internal_hosts=n_internal_hosts,
-        protect_internal=protect_internal,
-        isp_no_encryption=isp_no_encryption,
-        single_ecall_optimization=single_ecall_optimization,
-        c2c_flagging=c2c_flagging,
-        ecall_batching=ecall_batching,
-        ecall_batch_limit=ecall_batch_limit,
-        with_config_server=with_config_server,
-        ping_interval=ping_interval,
-        charge_cpu=charge_cpu,
-        seed=seed.decode("latin-1"),
-    )
-    return spec.build(cost_model=cost_model)
 
 
 @dataclass

@@ -39,8 +39,6 @@ from repro.telemetry.registry import Registry
 KEYSTREAM_CACHE_ENTRIES = 2048
 #: key -> (inner, outer) pad states (:mod:`repro.crypto.hmac`).
 HMAC_PAD_CACHE_ENTRIES = 4096
-#: (hmac_key, nonce) -> (auth_header, sealed, tag) (:mod:`repro.vpn.channel`).
-MAC_TAG_CACHE_ENTRIES = 2048
 #: key -> AES round keys (:mod:`repro.crypto.aes`).
 AES_SCHEDULE_CACHE_ENTRIES = 1024
 
@@ -65,7 +63,7 @@ def evict_to_cap(cache: dict, cap: int) -> int:
 class CryptoCaches:
     """The per-registry cache block; one per Registry, created on demand."""
 
-    __slots__ = ("aes_schedules", "keystreams", "hmac_pads", "mac_tags")
+    __slots__ = ("aes_schedules", "keystreams", "hmac_pads")
 
     def __init__(self) -> None:
         #: key -> 11 AES round keys (:mod:`repro.crypto.aes`)
@@ -74,10 +72,6 @@ class CryptoCaches:
         self.keystreams: dict = {}
         #: key -> (inner, outer) pad states (:mod:`repro.crypto.hmac`)
         self.hmac_pads: dict = {}
-        #: (hmac_key, nonce) -> (auth_header, sealed, tag): the record a
-        #: sender MAC'd, kept so the in-process receiver can verify by
-        #: comparison instead of re-running HMAC (:mod:`repro.vpn.channel`)
-        self.mac_tags: dict = {}
 
 
 def caches_for(registry: Registry) -> CryptoCaches:

@@ -60,12 +60,6 @@ def _keyed_state(key: bytes):
     return pair
 
 
-#: public alias: burst callers hoist one pad-state lookup per burst and
-#: ``copy()`` the returned states once per record (the chunked
-#: :func:`hmac_sha256`/:func:`hmac_verify` below do exactly this per call)
-pad_states = _keyed_state
-
-
 def hmac_sha256(key: bytes, *chunks: bytes) -> bytes:
     """HMAC-SHA256 of the concatenation of ``chunks`` under ``key``."""
     inner_base, outer_base = _keyed_state(key)

@@ -11,7 +11,6 @@ experiment the same way.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -173,40 +172,3 @@ class ExperimentResult:
         if self.text:
             return self.text
         return render_series_tables(self.title, self.series, self.paper, self.x_label, self.unit)
-
-    @property
-    def measured(self) -> Dict[str, Any]:
-        """Deprecated alias for :attr:`series` (pre-schema name)."""
-        warnings.warn(
-            "ExperimentResult.measured is deprecated; read result.series",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.series
-
-
-@dataclass
-class SeriesResult:
-    """Deprecated pre-:class:`ExperimentResult` series shape.
-
-    Kept for one release so out-of-tree callers keep importing; every
-    in-tree experiment now returns :class:`ExperimentResult`.
-    """
-
-    name: str
-    x_label: str
-    unit: str
-    paper: Dict[str, Dict] = field(default_factory=dict)
-    measured: Dict[str, Dict] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        """Warn once per construction; the schema moved to ExperimentResult."""
-        warnings.warn(
-            "SeriesResult is deprecated; experiments return ExperimentResult",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def to_text(self) -> str:
-        """Render the measured-vs-paper tables as text."""
-        return render_series_tables(self.name, self.measured, self.paper, self.x_label, self.unit)

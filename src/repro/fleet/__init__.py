@@ -9,9 +9,7 @@ demonstrates for shielded Click instances:
   round-trippable description of a whole world (topology, gateway
   count, balancer policy, use-case pipeline, client population, fault
   plan, telemetry scoping), in the same design language as
-  :class:`~repro.faults.plan.FaultPlan`.  ``spec.build()`` replaces the
-  deprecated ``build_deployment(**kwargs)`` entry point; a spec with
-  ``gateways=1`` reproduces the old worlds byte-identically.
+  :class:`~repro.faults.plan.FaultPlan`, built with ``spec.build()``.
 * :class:`~repro.fleet.balancer.HashRing` /
   :class:`~repro.fleet.balancer.RoundRobinBalancer` — consistent-hash
   (and RoundRobinSwitch-driven) client→gateway assignment.

@@ -2,10 +2,10 @@
 
 :func:`build_fleet` assembles the world a
 :class:`~repro.fleet.spec.DeploymentSpec` describes.  With
-``gateways=1`` it performs *exactly* the construction sequence the
-deprecated ``build_deployment()`` entry point performed — same hosts,
-same DRBG draw order, same attach order — so single-gateway worlds are
-byte-identical to the historical ones.  With ``gateways=N`` it builds N
+``gateways=1`` it keeps the historical single-gateway construction
+sequence — same hosts, same DRBG draw order, same attach order — so
+single-gateway worlds are byte-identical to the historical ones.  With
+``gateways=N`` it builds N
 VPN gateways (``vpn-gw-0`` … ``vpn-gw-(N-1)``), each with its own
 tunnel subnet ``10.8.<g>.0/24``, and assigns every client a home
 gateway through the spec's balancer policy.
@@ -240,10 +240,9 @@ class FleetDeployment(EndBoxDeployment):
 def build_fleet(spec: DeploymentSpec, cost_model=None) -> FleetDeployment:
     """Build the full simulated world a spec describes (not yet connected).
 
-    The ``gateways=1`` path replays the historical ``build_deployment``
+    The ``gateways=1`` path keeps the historical single-gateway
     construction order exactly (host creation, attach order, DRBG draw
-    order), which is what keeps old worlds byte-identical under the new
-    API.
+    order), which is what keeps old worlds byte-identical.
     """
     if not isinstance(spec, DeploymentSpec):
         raise FleetError(f"build_fleet needs a DeploymentSpec, got {spec!r}")
@@ -377,7 +376,6 @@ def build_fleet(spec: DeploymentSpec, cost_model=None) -> FleetDeployment:
                 single_ecall_optimization=spec.single_ecall_optimization,
                 c2c_flagging=spec.c2c_flagging,
                 ecall_batching=spec.ecall_batching,
-                ecall_batch_limit=spec.ecall_batch_limit,
                 server_name="vpn-server",
                 cost_model=model,
                 protection_mode=mode,

@@ -1,4 +1,4 @@
-"""The declarative deployment specification (the ``build_deployment`` successor).
+"""The declarative deployment specification.
 
 A :class:`DeploymentSpec` describes a whole simulated world as plain
 data — topology scenario, gateway count, balancer policy, use-case
@@ -10,10 +10,7 @@ a frozen, validated dataclass that round-trips through
 ``spec.build()`` assembles the world and returns a
 :class:`~repro.fleet.deployment.FleetDeployment` (a superset of
 :class:`~repro.core.scenarios.EndBoxDeployment`).  Determinism contract:
-the same spec always builds the byte-identical world, and a spec with
-``gateways=1`` reproduces the worlds the deprecated
-``build_deployment(**kwargs)`` entry point used to build, byte for
-byte.
+the same spec always builds the byte-identical world.
 
 Only the (non-serialisable) cost model stays outside the spec; pass it
 to :meth:`DeploymentSpec.build` when an experiment needs a calibrated
@@ -58,7 +55,7 @@ class DeploymentSpec:
     * fleet shape — ``gateways`` (N VPN gateways, each with its own
       tunnel subnet) and ``balancer`` (client→gateway policy);
     * client pipeline — ``single_ecall_optimization``, ``c2c_flagging``,
-      ``ecall_batching``, ``ecall_batch_limit``, ``isp_no_encryption``;
+      ``ecall_batching``, ``isp_no_encryption``;
     * timing/cost — ``ping_interval``, ``charge_cpu``,
       ``connect_timeout_s`` (the deadline ``connect_all`` derives);
     * scoping — ``telemetry_recording`` (rich traces on or off) and
@@ -80,7 +77,6 @@ class DeploymentSpec:
     single_ecall_optimization: bool = True
     c2c_flagging: bool = True
     ecall_batching: bool = False
-    ecall_batch_limit: int = 32
     with_config_server: bool = True
     ping_interval: float = 1.0
     charge_cpu: bool = True
@@ -115,10 +111,6 @@ class DeploymentSpec:
             )
         if self.internal_hosts < 0:
             raise DeploymentSpecError(f"internal_hosts must be >= 0, got {self.internal_hosts}")
-        if self.ecall_batch_limit < 1:
-            raise DeploymentSpecError(
-                f"ecall_batch_limit must be >= 1, got {self.ecall_batch_limit}"
-            )
         if not self.ping_interval > 0:
             raise DeploymentSpecError(f"ping_interval must be positive, got {self.ping_interval}")
         if not self.connect_timeout_s > 0:

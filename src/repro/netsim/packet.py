@@ -379,22 +379,6 @@ class IPv4Packet:
             clone.__post_init__()  # renormalise src/dst/protocol
         return clone
 
-    def with_tos(self, tos: int) -> "IPv4Packet":
-        """Clone with a new TOS byte — ``copy(tos=...)`` minus the kwargs
-        dict and the renormalisation pass neither is needed for: the
-        c2c egress flagging rewrites every accepted packet of a burst."""
-        clone = object.__new__(IPv4Packet)
-        clone.src = self.src
-        clone.dst = self.dst
-        clone.l4 = self.l4
-        clone.tos = tos
-        clone.ttl = self.ttl
-        clone.identification = self.identification
-        clone.protocol = self.protocol
-        clone.frag_offset = self.frag_offset
-        clone.more_fragments = self.more_fragments
-        return clone
-
     # ------------------------------------------------------------------
     # IP fragmentation
     # ------------------------------------------------------------------

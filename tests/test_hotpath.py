@@ -86,8 +86,6 @@ def test_known_required_copies_are_waived_not_reported():
     assert ("HP701", "channel.py") in waived
     # reassembly re-parse across the parse_ipv4 boundary
     assert ("HP704", "stack.py") in waived
-    # once-per-element-class instrument name formatting
-    assert ("HP703", "compiler.py") in waived
 
 
 def test_hp705_is_an_error_other_rules_warn():

@@ -4,8 +4,8 @@ Covers the observability layer's contract: canonical name registration,
 the mirror tree (component -> simulator -> session -> process root),
 registry-lifetime reset semantics, ``fork_isolated`` for tests, span
 nesting under an injected clock, histogram bucketing, the three
-exporters, the compile-time instrumentation gate in the Click compiler,
-and the differential guarantee that turning telemetry on does not change
+exporters, the recording gate on the Click router's per-element
+counters, and the differential guarantee that turning telemetry on does not change
 a single packet byte.
 """
 
@@ -273,18 +273,6 @@ def test_write_json_round_trip(tmp_path):
 # ----------------------------------------------------------------------
 # zero overhead when disabled
 # ----------------------------------------------------------------------
-def test_compiled_dispatch_variant_is_a_compile_time_decision():
-    model = default_cost_model()
-    with fork_isolated(recording=False):
-        plain = Router(configs.firewall_config(), model)
-        assert plain._plan is not None and not plain._plan.instrumented
-        assert plain._tm_element_cache is None  # interpreted path: no per-element dict
-    with fork_isolated(recording=True):
-        instrumented = Router(configs.firewall_config(), model)
-        assert instrumented._plan.instrumented
-        assert instrumented._tm_element_cache is not None
-
-
 def test_instrumented_and_plain_dispatch_agree_on_output():
     from repro.netsim.packet import IPv4Packet, UdpDatagram
 
