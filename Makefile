@@ -7,7 +7,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # scans the library plus the simulation-domain script trees and leaves
 # a SARIF report behind for CI annotation
@@ -42,13 +42,13 @@ endif
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 experiments:
-	$(PYTHON) -m repro.experiments.runner --all -o experiment_report.md
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.runner --all -o experiment_report.md
 
 experiments-quick:
-	$(PYTHON) -m repro.experiments.runner --all --quick
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.runner --all --quick
 
 security:
-	$(PYTHON) examples/security_evaluation.py
+	PYTHONPATH=src $(PYTHON) examples/security_evaluation.py
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -152,9 +152,11 @@ OWNERSHIP: List[SharedStateWaiver] = [
         path="repro/crypto/rsa.py",
         contains="_KEYPAIR_CACHE",
         note=(
-            "pure memo of expensive prime generation keyed by (bits, seed); "
-            "the value is a deterministic function of the key, so shards "
-            "sharing it cannot diverge and re-deriving it is the whole cost"
+            "pure memo of key generation keyed by (bits, seed), holding "
+            "(n, d, p, q) so private-key operations can run by CRT; the "
+            "value is a deterministic function of the key, so shards "
+            "sharing it cannot diverge, and the IAS and platform keys "
+            "(seeded by provisioning order) hit it on every later build"
         ),
     ),
     SharedStateWaiver(

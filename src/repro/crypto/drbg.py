@@ -7,7 +7,6 @@ from a seed.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 
 
@@ -20,7 +19,7 @@ class HmacDrbg:
         self._reseed(seed)
 
     def _hmac(self, key: bytes, data: bytes) -> bytes:
-        return hmac.new(key, data, hashlib.sha256).digest()
+        return hmac.digest(key, data, "sha256")
 
     def _reseed(self, data: bytes) -> None:
         self._key = self._hmac(self._key, self._value + b"\x00" + data)

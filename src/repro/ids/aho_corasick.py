@@ -4,10 +4,6 @@ The automaton is built once per rule set (goto function as per-node
 byte-keyed dicts, failure links via BFS, output sets merged along
 failure links) and then scans payloads in a single pass, reporting every
 (pattern id, end offset) occurrence.
-
-A scan cache keyed by payload identity makes repeated scans of identical
-benchmark payloads cheap without changing semantics — the *cost model*
-still charges per scanned byte.
 """
 
 from __future__ import annotations
@@ -29,7 +25,6 @@ class AhoCorasick:
         for pattern in patterns:
             self.add_pattern(pattern)
         self._built = False
-        self._cache: Dict[int, Tuple[int, List[Tuple[int, int]]]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -74,7 +69,6 @@ class AhoCorasick:
                     self._fail[node] = 0
                 self._output[node] = self._output[node] + self._output[self._fail[node]]
         self._built = True
-        self._cache.clear()
 
     @property
     def node_count(self) -> int:
@@ -89,10 +83,6 @@ class AhoCorasick:
             self._build()
         if self.case_insensitive:
             data = data.lower()
-        cache_key = hash(data)
-        cached = self._cache.get(cache_key)
-        if cached is not None and cached[0] == len(data):
-            return list(cached[1])
         goto = self._goto
         fail = self._fail
         output = self._output
@@ -105,8 +95,6 @@ class AhoCorasick:
             if output[node]:
                 for pattern_id in output[node]:
                     matches.append((pattern_id, offset + 1))
-        if len(self._cache) < 4096:
-            self._cache[cache_key] = (len(data), list(matches))
         return matches
 
     def matches(self, data: bytes) -> bool:

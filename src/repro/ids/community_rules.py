@@ -11,7 +11,7 @@ benchmark payloads (which are printable-ASCII).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List
 
 from repro.crypto.drbg import HmacDrbg
 from repro.ids.snort_rules import SnortRule, parse_rules
@@ -55,25 +55,21 @@ def _synthetic_rule(index: int, drbg: HmacDrbg) -> str:
     )
 
 
+def _rule_lines(count: int) -> Iterator[str]:
+    """The template rules, then synthetic ones until ``count`` rules exist."""
+    template = _TEMPLATE_RULES.strip().splitlines()
+    yield from template
+    drbg = HmacDrbg(b"community-ruleset-v1")
+    for index in range(count - len(template)):
+        yield _synthetic_rule(index, drbg)
+
+
 def community_ruleset(count: int = COMMUNITY_RULE_COUNT, home_net: str = "10.0.0.0/8") -> List[SnortRule]:
     """Generate ``count`` rules (deterministic)."""
     variables = {"HOME_NET": home_net, "EXTERNAL_NET": "any"}
-    rules = parse_rules(_TEMPLATE_RULES, variables)
-    drbg = HmacDrbg(b"community-ruleset-v1")
-    index = 0
-    while len(rules) < count:
-        rules.extend(parse_rules(_synthetic_rule(index, drbg), variables))
-        index += 1
-    return rules[:count]
+    return parse_rules("\n".join(_rule_lines(count)), variables)[:count]
 
 
 def ruleset_text(count: int = COMMUNITY_RULE_COUNT) -> str:
     """The rule set as a rules-file string (for config distribution)."""
-    lines = ["# EndBox reproduction community-style rule set"]
-    drbg = HmacDrbg(b"community-ruleset-v1")
-    lines.extend(line for line in _TEMPLATE_RULES.strip().splitlines())
-    index = 0
-    while len([l for l in lines if l and not l.startswith("#")]) < count:
-        lines.append(_synthetic_rule(index, drbg))
-        index += 1
-    return "\n".join(lines)
+    return "\n".join(["# EndBox reproduction community-style rule set", *_rule_lines(count)])

@@ -1,5 +1,8 @@
 """Crypto tests: known-answer vectors + round trips + property tests."""
 
+import hashlib
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from repro.crypto import (
     sha256,
     x25519,
 )
+from repro.crypto import rsa
 from repro.crypto.modes import pkcs7_pad, pkcs7_unpad
 
 
@@ -182,6 +186,9 @@ def test_rsa_sign_verify(rsa_keys):
     assert rsa_keys.public_key.verify(b"attest me", sig)
     assert not rsa_keys.public_key.verify(b"tampered", sig)
     assert not rsa_keys.public_key.verify(b"attest me", sig + 1)
+    # only the canonical representative in [0, n) verifies (RFC 8017 RSAVP1)
+    for shifted in (sig + rsa_keys.n, sig + 3 * rsa_keys.n, sig - rsa_keys.n):
+        assert not rsa_keys.public_key.verify(b"attest me", shifted)
 
 
 def test_rsa_encrypt_decrypt_int(rsa_keys):
@@ -201,9 +208,99 @@ def test_rsa_rejects_out_of_range(rsa_keys):
         rsa_keys.public_key.encrypt_int(rsa_keys.n)
 
 
+def test_rsa_keys_pinned():
+    # key generation and signing must reproduce these bit for bit
+    pins = {
+        b"test-rsa": ("41dc0304c928ab6f", 6225525327643785058),
+        None: ("21eccecd8f78abda", 9465851059842690743),
+        b"pin-a": ("69d378ee263c04bc", 1752317739052980736),
+        b"pin-b": ("2ef81e63351e2882", 1249877811819293496),
+    }
+    for seed, (fingerprint, signature_low_bits) in pins.items():
+        keys = RsaKeyPair(bits=1024, seed=seed)
+        assert keys.public_key.fingerprint() == fingerprint
+        assert keys.sign(b"attest me") % (1 << 64) == signature_low_bits
+
+
+def test_rsa_crt_private_ops_match_plain_exponentiation(rsa_keys):
+    n, d = rsa_keys.n, rsa_keys.d
+    p, q = rsa_keys._p, rsa_keys._q
+    assert p * q == n
+    values = [0, 1, p, q, n - 1] + [HmacDrbg(b"crt").randint(n) for _ in range(8)]
+    for value in values:
+        assert rsa_keys.decrypt_int(value) == pow(value, d, n)
+    for index in range(8):
+        message = b"message-%d" % index
+        digest = int.from_bytes(hashlib.sha256(message).digest(), "big") % n
+        assert rsa_keys.sign(message) == pow(digest, d, n)
+
+
+def _reference_is_probable_prime(n, drbg, rounds=20):
+    """Miller–Rabin as it ran before the small-factor screen: the oracle."""
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % small == 0:
+            return n == small
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for _ in range(rounds):
+        a = 2 + drbg.randint(n - 4)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = (x * x) % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_prime_screen_matches_reference_verdict_and_drbg_state(rsa_keys):
+    source = HmacDrbg(b"mr-candidates")
+    random_odd = [source.randbits(512) | (1 << 511) | 1 for _ in range(60)]
+    with_screen_factor = []
+    for factor in (rsa._SCREEN_PRIMES[0], 1009, rsa._SCREEN_PRIMES[-1]):
+        for _ in range(3):
+            cofactor = source.randbits(500) | 1
+            while any(cofactor % small == 0 for small in rsa._TRIAL_PRIMES):
+                cofactor += 2
+            with_screen_factor.append(factor * cofactor)
+    carmichael = 211 * 421 * 631  # every coprime base passes Fermat mod each factor
+    small_primes = [41, 97, rsa._SCREEN_PRIMES[-1], 5]
+    real_primes = [rsa_keys._p, rsa_keys._q]
+    candidates = random_odd + with_screen_factor + [carmichael] + real_primes + small_primes
+
+    screened = [n for n in candidates if math.gcd(n, rsa._SCREEN_PRODUCT) > 1]
+    assert len(screened) > len(with_screen_factor) + 1  # random ones hit the screen too
+    reference, screen = HmacDrbg(b"mr"), HmacDrbg(b"mr")
+    for n in candidates:
+        assert rsa._is_probable_prime(n, screen) == _reference_is_probable_prime(n, reference), n
+        assert screen.generate(32) == reference.generate(32), n
+    assert not rsa._is_probable_prime(carmichael, HmacDrbg(b"c"))
+    assert rsa._is_probable_prime(rsa_keys._p, HmacDrbg(b"p"))
+
+
 # ----------------------------------------------------------------------
 # DRBG
 # ----------------------------------------------------------------------
+def test_drbg_output_pinned():
+    # every key, nonce and rule set downstream is drawn from these bytes
+    drbg = HmacDrbg(b"seed")
+    assert drbg.generate(48).hex() == (
+        "945418b8333283ae441104ff0af8ab77c755914dbcd4971f"
+        "9db434098d72cc5fbcb6778fbaa207c9ede8824d282ef085"
+    )
+    assert drbg.child(b"x").generate(16).hex() == "9be5a15dca12be58fbd5e8bb8d53fb51"
+    assert drbg.randint(10**12) == 818444044566
+    assert drbg.randbits(70) == 285619876008178916068
+
+
 def test_drbg_deterministic_and_child_independent():
     a = HmacDrbg(b"seed")
     b = HmacDrbg(b"seed")

@@ -65,6 +65,17 @@ def test_binary_patterns():
     assert ac.matches(b"\x00\xbe\xef\xfa\xce\x00")
 
 
+class _CollidingBytes(bytes):
+    def __hash__(self):
+        return 42
+
+
+def test_scan_verdict_ignores_payload_hash():
+    ac = AhoCorasick([b"cmd.exe"])
+    assert not ac.matches(_CollidingBytes(b"run notepad"))
+    assert ac.matches(_CollidingBytes(b"run cmd.exe"))  # same hash, same length
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=8), st.binary(max_size=300))
 def test_aho_corasick_agrees_with_naive_search(patterns, haystack):
@@ -174,6 +185,16 @@ def test_community_ruleset_text_roundtrips_through_parser():
     text = ruleset_text(50)
     rules = parse_rules(text, variables={"HOME_NET": "10.8.0.0/16", "EXTERNAL_NET": "any"})
     assert len(rules) >= 50
+
+
+def test_community_ruleset_text_parses_to_the_ruleset():
+    def by_sid(rules):
+        return [(rule.sid, [content.pattern for content in rule.contents]) for rule in rules]
+
+    variables = {"HOME_NET": "10.0.0.0/8", "EXTERNAL_NET": "any"}
+    parsed = parse_rules(ruleset_text(), variables=variables)
+    assert by_sid(parsed) == by_sid(community_ruleset())
+    assert len(ruleset_text().splitlines()) == COMMUNITY_RULE_COUNT + 1  # plus the header
 
 
 # ----------------------------------------------------------------------

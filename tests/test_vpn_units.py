@@ -277,6 +277,16 @@ def test_certificate_parse_roundtrip(ca):
     assert Certificate.parse(cert.serialize()) == cert
 
 
+def test_certificate_with_non_canonical_signature_rejected(ca):
+    _key, cert = make_identity(ca, "client-1", b"c1")
+    shifted = Certificate(
+        cert.subject, cert.public_key, cert.not_after_version, cert.signature + 5 * ca.n
+    )
+    reparsed = Certificate.parse(shifted.serialize())
+    assert reparsed.serialize() != cert.serialize()
+    assert not reparsed.verify(ca.public_key)
+
+
 def test_key_exchange_mutual_agreement(ca):
     c_key, c_cert = make_identity(ca, "client-1", b"c1")
     s_key, s_cert = make_identity(ca, "vpn-server", b"s1")
