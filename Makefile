@@ -14,31 +14,25 @@ test:
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src/ benchmarks/ examples/ --sarif-out lint.sarif
 
-# Pre-PR gate: secret-flow lint, the full test suite, a figure-10
-# byte-identity smoke, the telemetry differential smoke (recording
-# on vs off must not change a single packet byte), the
-# shard-determinism smoke (2-shard merged digest == serial digest)
+# Pre-PR gate: secret-flow lint, the full test suite, collection of
+# the benchmark suite (a benchmark module that stops importing fails
+# here), a figure-10 byte-identity smoke, the telemetry differential
+# smoke (recording on vs off must not change a single packet byte),
+# the shard-determinism smoke (2-shard merged digest == serial digest)
 # and the fleet rolling-restart smoke.
 # The second lint run is warm (the first one filled .lint_cache) and
 # must come back under the 5 s latency budget.
 check: lint
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src/ benchmarks/ examples/ --budget 5
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --collect-only -q
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_experiments_smoke.py -q -k "fig10 or deterministic"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_telemetry.py -q -k "identical_with_telemetry"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py -q -k "deterministic or byte_identical"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_sim_parallel.py -q -k "digest_matches_serial"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py -q -k "rolling_restart_smoke"
 
-# BENCH_micro.json is the committed regression baseline; refuse to
-# clobber it unless the caller explicitly opts in with FORCE=1.
 bench:
-ifndef FORCE
-	@test ! -f BENCH_micro.json || { \
-	  echo "BENCH_micro.json is the committed baseline; rerun with 'make bench FORCE=1' to overwrite it."; \
-	  exit 1; }
-endif
-	PYTHONPATH=src $(PYTHON) -m repro.perf --json BENCH_micro.json
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 experiments:

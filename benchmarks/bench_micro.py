@@ -8,7 +8,7 @@ functional datapath fast enough that big simulations stay tractable.
 import pytest
 
 from repro.click import Router, configs
-from repro.crypto import AES128, KeystreamCipher, hmac_sha256
+from repro.crypto import KeystreamCipher, hmac_sha256
 from repro.ids import AhoCorasick, community_ruleset
 from repro.netsim import IPv4Packet, UdpDatagram, parse_ipv4
 from repro.netsim.traffic import make_payload
@@ -16,12 +16,6 @@ from repro.vpn.channel import DataChannel, ProtectionMode
 from repro.vpn.protocol import OP_DATA, VpnPacket
 
 PAYLOAD_1500 = make_payload(1500)
-
-
-def test_micro_aes_block(benchmark):
-    cipher = AES128(b"0123456789abcdef")
-    block = b"A" * 16
-    benchmark(cipher.encrypt_block, block)
 
 
 def test_micro_keystream_1500(benchmark):

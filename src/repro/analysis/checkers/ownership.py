@@ -19,8 +19,8 @@ and reports:
 Deliberately shared state is *waived*: inline
 ``# endbox-lint: shared(SS601)`` on the offending line (``SS6xx``
 covers the family), or an entry in ``ownergraph.OWNERSHIP`` carrying
-the reviewed justification — the telemetry name registry and the
-monotone collector counters live there.
+the reviewed justification — the telemetry name registry and the RSA
+key-pair memo live there.
 """
 
 from __future__ import annotations

@@ -112,16 +112,6 @@ class HotAllowance:
 HOT_ALLOWANCES: List[HotAllowance] = [
     HotAllowance(
         rule="HP701",
-        path="repro/crypto/stream.py",
-        contains="b''.join",
-        note=(
-            "keystream assembly: the block generator emits 16-byte blocks "
-            "and one contiguous buffer is the product being cached; the "
-            "join IS the required materialization, not an avoidable copy"
-        ),
-    ),
-    HotAllowance(
-        rule="HP701",
         path="repro/vpn/channel.py",
         contains="'payload' + ",
         note=(
@@ -173,7 +163,6 @@ HOT_SEEDS: FrozenSet[Tuple[str, str]] = frozenset(
         ("repro.vpn.channel", "DataChannel.unprotect"),
         ("repro.vpn.channel", "DataChannel.unprotect_batch"),
         ("repro.crypto.stream", "KeystreamCipher.process"),
-        ("repro.crypto.stream", "KeystreamCipher._keystream"),
         # netsim frame delivery
         ("repro.netsim.link", "Link._pump"),
         ("repro.netsim.link", "Link.transmit"),

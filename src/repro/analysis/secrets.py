@@ -6,12 +6,12 @@ checks *who calls whom* across the enclave boundary; the taint pass
 (TF5xx, :mod:`~repro.analysis.checkers.taint`) checks *what data flows*
 across it.  This module is the declarative half of that pass, styled
 after :mod:`~repro.analysis.trustmap`: it names the taint **sources**
-(key schedules, keystream caches, HMAC pad states, private scalars,
-DRBG state, sealing keys, TLS session secrets, VPN channel keys), the
-untrusted **sinks** (ocall arguments, trace/log events, exception
-messages, packet payloads built outside the enclave, JSON artifact
-writers, injected export hooks) and the **sanitizers/declassifiers**
-(protect/encrypt/seal/MAC/hash) whose output is safe to expose.
+(key schedules, HMAC pad states, private scalars, DRBG state, sealing
+keys, TLS session secrets, VPN channel keys), the untrusted **sinks**
+(ocall arguments, trace/log events, exception messages, packet payloads
+built outside the enclave, JSON artifact writers, injected export hooks)
+and the **sanitizers/declassifiers** (protect/encrypt/seal/MAC/hash)
+whose output is safe to expose.
 
 Intentional exposure — the paper's own keylog path (§III-D), sealing a
 serialized credential blob — is *declassified*, either here in
@@ -70,8 +70,6 @@ SECRET_FUNCTIONS: Dict[str, str] = {
 #: bare method names whose return value is secret on any receiver.
 SECRET_METHODS: Dict[str, str] = {
     "exchange": "Diffie-Hellman shared secret",
-    "_expand_key": "AES round-key schedule",
-    "_keystream": "raw keystream bytes",
     "_keyed_state": "HMAC keyed pad states",
     "_sealing_key": "SGX sealing key",
     "unseal": "unsealed enclave secrets",
@@ -83,18 +81,12 @@ SECRET_METHODS: Dict[str, str] = {
 #: this set during analysis; these are the documented, load-bearing ones.
 SECRET_ATTRIBUTES: Dict[str, str] = {
     # symmetric key schedules and caches
-    "_round_keys": "AES round keys",
-    "_midstate": "keystream key schedule (SHA-256 midstate over the key)",
+    "_midstate": "keystream key schedule (SHAKE-128 state with the key absorbed)",
     "_hmac_key": "data-channel HMAC key",
     "_mac_key": "record-layer MAC key",
-    # per-registry crypto cache block (repro.crypto.cachestate): the
-    # PR-2 performance caches, now attribute-scoped instead of global
-    "_crypto_caches": "per-registry crypto cache block",
-    "aes_schedules": "cached AES key schedules",
-    "keystreams": "cached keystream bytes",
-    "_keystreams": "cached keystream bytes",
-    "hmac_pads": "cached HMAC pad states",
-    # private scalars / generic key slots (AES, DRBG, x25519 holders)
+    # per-registry HMAC pad-state cache (repro.crypto.cachestate)
+    "_hmac_pads": "cached HMAC pad states",
+    # private scalars / generic key slots (DRBG, x25519 holders)
     "_key": "private key material",
     "_value": "DRBG internal state",
     "_private": "x25519 private scalar",
@@ -117,10 +109,10 @@ SECRET_ATTRIBUTES: Dict[str, str] = {
     "_platform_secret": "platform sealing fuse key",
 }
 
-#: module-level globals holding secrets.  The PR-2 performance caches
-#: that used to live here moved to per-registry attributes (see
-#: ``repro.crypto.cachestate`` and SECRET_ATTRIBUTES above) as part of
-#: the SS6xx shard-safety cleanup; the table stays for future globals.
+#: module-level globals holding secrets.  Empty: the one crypto cache
+#: (HMAC pad states) lives on the telemetry registry (see
+#: ``repro.crypto.cachestate`` and SECRET_ATTRIBUTES above) for shard
+#: safety; the table stays for future globals.
 SECRET_GLOBALS: Dict[str, str] = {}
 
 #: parameter names that carry secrets *in trusted-domain code* (the
@@ -164,7 +156,6 @@ SANITIZER_FUNCTIONS: FrozenSet[str] = frozenset(
         "repro.crypto.hashes.sha256",
         "repro.crypto.hashes.sha256_hex",
         "repro.crypto.hashes.truncated_sha256",
-        "repro.crypto.modes.cbc_encrypt",
         "hmac.compare_digest",
         "hashlib.sha256",
     }
@@ -181,8 +172,6 @@ SANITIZER_METHODS: FrozenSet[str] = frozenset(
         "process",
         "protect",
         "seal",
-        "encrypt_block",
-        "decrypt_block",
         "hmac_sha256",
         "hmac_verify",
         "digest",

@@ -81,9 +81,6 @@ TRUST_MAP: Dict[str, TrustDomain] = {
     "repro.fleet": TrustDomain.UNTRUSTED,
     "repro.experiments": TrustDomain.UNTRUSTED,
     "repro.consensus": TrustDomain.UNTRUSTED,
-    # the wall-clock micro-harness times host-side Python, never enclave
-    # state; it drives the gateway like any other untrusted caller
-    "repro.perf": TrustDomain.UNTRUSTED,
     # substrate shared by both sides
     "repro.sim": TrustDomain.SHARED,
     "repro.costs": TrustDomain.SHARED,
@@ -119,9 +116,6 @@ DETERMINISM_ALLOWLIST = frozenset(
         "repro.experiments.runner",
         # the linter itself never runs inside a simulation
         "repro.analysis",
-        # the micro-harness measures wall-clock by design; its
-        # simulations are self-contained and discarded after timing
-        "repro.perf",
         # deliberately NOT listed: repro.telemetry — the registry takes
         # an injected clock (the sim's now, or a clock passed by an
         # exempt caller) and must itself never read wall time

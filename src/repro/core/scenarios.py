@@ -155,8 +155,8 @@ class ChaosRolloutResult:
     ``stale_admitted_after_grace`` is the server-side tripwire and must
     be 0 — a stale client's data admitted after its grace deadline would
     be exactly the policy violation the rollout machinery exists to
-    prevent.  ``trace_digest`` is the collector-filtered telemetry
-    digest: the same seed + plan must reproduce it byte-for-byte.
+    prevent.  ``trace_digest`` is the telemetry digest: the same seed +
+    plan must reproduce it byte-for-byte.
     """
 
     converged: bool

@@ -12,23 +12,7 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 
-from repro.crypto.cachestate import HMAC_PAD_CACHE_ENTRIES, current_caches
-from repro.telemetry.registry import register_collector
-
-# pad-state-cache stats, exported via a repro.telemetry global collector
-_CACHE_HITS = 0
-_CACHE_MISSES = 0
-
-
-def _collect_cache_stats() -> dict:
-    """Telemetry collector: current pad-state cache counters."""
-    return {
-        "crypto.hmac.cache_hits": _CACHE_HITS,
-        "crypto.hmac.cache_misses": _CACHE_MISSES,
-    }
-
-
-register_collector(_collect_cache_stats)
+from repro.crypto.cachestate import HMAC_PAD_CACHE_ENTRIES, current_pads
 
 
 def _keyed_state(key: bytes):
@@ -38,13 +22,9 @@ def _keyed_state(key: bytes):
     per-message cost is then exactly two C-level hash copies, with no
     Python-object bookkeeping on top.
     """
-    # counter increments are OWNERSHIP-waived (monotone, bridged per
-    # registry by the collector delta); the pad cache is per-registry
-    global _CACHE_HITS, _CACHE_MISSES
-    cache = current_caches().hmac_pads
+    cache = current_pads()
     pair = cache.get(key)
     if pair is None:
-        _CACHE_MISSES += 1
         block_key = hashlib.sha256(key).digest() if len(key) > 64 else key
         block_key = block_key.ljust(64, b"\x00")
         pair = (
@@ -55,8 +35,6 @@ def _keyed_state(key: bytes):
             # deterministic FIFO eviction of the oldest-inserted key
             del cache[next(iter(cache))]
         cache[bytes(key)] = pair
-    else:
-        _CACHE_HITS += 1
     return pair
 
 

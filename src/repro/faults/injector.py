@@ -37,7 +37,7 @@ from repro.faults.plan import (
 )
 from repro.telemetry import names as _names
 from repro.telemetry.export import to_json
-from repro.telemetry.registry import Registry, collector_names
+from repro.telemetry.registry import Registry
 
 _names.register("faults.injector.events", "counter", "events", "fault events applied")
 _names.register("faults.injector.plans", "counter", "plans", "fault plans armed")
@@ -79,15 +79,10 @@ class FaultInjectionError(RuntimeError):
 def trace_digest(registry: Registry) -> str:
     """Hex digest of the registry's canonical telemetry artifact.
 
-    Counters provided by process-global collectors (crypto cache
-    statistics) are excluded: they measure interpreter-lifetime state,
-    so an identical replay in a warm process would legitimately differ.
-    Everything else must be byte-identical for the same seed + plan.
+    The whole snapshot is hashed: it must be byte-identical for the same
+    seed + plan.
     """
-    snap = registry.snapshot()
-    for name in collector_names():
-        snap.get("counters", {}).pop(name, None)
-    return sha256(to_json(snap).encode()).hex()
+    return sha256(to_json(registry.snapshot()).encode()).hex()
 
 
 class FaultInjector:

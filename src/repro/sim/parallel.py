@@ -450,6 +450,27 @@ def fork_available() -> bool:
     return hasattr(os, "fork")
 
 
+#: what a pipe to a worker that has already exited raises
+_PIPE_GONE = (BrokenPipeError, EOFError, ConnectionResetError)
+
+
+def _lost_shard(conn, shard: int) -> SimulationError:
+    """The error for a shard whose pipe broke: its own report if it left one.
+
+    A worker that fails sends ``("error", traceback)`` and exits, so the
+    coordinator's next send or recv on its pipe may raise before the
+    report was read; the report is still buffered in the pipe.
+    """
+    try:
+        if conn.poll():
+            message = conn.recv()
+            if message[0] == "error":
+                return SimulationError(f"shard {shard} worker failed:\n{message[1]}")
+    except (EOFError, OSError):
+        pass
+    return SimulationError(f"shard {shard} worker exited without a report")
+
+
 def _run_fork(
     builder: Builder, plan: ShardPlan, horizon_s: float, recording: bool
 ) -> ShardRunResult:
@@ -477,8 +498,17 @@ def _run_fork(
             parents.append(parent_conn)
             workers.append(worker)
 
+        def send(shard: int, message: tuple) -> None:
+            try:
+                parents[shard].send(message)
+            except _PIPE_GONE:
+                raise _lost_shard(parents[shard], shard) from None
+
         def receive(shard: int, expected: str):
-            message = parents[shard].recv()
+            try:
+                message = parents[shard].recv()
+            except _PIPE_GONE:
+                raise _lost_shard(parents[shard], shard) from None
             if message[0] == "error":
                 raise SimulationError(f"shard {shard} worker failed:\n{message[1]}")
             if message[0] != expected:  # pragma: no cover - protocol misuse
@@ -490,7 +520,7 @@ def _run_fork(
         inbound: Dict[int, List[Record]] = {}
         for index, bound in enumerate(bounds):
             for shard in range(plan.n_shards):
-                parents[shard].send(("window", bound, inbound.get(shard, [])))
+                send(shard, ("window", bound, inbound.get(shard, [])))
             drains = [receive(shard, "frames")[1] for shard in range(plan.n_shards)]
             if index + 1 < len(bounds):
                 shipped += sum(len(r[3]) for records in drains for r in records)
@@ -500,7 +530,7 @@ def _run_fork(
         snapshots: List[dict] = []
         events: List[int] = []
         for shard in range(plan.n_shards):
-            parents[shard].send(("finish",))
+            send(shard, ("finish",))
             _kind, snapshot, executed = receive(shard, "result")
             snapshots.append(snapshot)
             events.append(executed)

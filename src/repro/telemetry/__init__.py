@@ -53,7 +53,6 @@ from repro.telemetry.registry import (
     Registry,
     TelemetryError,
     fork_isolated,
-    register_collector,
     session,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "merge_snapshots",
     "merged_trace_digest",
     "register",
-    "register_collector",
     "registered_names",
     "session",
     "summary",

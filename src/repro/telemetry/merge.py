@@ -21,10 +21,9 @@ registry had observed the whole deployment:
 Merging one snapshot returns it value-identical, which is what makes
 ``shard_count=1`` digests byte-identical to plain serial runs.
 
-:func:`merged_trace_digest` applies the same canonicalisation as
-:func:`repro.faults.injector.trace_digest` — collector-backed counters
-(process-lifetime crypto cache statistics) are dropped before hashing —
-so a serial digest and a merged shard digest are directly comparable.
+:func:`merged_trace_digest` hashes the merged snapshot exactly as
+:func:`repro.faults.injector.trace_digest` hashes a serial one, so the
+two digests are directly comparable.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from hashlib import sha256
 from typing import Any, Dict, List, Sequence
 
 from repro.telemetry.export import to_json
-from repro.telemetry.registry import TelemetryError, collector_names
+from repro.telemetry.registry import TelemetryError
 
 Snapshot = Dict[str, Any]
 
@@ -85,17 +84,10 @@ def merge_snapshots(snapshots: Sequence[Snapshot]) -> Snapshot:
 
 
 def merged_trace_digest(snapshots: Sequence[Snapshot]) -> str:
-    """Hex digest over the merged, collector-filtered snapshot.
+    """Hex digest over the merged snapshot.
 
     Byte-identical to :func:`repro.faults.injector.trace_digest` of a
     serial run whenever the sharded execution performed the same work —
     the determinism contract ``make check`` smokes.
     """
-    filtered: List[Snapshot] = []
-    excluded = collector_names()
-    for snap in snapshots:
-        clean = copy.deepcopy(snap)
-        for name in excluded:
-            clean.get("counters", {}).pop(name, None)
-        filtered.append(clean)
-    return sha256(to_json(merge_snapshots(filtered)).encode()).hexdigest()
+    return sha256(to_json(merge_snapshots(snapshots)).encode()).hexdigest()

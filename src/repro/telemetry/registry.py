@@ -21,11 +21,9 @@ leaks in.
 Determinism: a registry never reads the wall clock.  Span timestamps
 come from an injected ``clock`` callable (the simulator passes
 ``lambda: self.now``); with no clock, spans record structure (name,
-nesting depth, order) with ``None`` timestamps.  Module-level statistics
-that cannot live on an instance (the crypto schedule caches) are pulled
-in via :func:`register_collector`; each registry snapshots a baseline at
-construction and reports the *delta*, so collector-backed counters obey
-the same lifetime rules as ordinary ones.
+nesting depth, order) with ``None`` timestamps.  Every count lives on an
+instrument of some registry; there are no process-global statistics, so
+a snapshot is a pure function of what its simulator did.
 
 The ``recording`` flag gates only the *expensive* instrumentation —
 spans, per-element Click counters, queue-occupancy histograms.  Plain
@@ -189,46 +187,6 @@ class _Span:
 
 
 # ----------------------------------------------------------------------
-# module-level global collectors (crypto cache stats, ...)
-# ----------------------------------------------------------------------
-_COLLECTORS: List[Callable[[], Dict[str, int]]] = []
-
-
-def register_collector(fn: Callable[[], Dict[str, int]]) -> None:
-    """Register a process-global stats source (name → monotone value).
-
-    Collectors cover statistics that live in module globals rather than
-    on a component instance (e.g. the keystream cache in
-    :mod:`repro.crypto.stream`).  Every name a collector reports must be
-    :func:`~repro.telemetry.names.register`-ed as a counter.  Each
-    :class:`Registry` snapshots collector values at construction and
-    reports deltas, so collector-backed counters reset with registry
-    lifetime like any other counter.
-    """
-    _COLLECTORS.append(fn)
-
-
-def _collect_globals() -> Dict[str, int]:
-    """Merge all collector outputs into one name → value map."""
-    merged: Dict[str, int] = {}
-    for fn in _COLLECTORS:
-        merged.update(fn())
-    return merged
-
-
-def collector_names() -> frozenset:
-    """Names currently provided by registered global collectors.
-
-    Collector-backed counters (crypto cache statistics, ...) report
-    deltas against process-global state, so replaying an identical
-    scenario twice in one interpreter yields different values (warm
-    caches).  Trace-digest code uses this set to exclude them from
-    byte-identity comparisons.
-    """
-    return frozenset(_collect_globals())
-
-
-# ----------------------------------------------------------------------
 # the registry tree
 # ----------------------------------------------------------------------
 class Registry:
@@ -271,7 +229,6 @@ class Registry:
         self._spans: List[Dict[str, Any]] = []
         self._spans_dropped = 0
         self._span_depth = 0
-        self._collector_base: Dict[str, int] = _collect_globals()
 
     # -- scope resolution ------------------------------------------------
     @classmethod
@@ -361,16 +318,11 @@ class Registry:
         """Current value of the shared counter *name* (0 if never touched).
 
         Includes increments from private instruments attached to this
-        registry and mirrored increments from child registries; for
-        collector-backed names, the delta since this registry was built.
+        registry and mirrored increments from child registries.
         """
         _names.require(name, "counter")
         counter = self._counters.get(name)
-        total = counter.value if counter is not None else 0
-        current = _collect_globals()
-        if name in current:
-            total += current[name] - self._collector_base.get(name, 0)
-        return total
+        return counter.value if counter is not None else 0
 
     @property
     def spans(self) -> List[Dict[str, Any]]:
@@ -380,20 +332,13 @@ class Registry:
     def snapshot(self) -> Dict[str, Any]:
         """Plain-data snapshot of every instrument in this registry.
 
-        Counters include collector deltas since construction; the result
-        is JSON-serialisable and consumed by
+        The result is JSON-serialisable and consumed by
         :mod:`repro.telemetry.export`.
         """
-        counters = {name: c.value for name, c in self._counters.items()}
-        current = _collect_globals()
-        for name, value in current.items():
-            delta = value - self._collector_base.get(name, 0)
-            if delta or name in counters:
-                counters[name] = counters.get(name, 0) + delta
         return {
             "label": self.label,
             "recording": self.recording,
-            "counters": dict(sorted(counters.items())),
+            "counters": {name: c.value for name, c in sorted(self._counters.items())},
             "gauges": {name: g.value for name, g in sorted(self._gauges.items())},
             "histograms": {name: h.to_dict() for name, h in sorted(self._histograms.items())},
             "spans": list(self._spans),
@@ -415,7 +360,6 @@ class Registry:
         self._spans.clear()
         self._spans_dropped = 0
         self._span_depth = 0
-        self._collector_base = _collect_globals()
 
 
 _root_override: Optional[Registry] = None

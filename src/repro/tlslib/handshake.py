@@ -15,6 +15,7 @@ defence relies on (§V-A).
 
 from __future__ import annotations
 
+import hmac
 import json
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -192,7 +193,7 @@ class ClientHandshake:
         """Check the server Finished MAC; raises TlsAlert on mismatch."""
         if self.keys is None:
             raise TlsAlert("handshake not complete")
-        if mac != self.keys.finished_mac("server"):
+        if not hmac.compare_digest(mac, self.keys.finished_mac("server")):
             raise TlsAlert("server Finished verification failed (transcript tampered?)")
 
 
@@ -242,5 +243,5 @@ class ServerHandshake:
         """Check the client Finished MAC; raises TlsAlert on mismatch."""
         if self.keys is None:
             raise TlsAlert("handshake not complete")
-        if mac != self.keys.finished_mac("client"):
+        if not hmac.compare_digest(mac, self.keys.finished_mac("client")):
             raise TlsAlert("client Finished verification failed")

@@ -4,14 +4,17 @@
 the control-channel handshake.  Modes (§IV-A, scenario-specific traffic
 protection):
 
-* ``ENCRYPT_AND_MAC`` — AES-128-CBC-style encryption + HMAC (enterprise
-  scenario; the default, like OpenVPN's data channel),
+* ``ENCRYPT_AND_MAC`` — encryption + HMAC (enterprise scenario; the
+  default, like OpenVPN's data channel),
 * ``MAC_ONLY`` — payload travels in clear but integrity-protected (ISP
   scenario; users opted in, so confidentiality against the ISP is not a
   goal, but Click-processing still cannot be bypassed).
 
-Functionally the bulk cipher is the fast keyed keystream cipher; the
-cost model charges AES prices (see ``repro.costs``).
+Each record is encrypted with the SHAKE-128 keystream cipher
+(:class:`~repro.crypto.stream.KeystreamCipher`, nonce = session id and
+packet id) and authenticated with an HMAC-SHA256 tag truncated to
+:data:`TAG_LEN` bytes.  The cost model prices the encryption as
+AES-128-CBC, OpenVPN's data-channel cipher (see ``repro.vpn.costing``).
 
 Buffer model (see DESIGN.md, "Zero-copy buffer model"): record bodies
 arriving from :func:`repro.vpn.protocol.VpnPacket.parse` are

@@ -15,6 +15,7 @@ signatures are needed, which keeps 60-client experiments fast.
 
 from __future__ import annotations
 
+import hmac
 import json
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -169,14 +170,9 @@ class ClientKeyExchange:
         dh_es = self._ephemeral.exchange(server_cert.public_key)
         transcript = sha256(self._hello or b"", server_cert.serialize(), server_ephemeral)
         self.secrets = _derive(dh_ee + dh_se + dh_es, transcript)
-        if confirmation != hmac_sha256(self.secrets.confirmation, b"server-confirm"):
+        expected = hmac_sha256(self.secrets.confirmation, b"server-confirm")
+        if not hmac.compare_digest(confirmation, expected):
             raise HandshakeError("server key confirmation failed")
-
-    def confirmation(self) -> bytes:
-        """The client key-confirmation MAC."""
-        if self.secrets is None:
-            raise HandshakeError("handshake incomplete")
-        return hmac_sha256(self.secrets.confirmation, b"client-confirm")
 
 
 class ServerKeyExchange:
@@ -219,7 +215,3 @@ class ServerKeyExchange:
             }
         ).encode()
         return reply, secrets, client_cert, client_version
-
-    @staticmethod
-    def verify_client_confirmation(secrets: SessionSecrets, confirmation: bytes) -> bool:
-        return confirmation == hmac_sha256(secrets.confirmation, b"client-confirm")

@@ -8,82 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
-    AES128,
     HmacDrbg,
     KeystreamCipher,
     RsaKeyPair,
     X25519PrivateKey,
-    cbc_decrypt,
-    cbc_encrypt,
     hkdf_expand,
     hkdf_extract,
     hmac_sha256,
     hmac_verify,
-    sha256,
     x25519,
 )
 from repro.crypto import rsa
-from repro.crypto.modes import pkcs7_pad, pkcs7_unpad
-
-
-# ----------------------------------------------------------------------
-# AES-128 known-answer tests
-# ----------------------------------------------------------------------
-def test_aes128_fips197_appendix_c_vector():
-    key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-    plaintext = bytes.fromhex("00112233445566778899aabbccddeeff")
-    expected = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
-    cipher = AES128(key)
-    assert cipher.encrypt_block(plaintext) == expected
-    assert cipher.decrypt_block(expected) == plaintext
-
-
-def test_aes128_nist_ecb_kat():
-    # NIST SP 800-38A F.1.1 ECB-AES128.Encrypt, first block
-    key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
-    plaintext = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
-    expected = bytes.fromhex("3ad77bb40d7a3660a89ecaf32466ef97")
-    assert AES128(key).encrypt_block(plaintext) == expected
-
-
-def test_aes128_cbc_nist_vector():
-    # NIST SP 800-38A F.2.1 CBC-AES128.Encrypt, first block (no padding in
-    # the vector, so compare the first 16 bytes of our padded output).
-    key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
-    iv = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-    plaintext = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
-    expected_first = bytes.fromhex("7649abac8119b246cee98e9b12e9197d")
-    assert cbc_encrypt(key, iv, plaintext)[:16] == expected_first
-
-
-def test_aes_rejects_bad_key_and_block():
-    with pytest.raises(ValueError):
-        AES128(b"short")
-    with pytest.raises(ValueError):
-        AES128(b"k" * 16).encrypt_block(b"tiny")
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.binary(min_size=0, max_size=200), st.binary(min_size=16, max_size=16))
-def test_cbc_roundtrip(plaintext, key):
-    iv = sha256(key)[:16]
-    assert cbc_decrypt(key, iv, cbc_encrypt(key, iv, plaintext)) == plaintext
-
-
-def test_cbc_tampered_ciphertext_fails_padding_often():
-    key = b"0123456789abcdef"
-    iv = b"\x00" * 16
-    ct = bytearray(cbc_encrypt(key, iv, b"hello world, this is a test"))
-    ct[-1] ^= 0xFF
-    with pytest.raises(ValueError):
-        cbc_decrypt(key, iv, bytes(ct))
-
-
-def test_pkcs7_pad_unpad():
-    assert pkcs7_pad(b"") == b"\x10" * 16
-    assert pkcs7_unpad(pkcs7_pad(b"abc")) == b"abc"
-    with pytest.raises(ValueError):
-        pkcs7_unpad(b"\x00" * 16)
 
 
 # ----------------------------------------------------------------------
@@ -95,6 +30,19 @@ def test_keystream_roundtrip(data):
     cipher = KeystreamCipher(b"k" * 32)
     nonce = b"\x01\x02\x03\x04"
     assert cipher.decrypt(nonce, cipher.encrypt(nonce, data)) == data
+
+
+@pytest.mark.parametrize("size", [0, 1, 64, 1500])
+def test_keystream_known_answer(size):
+    # the record cipher is SHAKE-128(key || nonce) XOR the data
+    key = bytes(range(32))
+    nonce = bytes.fromhex("00000000000000070000000000000101")
+    data = bytes((7 * i + 3) & 0xFF for i in range(size))
+    stream = hashlib.shake_128(key + nonce).digest(size)
+    expected = bytes(d ^ k for d, k in zip(data, stream))
+    cipher = KeystreamCipher(key)
+    assert cipher.encrypt(nonce, data) == expected
+    assert cipher.decrypt(nonce, memoryview(expected)) == data
 
 
 def test_keystream_different_nonce_different_ciphertext():

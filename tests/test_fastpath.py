@@ -19,13 +19,7 @@ from repro.core.enclave_app import EndBoxEnclave, build_endbox_image
 from repro.core.endbox_client import ECALL_BATCH_LIMIT
 from repro.core.provisioning import provision_client
 from repro.crypto import hmac as crypto_hmac
-from repro.crypto import stream as crypto_stream
-from repro.crypto.cachestate import (
-    HMAC_PAD_CACHE_ENTRIES,
-    KEYSTREAM_CACHE_ENTRIES,
-    current_caches,
-)
-from repro.crypto.stream import KeystreamCipher
+from repro.crypto.cachestate import HMAC_PAD_CACHE_ENTRIES, current_pads
 from repro.faults import trace_digest
 from repro.fleet import DeploymentSpec
 from repro.costs import default_cost_model
@@ -439,49 +433,22 @@ def test_tls_record_zero_copy_framing_and_unprotect():
 
 
 # ----------------------------------------------------------------------
-# bounded crypto caches (deterministic FIFO eviction)
+# bounded HMAC pad-state cache (deterministic FIFO eviction)
 # ----------------------------------------------------------------------
-def test_keystream_cache_bounded_with_fifo_eviction():
-    with fork_isolated():
-        cipher = KeystreamCipher(b"k" * 16)
-        cache = cipher._keystreams
-        overflow = 50
-        total = KEYSTREAM_CACHE_ENTRIES + overflow
-        for pid in range(total):
-            cipher.encrypt(pid.to_bytes(8, "big"), b"payload")
-        assert len(cache) == KEYSTREAM_CACHE_ENTRIES
-        survivors = {nonce for _key, nonce in cache}
-        # strictly FIFO: exactly the oldest nonces were evicted
-        assert all(pid.to_bytes(8, "big") not in survivors for pid in range(overflow))
-        assert all(pid.to_bytes(8, "big") in survivors for pid in range(overflow, total))
-
-
 def test_channel_caches_stay_bounded_under_churn():
     with fork_isolated():
-        tx, rx = channel_pair()
-        caches = current_caches()
-        pid = 0
-        for _round in range(6):
-            items = []
-            for _ in range(512):
-                pid += 1
-                items.append((VpnPacket(OP_DATA, 2, pid), b"churn-payload"))
-            assert rx.unprotect_batch(tx.protect_batch(items)) == [b"churn-payload"] * 512
-        assert pid > KEYSTREAM_CACHE_ENTRIES  # the churn actually overflowed
-        assert len(caches.keystreams) <= KEYSTREAM_CACHE_ENTRIES
-        assert len(caches.hmac_pads) <= HMAC_PAD_CACHE_ENTRIES
-
-
-def test_keystream_view_outlives_eviction():
-    with fork_isolated():
-        cipher = KeystreamCipher(b"v" * 16)
-        view = cipher._keystream(b"nonce-a", 5)
-        assert type(view) is memoryview
-        expected = bytes(view)
-        for pid in range(KEYSTREAM_CACHE_ENTRIES + 10):
-            cipher._keystream(pid.to_bytes(8, "big"), 5)
-        assert (b"v" * 16, b"nonce-a") not in cipher._keystreams  # evicted
-        assert bytes(view) == expected  # the view keeps its buffer alive
+        overflow = 50
+        hmac_keys = [b"hmac-key-%08d" % index for index in range(HMAC_PAD_CACHE_ENTRIES + overflow)]
+        for pid, hmac_key in enumerate(hmac_keys):
+            tx = DataChannel(b"cipher-key-cipher", hmac_key)
+            rx = DataChannel(b"cipher-key-cipher", hmac_key)
+            packet = tx.protect(VpnPacket(OP_DATA, 2, pid), b"churn-payload")
+            assert rx.unprotect(packet) == b"churn-payload"
+        cache = current_pads()
+        assert len(cache) == HMAC_PAD_CACHE_ENTRIES
+        # strictly FIFO: exactly the oldest keys were evicted
+        assert all(key not in cache for key in hmac_keys[:overflow])
+        assert all(key in cache for key in hmac_keys[overflow:])
 
 
 def _vpn_digest_run():
@@ -499,10 +466,9 @@ def _vpn_digest_run():
 
 
 def test_tiny_cache_caps_leave_trace_digest_unchanged(monkeypatch):
-    """Eviction policy is invisible: every cached value is a pure
-    function of its key, so starving the caches must not move a byte."""
+    """Eviction policy is invisible: every cached pad state is a pure
+    function of its key, so starving the cache must not move a byte."""
     baseline_digest, baseline_packets = _vpn_digest_run()
-    monkeypatch.setattr(crypto_stream, "KEYSTREAM_CACHE_ENTRIES", 4)
     monkeypatch.setattr(crypto_hmac, "HMAC_PAD_CACHE_ENTRIES", 1)
     tiny_digest, tiny_packets = _vpn_digest_run()
     assert tiny_packets == baseline_packets > 0

@@ -80,8 +80,6 @@ def test_known_required_copies_are_waived_not_reported():
     checker = HotPathChecker()
     analyze_paths(TREES, checkers=[checker])
     waived = {(f.rule, f.path.rsplit("/", 1)[-1]) for f, _ in checker.waived}
-    # keystream assembly + cached-stream truncation
-    assert ("HP701", "stream.py") in waived
     # MAC tag append in DataChannel.protect
     assert ("HP701", "channel.py") in waived
     # reassembly re-parse across the parse_ipv4 boundary

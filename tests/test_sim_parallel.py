@@ -1,5 +1,7 @@
 """Sharded parallel runner: partitioning, ordering, determinism, adapters."""
 
+import multiprocessing
+
 import pytest
 
 from repro.experiments.fig10_swarm import (
@@ -170,15 +172,37 @@ def test_unknown_mode_rejected():
         run_swarm(SMALL, 2, mode="hovercraft")
 
 
+def _shard_one_fails(ctx):
+    if ctx.shard_index == 1:
+        raise ValueError("shard one is cursed")
+
+
 @pytest.mark.skipif(not fork_available(), reason="requires POSIX fork")
 def test_worker_failure_propagates_with_shard_name():
-    def broken(ctx):
-        if ctx.shard_index == 1:
-            raise ValueError("shard one is cursed")
-
     plan = ShardPlan.partition(2, 2, 1e-3)
     with pytest.raises(SimulationError, match="shard 1"):
-        run_sharded(broken, plan, 0.01, mode="fork")
+        run_sharded(_shard_one_fails, plan, 0.01, mode="fork")
+
+
+@pytest.mark.skipif(not fork_available(), reason="requires POSIX fork")
+def test_worker_report_survives_pipe_closed_before_first_window(monkeypatch):
+    """The failed worker is certainly gone before the first window is
+    sent, so the send breaks; its report must still be read."""
+    window_bounds = ShardPlan.window_bounds
+
+    def after_shard_one_exits(self, horizon_s):
+        # runs after the workers start and before the first send
+        for child in multiprocessing.active_children():
+            if child.name == "shard-1":
+                child.join(timeout=30)
+                assert not child.is_alive()
+        return window_bounds(self, horizon_s)
+
+    monkeypatch.setattr(ShardPlan, "window_bounds", after_shard_one_exits)
+    plan = ShardPlan.partition(2, 2, 1e-3)
+    with pytest.raises(SimulationError, match="shard 1 worker failed") as failure:
+        run_sharded(_shard_one_fails, plan, 0.01, mode="fork")
+    assert "shard one is cursed" in str(failure.value)
 
 
 # ----------------------------------------------------------------------

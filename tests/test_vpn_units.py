@@ -297,7 +297,6 @@ def test_key_exchange_mutual_agreement(ca):
     client.process_reply(reply)
     assert client.secrets.client_cipher == server_secrets.client_cipher
     assert client.secrets.server_hmac == server_secrets.server_hmac
-    assert ServerKeyExchange.verify_client_confirmation(server_secrets, client.confirmation())
 
 
 def test_key_exchange_rejects_uncertified_client(ca):
