@@ -18,9 +18,10 @@ This package makes them machine-checked on every tree:
   cost accounting cannot silently erode.
 * **Click-graph validation** (:mod:`~repro.analysis.checkers.clickgraph`):
   the shipped configurations must have valid port arities, no cycles,
-  and no unreachable elements — checked offline here and again at
-  config load before a reconfiguration commits
-  (:mod:`~repro.analysis.graphcheck`).
+  and no unreachable elements — checked offline here with the same
+  validator that runs at config load before a reconfiguration commits
+  (:mod:`repro.click.graphcheck`, which lives with the runtime so no
+  deployment imports the linter).
 * **Secret-flow analysis** (:mod:`~repro.analysis.checkers.taint`):
   interprocedural dataflow from registered secret sources
   (:mod:`~repro.analysis.secrets` — key schedules, private scalars,
@@ -28,12 +29,19 @@ This package makes them machine-checked on every tree:
   trace/log events, exception messages, packet payloads, artifact
   writers), cut only by declared sanitizers or explicit
   ``declassify`` annotations.
+* **Shard safety and view lifetimes**
+  (:mod:`~repro.analysis.checkers.ownership`): sim-driven code must not
+  mutate process-global state, and no function may let a
+  ``memoryview`` over a reused buffer escape.
 
-Run it as ``python -m repro.analysis src/`` (or ``make lint``); see
-README.md for the baseline workflow.
+The taint and ownership passes share one
+:class:`~repro.analysis.callgraph.CallGraph` per run.  Run it as
+``python -m repro.analysis src/`` (or ``make lint``); see README.md for
+the baseline workflow.
 """
 
-from repro.analysis.baseline import Baseline, BaselineEntry
+from repro.analysis.baseline import Baseline
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.dataflow import Summary, TaintAnalysis
 from repro.analysis.engine import (
     AnalysisReport,
@@ -43,31 +51,24 @@ from repro.analysis.engine import (
     analyze_paths,
     analyze_source,
 )
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.graphcheck import ClickGraphError, GraphIssue, check_config_text, validate_parsed
-from repro.analysis.secrets import Declassification, declassify_rules, registry_declassified
+from repro.analysis.findings import Finding, Severity, Waiver, inline_rules
 from repro.analysis.trustmap import TrustDomain, trust_domain
 
 __all__ = [
     "AnalysisReport",
     "Analyzer",
     "Baseline",
-    "BaselineEntry",
+    "CallGraph",
     "Checker",
-    "ClickGraphError",
-    "Declassification",
     "Finding",
-    "GraphIssue",
     "ModuleInfo",
     "Severity",
     "Summary",
     "TaintAnalysis",
     "TrustDomain",
+    "Waiver",
     "analyze_paths",
     "analyze_source",
-    "check_config_text",
-    "declassify_rules",
-    "registry_declassified",
+    "inline_rules",
     "trust_domain",
-    "validate_parsed",
 ]

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.baseline import Baseline, BaselineError, DEFAULT_BASELINE_NAME
-from repro.analysis.cache import DEFAULT_CACHE_DIR, LintCache
 from repro.analysis.checkers import all_rules, default_checkers
 from repro.analysis.engine import Analyzer
 from repro.analysis.reporting import render_json, render_sarif, render_text
@@ -71,17 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the whole family (e.g. --rules SS, --rules TF5)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental lint cache (always run everything)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"incremental cache location (default: ./{DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
         "--sarif-out",
         default=None,
         metavar="FILE",
@@ -93,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="fail (exit 3) when the analysis itself takes longer than "
-        "SECONDS of wall time — a CI latency gate for the warm-cache run",
+        "SECONDS of wall time — a CI latency gate",
     )
     parser.add_argument(
         "--list-rules",
@@ -145,13 +133,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         baseline = _resolve_baseline(args)
     except (BaselineError, OSError) as exc:
         parser.error(str(exc))
-    cache = None if args.no_cache else LintCache(args.cache_dir)
     # the linter is on the DETERMINISM_ALLOWLIST: this is host tooling
     # wall time, gating CI latency, never simulation state
     started = time.perf_counter() if args.budget is not None else 0.0
-    report = Analyzer(
-        checkers=default_checkers(), baseline=baseline, cache=cache
-    ).run(paths)
+    report = Analyzer(checkers=default_checkers(), baseline=baseline).run(paths)
     elapsed = time.perf_counter() - started if args.budget is not None else 0.0
 
     if args.rules is not None:

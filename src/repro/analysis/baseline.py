@@ -1,9 +1,9 @@
 """Baseline suppressions: adopt the linter without fixing history first.
 
-A baseline file is a JSON document of entries, each suppressing findings
-by rule and/or file.  Every entry carries a ``note`` explaining *why*
-the violation is acceptable — a baseline without justification is just a
-muted alarm.  Format::
+A baseline file is a JSON document of :class:`~repro.analysis.findings.Waiver`
+entries, each suppressing findings by rule and/or file.  Every entry
+carries a ``note`` explaining *why* the violation is acceptable — a
+baseline without justification is just a muted alarm.  Format::
 
     {
       "version": 1,
@@ -24,14 +24,12 @@ least one of ``rule``/``path`` is required.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Set
 
-from repro.analysis.findings import Finding
+from repro.analysis.findings import Finding, Waiver, first_match
 
 BASELINE_VERSION = 1
 DEFAULT_BASELINE_NAME = "lint-baseline.json"
@@ -41,50 +39,13 @@ class BaselineError(ValueError):
     """Malformed baseline file."""
 
 
-@dataclass
-class BaselineEntry:
-    rule: Optional[str] = None
-    path: Optional[str] = None
-    contains: Optional[str] = None
-    note: str = ""
-    hits: int = field(default=0, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.rule is None and self.path is None:
-            raise BaselineError("baseline entry needs at least one of 'rule'/'path'")
-
-    def matches(self, finding: Finding) -> bool:
-        """True when this entry suppresses ``finding``."""
-        if self.rule is not None and finding.rule != self.rule:
-            return False
-        if self.path is not None:
-            normalized = finding.path.replace("\\", "/")
-            wanted = self.path.replace("\\", "/")
-            if normalized != wanted and not normalized.endswith("/" + wanted.lstrip("/")):
-                return False
-        if self.contains is not None and self.contains not in finding.message:
-            return False
-        return True
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation (omits unset fields)."""
-        data = {}
-        if self.rule is not None:
-            data["rule"] = self.rule
-        if self.path is not None:
-            data["path"] = self.path
-        if self.contains is not None:
-            data["contains"] = self.contains
-        if self.note:
-            data["note"] = self.note
-        return data
-
-
 class Baseline:
     """A set of suppression entries, with hit tracking for staleness."""
 
-    def __init__(self, entries: Optional[Iterable[BaselineEntry]] = None) -> None:
-        self.entries: List[BaselineEntry] = list(entries or [])
+    def __init__(self, entries: Optional[Iterable[Waiver]] = None) -> None:
+        self.entries: List[Waiver] = list(entries or [])
+        #: entries that suppressed at least one finding this run
+        self._hit: Set[Waiver] = set()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -101,12 +62,15 @@ class Baseline:
         for raw in document["entries"]:
             if not isinstance(raw, dict):
                 raise BaselineError(f"{path}: entry is not an object: {raw!r}")
-            entry = BaselineEntry(
-                rule=raw.get("rule"),
-                path=raw.get("path"),
-                contains=raw.get("contains"),
-                note=raw.get("note", ""),
-            )
+            try:
+                entry = Waiver(
+                    rule=raw.get("rule"),
+                    path=raw.get("path"),
+                    contains=raw.get("contains"),
+                    note=raw.get("note", ""),
+                )
+            except ValueError as exc:
+                raise BaselineError(f"{path}: {exc}: {raw!r}") from exc
             # duplicates would shadow each other's hit tracking (the
             # second copy always reads as unused), so keep the first
             # occurrence only and tell the user to clean the file up
@@ -134,22 +98,15 @@ class Baseline:
     # ------------------------------------------------------------------
     def suppresses(self, finding: Finding) -> bool:
         """True (and counts the hit) when any entry matches."""
-        for entry in self.entries:
-            if entry.matches(finding):
-                entry.hits += 1
-                return True
-        return False
+        entry = first_match(self.entries, finding)
+        if entry is None:
+            return False
+        self._hit.add(entry)
+        return True
 
-    def unused_entries(self) -> List[BaselineEntry]:
+    def unused_entries(self) -> List[Waiver]:
         """Entries that matched nothing this run (candidates for removal)."""
-        return [entry for entry in self.entries if entry.hits == 0]
-
-    def digest(self) -> str:
-        """Content hash of the entry set (participates in lint-cache keys)."""
-        canonical = json.dumps(
-            [entry.to_dict() for entry in self.entries], sort_keys=True
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return [entry for entry in self.entries if entry not in self._hit]
 
     @classmethod
     def from_findings(cls, findings: Iterable[Finding], note: str = "baselined") -> "Baseline":
@@ -161,5 +118,5 @@ class Baseline:
             if key in seen:
                 continue
             seen.add(key)
-            entries.append(BaselineEntry(rule=finding.rule, path=finding.path, note=note))
+            entries.append(Waiver(rule=finding.rule, path=finding.path, note=note))
         return cls(entries)

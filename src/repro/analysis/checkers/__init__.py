@@ -6,7 +6,10 @@
 * ``clickgraph`` — Click configuration graph validation (CG3xx)
 * ``taint`` — interprocedural secret-flow analysis (TF5xx)
 * ``ownership`` — whole-program shard-safety / state ownership (SS6xx)
-* ``hotpath`` — whole-program hot-path hygiene / zero-copy lint (HP7xx)
+  and memoryview lifetimes (HP705)
+
+``taint`` and ``ownership`` read the one
+:class:`~repro.analysis.callgraph.CallGraph` each run builds.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from typing import Dict, List
 from repro.analysis.checkers.boundary import BoundaryChecker
 from repro.analysis.checkers.clickgraph import ClickGraphChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
-from repro.analysis.checkers.hotpath import HotPathChecker
 from repro.analysis.checkers.interface import InterfaceChecker
 from repro.analysis.checkers.ownership import OwnershipChecker
 from repro.analysis.checkers.taint import TaintChecker
@@ -26,7 +28,6 @@ __all__ = [
     "BoundaryChecker",
     "ClickGraphChecker",
     "DeterminismChecker",
-    "HotPathChecker",
     "InterfaceChecker",
     "OwnershipChecker",
     "TaintChecker",
@@ -44,7 +45,6 @@ def default_checkers() -> List[Checker]:
         ClickGraphChecker(),
         TaintChecker(),
         OwnershipChecker(),
-        HotPathChecker(),
     ]
 
 

@@ -57,10 +57,9 @@ class BoundaryChecker(Checker):
         """Boundary findings for one (non-trusted) module."""
         if module.domain is TrustDomain.TRUSTED:
             return []
-        imports = ImportMap(module.tree)
         findings: List[Finding] = []
         findings.extend(self._private_imports(module))
-        visitor = _AttrVisitor(self, module, imports, findings)
+        visitor = _AttrVisitor(self, module, module.imports, findings)
         visitor.visit(module.tree)
         return findings
 

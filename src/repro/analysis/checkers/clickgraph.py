@@ -2,7 +2,7 @@
 
 Evaluates every configuration shipped in ``repro.click.configs`` (the
 §V-B use cases plus the Table II minimal config) and runs the static
-graph validator from :mod:`repro.analysis.graphcheck` over each: port
+graph validator from :mod:`repro.click.graphcheck` over each: port
 arity against ``PORT_COUNT``, single-wiring of push outputs,
 reachability from the entry element, cycles, unknown element classes.
 
@@ -113,8 +113,8 @@ class ClickGraphChecker(Checker):
     def _validate(self, module: ModuleInfo, name: str, text: str, line: int) -> List[Finding]:
         # imported here so merely constructing the checker never pulls in
         # the click package (keeps `--list-rules` and friends lightweight)
-        from repro.analysis.graphcheck import validate_parsed
         from repro.click.config import ClickSyntaxError, parse_config
+        from repro.click.graphcheck import validate_parsed
 
         try:
             parsed = parse_config(text)

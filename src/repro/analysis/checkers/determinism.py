@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List
 
-from repro.analysis.engine import Checker, ImportMap, ModuleInfo
+from repro.analysis.engine import Checker, ModuleInfo
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.trustmap import (
     determinism_exempt,
@@ -96,7 +96,7 @@ class DeterminismChecker(Checker):
             return []  # scripts outside the library and the sim dirs
         if determinism_exempt(module.module) or determinism_exempt_path(module.path):
             return []
-        imports = ImportMap(module.tree)
+        imports = module.imports
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Attribute):

@@ -1,4 +1,4 @@
-"""Shard-safety lint (SS6xx): state ownership, machine-checked.
+"""Shard-safety lint (SS6xx) and view lifetimes (HP705), machine-checked.
 
 ROADMAP item 1 shards the simulation across parallel workers.  That
 refactor is only sound if everything a shard touches is owned by its
@@ -15,6 +15,9 @@ and reports:
   paths (the fix is per-Simulator or telemetry-registry scoping).
 * **SS604** — shared class attributes mutated from instance methods.
 * **SS605** — non-reentrant lazy initialisation of shared state.
+* **HP705** — a ``memoryview`` over a reused or mutated buffer escaping
+  by return or store, checked in every function (a view that outlives
+  its bytes is wrong whether or not a simulator drives the code).
 
 Deliberately shared state is *waived*: inline
 ``# endbox-lint: shared(SS601)`` on the offending line (``SS6xx``
@@ -25,69 +28,24 @@ key-pair memo live there.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-from repro.analysis.engine import Checker, ModuleInfo
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.ownergraph import (
-    SS_RULES,
-    OwnershipAnalysis,
-    RawOwnershipFinding,
-    ownership_waived,
-    shared_rules,
-)
+from repro.analysis.callgraph import CallGraph, to_findings
+from repro.analysis.engine import Checker
+from repro.analysis.findings import Finding
+from repro.analysis.ownergraph import OWNERSHIP, OWNERSHIP_RULES, OwnershipAnalysis
 
 
 class OwnershipChecker(Checker):
     name = "ownership"
-    rules = dict(SS_RULES)
-    scope = "program"
+    rules = dict(OWNERSHIP_RULES)
 
     def __init__(self) -> None:
-        self._modules: List[ModuleInfo] = []
         #: (finding, justification) pairs removed by a waiver, kept for
         #: reporting/tests (a waiver that matches nothing is stale)
         self.waived: List[Tuple[Finding, str]] = []
 
-    def begin(self, modules: Sequence[ModuleInfo]) -> None:
-        """Receive the whole module set before per-module checks run."""
-        self._modules = list(modules)
-
-    def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        return ()  # reachability is inherently cross-module; see finish()
-
-    def finish(self) -> Iterable[Finding]:
-        if not self._modules:
-            return []
-        raw = OwnershipAnalysis(self._modules).run()
-        findings: List[Finding] = []
-        for hit in raw:
-            finding = self._to_finding(hit)
-            if self._waived(hit, finding):
-                continue
-            findings.append(finding)
-        self._modules = []
-        return findings
-
-    # ------------------------------------------------------------------
-    def _to_finding(self, hit: RawOwnershipFinding) -> Finding:
-        return self.finding(
-            hit.rule,
-            Severity.ERROR,
-            hit.module,
-            hit.node,
-            hit.message,
-            symbol=hit.symbol,
-        )
-
-    def _waived(self, hit: RawOwnershipFinding, finding: Finding) -> bool:
-        """Inline ``shared(...)`` comment or OWNERSHIP registry match."""
-        rules = shared_rules(hit.module.line_text(finding.line))
-        if rules is not None and (finding.rule in rules or "SS6xx" in rules):
-            self.waived.append((finding, "inline shared annotation"))
-            return True
-        entry = ownership_waived(finding)
-        if entry is not None:
-            self.waived.append((finding, entry.note))
-            return True
-        return False
+    def check_program(self, graph: CallGraph) -> Iterable[Finding]:
+        """SS6xx and HP705 findings left after inline and registry waivers."""
+        hits = OwnershipAnalysis(graph).run()
+        return to_findings(hits, "shared", OWNERSHIP, self.waived)

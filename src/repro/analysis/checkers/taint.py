@@ -22,64 +22,25 @@ justification — the keylog path of §III-D lives there.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-from repro.analysis.dataflow import RawFinding, TaintAnalysis
-from repro.analysis.engine import Checker, ModuleInfo
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.secrets import TF_RULES, declassify_rules, registry_declassified
+from repro.analysis.callgraph import CallGraph, to_findings
+from repro.analysis.dataflow import TaintAnalysis
+from repro.analysis.engine import Checker
+from repro.analysis.findings import Finding
+from repro.analysis.secrets import DECLASSIFICATIONS, TF_RULES
 
 
 class TaintChecker(Checker):
     name = "taint"
     rules = dict(TF_RULES)
-    scope = "program"
 
     def __init__(self) -> None:
-        self._modules: List[ModuleInfo] = []
         #: (finding, justification) pairs removed by declassification,
         #: kept for reporting/tests
         self.declassified: List[Tuple[Finding, str]] = []
 
-    def begin(self, modules: Sequence[ModuleInfo]) -> None:
-        """Receive the whole module set before per-module checks run."""
-        self._modules = list(modules)
-
-    def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        return ()  # the analysis is inherently cross-module; see finish()
-
-    def finish(self) -> Iterable[Finding]:
-        if not self._modules:
-            return []
-        raw = TaintAnalysis(self._modules).run()
-        findings: List[Finding] = []
-        for hit in raw:
-            finding = self._to_finding(hit)
-            if self._declassified(hit, finding):
-                continue
-            findings.append(finding)
-        self._modules = []
-        return findings
-
-    # ------------------------------------------------------------------
-    def _to_finding(self, hit: RawFinding) -> Finding:
-        return self.finding(
-            hit.rule,
-            Severity.ERROR,
-            hit.module,
-            hit.node,
-            hit.message,
-            symbol=hit.symbol,
-        )
-
-    def _declassified(self, hit: RawFinding, finding: Finding) -> bool:
-        """Inline ``declassify(...)`` comment or registry entry match."""
-        rules = declassify_rules(hit.module.line_text(finding.line))
-        if rules is not None and (finding.rule in rules or "TF5xx" in rules):
-            self.declassified.append((finding, "inline declassify annotation"))
-            return True
-        entry = registry_declassified(finding)
-        if entry is not None:
-            self.declassified.append((finding, entry.note))
-            return True
-        return False
+    def check_program(self, graph: CallGraph) -> Iterable[Finding]:
+        """TF5xx findings left after inline and registry declassification."""
+        hits = TaintAnalysis(graph).run()
+        return to_findings(hits, "declassify", DECLASSIFICATIONS, self.declassified)

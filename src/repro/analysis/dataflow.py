@@ -1,8 +1,7 @@
 """Interprocedural secret-flow dataflow (the TF5xx engine).
 
-The :class:`TaintAnalysis` takes every collected module, builds a
-function table (per-module def-use plus a cross-module call graph keyed
-by dotted names and bare method names), and iterates per-function
+The :class:`TaintAnalysis` walks every function of the shared
+:class:`~repro.analysis.callgraph.CallGraph` and iterates per-function
 **summaries** to a fixpoint:
 
 * ``returns_secret`` — the function's return value carries key material;
@@ -28,9 +27,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.engine import ImportMap, ModuleInfo
+from repro.analysis.callgraph import CallGraph, FunctionInfo, RawFinding, unique
 from repro.analysis.secrets import (
     ARTIFACT_FUNCTIONS,
     ARTIFACT_METHODS,
@@ -57,48 +56,6 @@ from repro.analysis.trustmap import TrustDomain
 Label = Tuple[str, str]
 Taint = Set[Label]
 
-_FuncNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-MAX_ROUNDS = 10
-
-#: ubiquitous container/str method names that must never resolve to a
-#: same-named method somewhere on the tree (``cache.get(key)`` is a dict
-#: read, not ``HttpClient.get``); calls to these fall back to the
-#: conservative pass-through rule.
-GENERIC_METHODS = frozenset(
-    {
-        "get",
-        "pop",
-        "popitem",
-        "setdefault",
-        "items",
-        "keys",
-        "values",
-        "update",
-        "append",
-        "extend",
-        "insert",
-        "remove",
-        "discard",
-        "add",
-        "clear",
-        "copy",
-        "index",
-        "count",
-        "sort",
-        "reverse",
-        "join",
-        "split",
-        "strip",
-        "startswith",
-        "endswith",
-        "encode",
-        "decode",
-        "format",
-        "hex",
-    }
-)
-
 
 def _secrets(taint: Taint) -> List[str]:
     """Descriptions of the secret labels in a taint set, stable order."""
@@ -107,27 +64,6 @@ def _secrets(taint: Taint) -> List[str]:
 
 def _params(taint: Taint) -> List[str]:
     return sorted(name for kind, name in taint if kind == "param")
-
-
-@dataclass
-class FunctionInfo:
-    """One analyzable function (or a module body as a pseudo-function)."""
-
-    module: ModuleInfo
-    node: Union[_FuncNode, ast.Module]
-    qualname: str  # "Class.method", "function", or "<module>"
-    params: List[str]  # declared order, self/cls stripped for methods
-    is_method: bool
-
-    @property
-    def dotted(self) -> str:
-        if self.qualname == "<module>":
-            return self.module.module
-        return f"{self.module.module}.{self.qualname}"
-
-    @property
-    def bare(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
 
 
 @dataclass
@@ -147,82 +83,12 @@ class Summary:
         self.param_sinks.setdefault(param, set()).add((rule, detail))
 
 
-@dataclass
-class RawFinding:
-    """A sink hit, before declassification filtering."""
-
-    rule: str
-    module: ModuleInfo
-    node: ast.AST
-    message: str
-    symbol: Optional[str] = None
-
-
-def _function_params(node: _FuncNode, is_method: bool) -> List[str]:
-    names = [a.arg for a in node.args.posonlyargs + node.args.args]
-    if is_method and names and names[0] in ("self", "cls"):
-        names = names[1:]
-    names.extend(a.arg for a in node.args.kwonlyargs)
-    return names
-
-
-def collect_functions(module: ModuleInfo) -> List[FunctionInfo]:
-    """Every def (with class context) plus the module body itself."""
-    functions: List[FunctionInfo] = [
-        FunctionInfo(module=module, node=module.tree, qualname="<module>", params=[], is_method=False)
-    ]
-
-    def visit(body: Sequence[ast.stmt], stack: List[str], in_class: bool) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = ".".join(stack + [stmt.name])
-                functions.append(
-                    FunctionInfo(
-                        module=module,
-                        node=stmt,
-                        qualname=qual,
-                        params=_function_params(stmt, is_method=in_class),
-                        is_method=in_class,
-                    )
-                )
-                visit(stmt.body, stack + [stmt.name], in_class=False)
-            elif isinstance(stmt, ast.ClassDef):
-                visit(stmt.body, stack + [stmt.name], in_class=True)
-
-    visit(module.tree.body, [], in_class=False)
-    return functions
-
-
 class TaintAnalysis:
     """Cross-module fixpoint over function summaries, then reporting."""
 
-    def __init__(self, modules: Sequence[ModuleInfo]) -> None:
-        # the linter itself manipulates secret *descriptions*, never
-        # secrets, and would otherwise flag its own machinery
-        self.modules = [
-            m
-            for m in modules
-            if (m.module == "repro" or m.module.startswith("repro."))
-            and not m.module.startswith("repro.analysis")
-        ]
-        self.imports: Dict[str, ImportMap] = {m.path: ImportMap(m.tree) for m in self.modules}
-        self.functions: List[FunctionInfo] = []
-        for module in self.modules:
-            self.functions.extend(collect_functions(module))
-        #: dotted name -> FunctionInfo (functions, methods, and classes
-        #: mapped to their __init__ for constructor-call resolution)
-        self.by_dotted: Dict[str, FunctionInfo] = {}
-        #: bare method name -> candidate methods anywhere on the tree
-        self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
-        for fn in self.functions:
-            if fn.qualname == "<module>":
-                continue
-            self.by_dotted[fn.dotted] = fn
-            if fn.is_method:
-                self.methods_by_name.setdefault(fn.bare, []).append(fn)
-                if fn.bare == "__init__":
-                    class_dotted = fn.dotted[: -len(".__init__")]
-                    self.by_dotted[class_dotted] = fn
+    def __init__(self, graph: CallGraph) -> None:
+        self.graph = graph
+        self.functions = graph.functions
         self.summaries: Dict[int, Summary] = {}
         #: attribute names learned secret from ``obj.attr = <secret>``
         self.learned_attrs: Dict[str, str] = {}
@@ -232,8 +98,16 @@ class TaintAnalysis:
 
     # ------------------------------------------------------------------
     def run(self) -> List[RawFinding]:
-        """Fixpoint the summaries, then report sink hits."""
-        for _ in range(MAX_ROUNDS):
+        """Fixpoint the summaries, then report sink hits.
+
+        Each round re-walks every function against the current callee
+        summaries, so a call chain defined callers-first moves a summary
+        one hop per round: convergence takes at most one round per
+        function plus a last round that changes nothing.  A run that
+        needs more fails rather than reporting from partial summaries.
+        """
+        limit = len(self.functions) + 1
+        for _ in range(limit):
             self._changed = False
             for fn in self.functions:
                 flow = _Flow(self, fn, report=False)
@@ -244,23 +118,14 @@ class TaintAnalysis:
                     self._changed = True
             if not self._changed:
                 break
-        findings: List[RawFinding] = []
-        seen: Set[Tuple[str, str, int, int, str]] = set()
+        else:
+            raise RuntimeError(f"taint summaries did not converge within {limit} rounds")
+        hits: List[RawFinding] = []
         for fn in self.functions:
             flow = _Flow(self, fn, report=True)
             flow.run()
-            for hit in flow.findings:  # several candidate callees can
-                key = (  # produce the same call-site message: dedupe
-                    hit.rule,
-                    hit.module.path,
-                    getattr(hit.node, "lineno", 0),
-                    getattr(hit.node, "col_offset", 0),
-                    hit.message,
-                )
-                if key not in seen:
-                    seen.add(key)
-                    findings.append(hit)
-        return findings
+            hits.extend(flow.findings)
+        return unique(hits)
 
     # ------------------------------------------------------------------
     # learning (monotone: only ever adds sources)
@@ -282,16 +147,6 @@ class TaintAnalysis:
             self._changed = True
 
     # ------------------------------------------------------------------
-    def callees_for(
-        self, dotted: Optional[str], bare: Optional[str], is_attribute: bool
-    ) -> List[FunctionInfo]:
-        """Possible targets of a call, dotted name first, else by method name."""
-        if dotted is not None and dotted in self.by_dotted:
-            return [self.by_dotted[dotted]]
-        if is_attribute and bare is not None and bare not in GENERIC_METHODS:
-            return self.methods_by_name.get(bare, [])
-        return []
-
     def summary_of(self, fn: FunctionInfo) -> Summary:
         """Current summary of ``fn`` (empty before its first evaluation)."""
         return self.summaries.get(id(fn)) or Summary()
@@ -304,7 +159,7 @@ class _Flow:
         self.analysis = analysis
         self.fn = fn
         self.module = fn.module
-        self.imports = analysis.imports[fn.module.path]
+        self.imports = fn.module.imports
         self.report = report
         self.summary = Summary()
         self.findings: List[RawFinding] = []
@@ -627,7 +482,7 @@ class _Flow:
             if dotted is None:
                 local = f"{self.module.module}.{func.id}"
                 if (
-                    local in self.analysis.by_dotted
+                    local in self.analysis.graph.by_dotted
                     or local in SECRET_FUNCTIONS
                     or local in SANITIZER_FUNCTIONS
                 ):
@@ -663,7 +518,7 @@ class _Flow:
 
         # known callee: apply its summary (receiver taint does not pass)
         all_arg_taints = arg_taints + [t for t in kw_taints.values()]
-        callees = self.analysis.callees_for(dotted, bare, is_attribute)
+        callees = self.analysis.graph.resolve_call(self.module, node)
         if callees:
             result: Taint = set()
             for callee in callees:

@@ -1,8 +1,10 @@
 """Checker framework: module collection, AST plumbing, suppression.
 
 An :class:`Analyzer` turns a set of paths into :class:`ModuleInfo`
-objects (source + AST + trust domain), feeds them to every registered
-:class:`Checker`, then filters the findings through inline suppressions
+objects (source + AST + import map + trust domain), feeds each one to
+every registered :class:`Checker`, builds one
+:class:`~repro.analysis.callgraph.CallGraph` for the whole-program
+passes, then filters the findings through inline suppressions
 (``# endbox-lint: ignore[RULE]`` on the offending line) and the
 committed :class:`~repro.analysis.baseline.Baseline`.
 """
@@ -10,26 +12,14 @@ committed :class:`~repro.analysis.baseline.Baseline`.
 from __future__ import annotations
 
 import ast
-import hashlib
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.callgraph import CallGraph
+from repro.analysis.findings import Finding, Severity, inline_rules, names_rule
 from repro.analysis.trustmap import TrustDomain, trust_domain
-
-#: analysis-engine version, baked into every lint-cache key.  Bump it
-#: whenever a checker's behaviour changes (new rule, fixed false
-#: positive/negative, changed message text): every cached result is
-#: then invalidated at once, which is cheaper and safer than trying to
-#: fingerprint checker source.
-ENGINE_VERSION = "7.0"
-
-#: inline suppression: ``# endbox-lint: ignore`` (all rules) or
-#: ``# endbox-lint: ignore[EB102,DET401]`` on the finding's line.
-_SUPPRESS_RE = re.compile(r"#\s*endbox-lint:\s*ignore(?:\[(?P<rules>[\w\s,]+)\])?")
 
 #: directory names never descended into by :meth:`Analyzer.collect_files`
 #: (bytecode, VCS metadata, build products, virtualenvs, caches).
@@ -45,7 +35,6 @@ PRUNED_DIRS = frozenset(
         "node_modules",
         "build",
         "dist",
-        ".lint_cache",
         ".pytest_cache",
         ".mypy_cache",
     }
@@ -62,10 +51,13 @@ class ModuleInfo:
     tree: ast.Module
     domain: TrustDomain
     lines: List[str] = field(default_factory=list)
+    #: where each module-level name came from, shared by every pass
+    imports: "ImportMap" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.lines:
             self.lines = self.source.splitlines()
+        self.imports = ImportMap(self.tree)
 
     def line_text(self, lineno: int) -> str:
         """Source text of 1-indexed line ``lineno`` (empty if out of range)."""
@@ -149,27 +141,19 @@ class Checker:
     """Base class for one analysis pass.
 
     Subclasses set ``name`` and ``rules`` (rule id -> one-line
-    description) and implement :meth:`check_module`; :meth:`finish`
-    runs once after every module was seen, for cross-module rules.
+    description) and implement :meth:`check_module` (one file at a
+    time) or :meth:`check_program` (the whole program's call graph).
     """
 
     name = "base"
     rules: Dict[str, str] = {}
-    #: ``"module"`` passes look at one file at a time (their findings can
-    #: be cached per file hash); ``"program"`` passes need the whole
-    #: module set and re-run whenever anything changed.
-    scope = "module"
-
-    def begin(self, modules: Sequence["ModuleInfo"]) -> None:
-        """See the whole module set before per-module checks (for
-        cross-module passes that need a global call graph)."""
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        """Findings for one module (override in concrete passes)."""
+        """Findings for one module (override in per-file passes)."""
         return ()
 
-    def finish(self) -> Iterable[Finding]:
-        """Cross-module findings, after every module was seen."""
+    def check_program(self, graph: CallGraph) -> Iterable[Finding]:
+        """Findings over the whole program (override in cross-module passes)."""
         return ()
 
     # convenience -------------------------------------------------------
@@ -204,8 +188,6 @@ class AnalysisReport:
     modules_scanned: int
     checkers: List[str]
     unused_baseline_entries: List[dict] = field(default_factory=list)
-    #: True when this report was served from the lint cache
-    from_cache: bool = False
 
     @property
     def clean(self) -> bool:
@@ -227,28 +209,10 @@ class AnalysisReport:
             "unused_baseline_entries": self.unused_baseline_entries,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnalysisReport":
-        """Rebuild a report from :meth:`to_dict` output (cache loads)."""
-        summary = data["summary"]
-        return cls(
-            findings=[Finding.from_dict(raw) for raw in data["findings"]],
-            baselined=[Finding.from_dict(raw) for raw in data["baselined"]],
-            inline_suppressed=summary["inline_suppressed"],
-            modules_scanned=summary["modules_scanned"],
-            checkers=list(summary["checkers"]),
-            unused_baseline_entries=list(data.get("unused_baseline_entries", [])),
-        )
-
 
 def _inline_suppressed(module: ModuleInfo, finding: Finding) -> bool:
-    match = _SUPPRESS_RE.search(module.line_text(finding.line))
-    if match is None:
-        return False
-    rules = match.group("rules")
-    if rules is None:
-        return True
-    return finding.rule in {rule.strip() for rule in rules.split(",")}
+    tokens = inline_rules(module.line_text(finding.line), "ignore")
+    return tokens is not None and names_rule(tokens, finding.rule)
 
 
 class Analyzer:
@@ -258,7 +222,6 @@ class Analyzer:
         self,
         checkers: Optional[Sequence[Checker]] = None,
         baseline: Optional[Baseline] = None,
-        cache=None,
     ) -> None:
         if checkers is None:
             from repro.analysis.checkers import default_checkers
@@ -266,9 +229,6 @@ class Analyzer:
             checkers = default_checkers()
         self.checkers = list(checkers)
         self.baseline = baseline or Baseline()
-        #: optional :class:`repro.analysis.cache.LintCache`; None = always
-        #: run everything from scratch
-        self.cache = cache
 
     # ------------------------------------------------------------------
     # module collection
@@ -307,7 +267,7 @@ class Analyzer:
     def load_module(path: Path, source: Optional[str] = None) -> ModuleInfo:
         """Read, parse and trust-classify one source file."""
         if source is None:
-            source = path.read_text()
+            source = path.read_text(encoding="utf-8")
         module = module_name_for(path)
         return ModuleInfo(
             path=display_path(path),
@@ -321,34 +281,12 @@ class Analyzer:
     # running
     # ------------------------------------------------------------------
     def run(self, paths: Sequence) -> AnalysisReport:
-        """Scan paths, run every checker, and apply suppressions.
-
-        With a cache attached, an unchanged tree (same engine version,
-        checker roster, baseline and file contents) returns the stored
-        report without re-running any pass, and partially changed trees
-        reuse per-file results of module-scope checkers.
-        """
-        blobs: List[tuple] = []
-        digests: Dict[str, str] = {}
-        for path in self.collect_files(paths):
-            data = path.read_bytes()
-            blobs.append((path, data))
-            digests[display_path(path)] = hashlib.sha256(data).hexdigest()
-
-        tree_key = None
-        if self.cache is not None:
-            tree_key = self.cache.tree_key(
-                list(digests.items()), self.checkers, self.baseline.digest()
-            )
-            cached = self.cache.load_report(tree_key)
-            if cached is not None:
-                return cached
-
+        """Scan paths, run every checker, and apply suppressions."""
         modules: List[ModuleInfo] = []
         findings: List[Finding] = []
-        for path, data in blobs:
+        for path in self.collect_files(paths):
             try:
-                modules.append(self.load_module(path, source=data.decode()))
+                modules.append(self.load_module(path))
             except SyntaxError as exc:
                 findings.append(
                     Finding(
@@ -359,54 +297,23 @@ class Analyzer:
                         message=f"file does not parse: {exc.msg}",
                     )
                 )
-        findings.extend(self.run_modules(modules, digests=digests))
-        report = self._report(modules, findings)
-        if self.cache is not None and tree_key is not None:
-            self.cache.store_report(tree_key, report)
-        return report
+        findings.extend(self.run_modules(modules))
+        return self._report(modules, findings)
 
-    def run_modules(
-        self,
-        modules: Sequence[ModuleInfo],
-        digests: Optional[Dict[str, str]] = None,
-    ) -> List[Finding]:
+    def run_modules(self, modules: Sequence[ModuleInfo]) -> List[Finding]:
         """Run checkers over pre-built modules (inline suppressions applied).
 
-        ``digests`` (path -> content hash) enables the per-module memo:
-        findings of ``scope == "module"`` checkers are reused for files
-        whose hash is unchanged.  Program-scope checkers always run.
+        The call graph is built once here and handed to every
+        whole-program pass.
         """
         findings: List[Finding] = []
-        by_path = {module.path: module for module in modules}
-        use_memo = self.cache is not None and digests is not None
-        memos: Dict[str, Dict[str, List[Finding]]] = {}
-        dirty: set = set()
+        graph = CallGraph(modules)
         for checker in self.checkers:
-            checker.begin(modules)
             for module in modules:
-                if (
-                    use_memo
-                    and checker.scope == "module"
-                    and module.path in digests
-                ):
-                    key = self.cache.module_key(module.path, digests[module.path])
-                    memo = memos.get(key)
-                    if memo is None:
-                        memo = self.cache.load_module_memo(key)
-                        memos[key] = memo
-                    cached = memo.get(checker.name)
-                    if cached is None:
-                        cached = list(checker.check_module(module))
-                        memo[checker.name] = cached
-                        dirty.add(key)
-                    findings.extend(cached)
-                else:
-                    findings.extend(checker.check_module(module))
-            findings.extend(checker.finish())
-        if use_memo:
-            for key in dirty:
-                self.cache.store_module_memo(key, memos[key])
+                findings.extend(checker.check_module(module))
+            findings.extend(checker.check_program(graph))
         # inline suppressions need the module the finding points into
+        by_path = {module.path: module for module in modules}
         kept = []
         self._inline_count = 0
         for finding in findings:
@@ -444,10 +351,9 @@ def analyze_paths(
     paths: Sequence,
     checkers: Optional[Sequence[Checker]] = None,
     baseline: Optional[Baseline] = None,
-    cache=None,
 ) -> AnalysisReport:
     """Run (by default) every checker over the given files/directories."""
-    return Analyzer(checkers=checkers, baseline=baseline, cache=cache).run(paths)
+    return Analyzer(checkers=checkers, baseline=baseline).run(paths)
 
 
 def analyze_source(

@@ -9,12 +9,11 @@ module computes, statically, which functions are **sim-driven**
 (reachable from code executed under a ``Simulator`` run) and which of
 those touch **process-owned** state.
 
-The machinery mirrors :mod:`~repro.analysis.dataflow` (the TF5xx
-engine): every module is collected into a function table keyed by
-dotted names and bare method names, a call graph is resolved over it,
-and a reachability fixpoint is run from the *sim-driven seeds* —
-arguments of ``sim.process(...)`` / ``sim.schedule(...)`` and every
-``event.add_callback(...)`` target, plus function references that
+Calls are resolved over the shared
+:class:`~repro.analysis.callgraph.CallGraph` (the TF5xx engine reads the
+same object), and a reachability fixpoint is run from the *sim-driven
+seeds* — arguments of ``sim.process(...)`` / ``sim.schedule(...)`` and
+every ``event.add_callback(...)`` target, plus function references that
 escape out of already-sim-driven code (callbacks registered with
 gateways, handlers stored for later dispatch).
 
@@ -31,6 +30,14 @@ Five rules are reported over the sim-driven set:
 * **SS605** — non-reentrant check-then-act lazy initialisation of a
   module global or class attribute.
 
+One buffer-lifetime rule is reported over *every* function, sim-driven
+or not, because a dangling view is wrong whoever calls it:
+
+* **HP705** — a ``memoryview`` over a reused buffer (an attribute such
+  as ``self._scratch``) or over a local buffer the function mutates
+  escapes by ``return`` or by a store, so a later write changes bytes
+  the holder of the view still reads.
+
 Deliberately shared state is *waived*: inline with
 ``# endbox-lint: shared(SS601)`` on the offending line (``SS6xx``
 covers the family), or through an entry in :data:`OWNERSHIP` — the
@@ -42,72 +49,34 @@ reviewer signed off on.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow import FunctionInfo, collect_functions
-from repro.analysis.engine import ImportMap, ModuleInfo
-from repro.analysis.findings import Finding
+from repro.analysis.callgraph import CallGraph, FunctionInfo, RawFinding, unique
+from repro.analysis.engine import ModuleInfo
+from repro.analysis.findings import Waiver
 
 # ----------------------------------------------------------------------
 # rule family
 # ----------------------------------------------------------------------
-SS_RULES: Dict[str, str] = {
+OWNERSHIP_RULES: Dict[str, str] = {
     "SS601": "sim-driven code mutates a module-level mutable global",
     "SS602": "Simulator-owned object escapes into process-global storage (cross-shard leakage)",
     "SS603": "process-wide cache/registry/counter mutated from sim-driven code (key it per-Simulator)",
     "SS604": "sim-driven instance method mutates a shared class attribute",
     "SS605": "non-reentrant lazy initialization of shared state (races under parallel shards)",
+    "HP705": "memoryview escapes past the point where its backing buffer is reused",
 }
-
-#: inline waiver: ``# endbox-lint: shared(SS603)`` on the offending
-#: line.  ``SS6xx`` waives the whole family.
-SHARED_RE = re.compile(r"#\s*endbox-lint:\s*shared\((?P<rules>[\w\s,]+)\)")
-
-
-def shared_rules(comment_line: str) -> Optional[FrozenSet[str]]:
-    """Rule ids waived by an inline ``shared(...)`` comment, or None."""
-    match = SHARED_RE.search(comment_line)
-    if match is None:
-        return None
-    return frozenset(rule.strip() for rule in match.group("rules").split(","))
 
 
 # ----------------------------------------------------------------------
 # the ownership registry
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SharedStateWaiver:
-    """One reviewed piece of deliberately process-global state.
-
-    Matching mirrors :class:`~repro.analysis.secrets.Declassification`
-    (rule exact, path suffix, message substring) and lives in code so
-    the justification is reviewed like any other source change.
-    """
-
-    rule: str
-    path: str
-    note: str
-    contains: Optional[str] = None
-
-    def matches(self, finding: Finding) -> bool:
-        """True when this entry waives ``finding``."""
-        if finding.rule != self.rule:
-            return False
-        normalized = finding.path.replace("\\", "/")
-        if normalized != self.path and not normalized.endswith("/" + self.path.lstrip("/")):
-            return False
-        if self.contains is not None and self.contains not in finding.message:
-            return False
-        return True
-
-
 #: every entry here is reviewed, deliberately-shared state; anything new
 #: must either be migrated to per-Simulator lifetime or argued into this
 #: table in review.
-OWNERSHIP: List[SharedStateWaiver] = [
-    SharedStateWaiver(
+OWNERSHIP: List[Waiver] = [
+    Waiver(
         rule="SS601",
         path="repro/telemetry/names.py",
         contains="_NAMES",
@@ -117,7 +86,7 @@ OWNERSHIP: List[SharedStateWaiver] = [
             "so concurrent shards registering the same name converge"
         ),
     ),
-    SharedStateWaiver(
+    Waiver(
         rule="SS603",
         path="repro/crypto/rsa.py",
         contains="_KEYPAIR_CACHE",
@@ -129,7 +98,7 @@ OWNERSHIP: List[SharedStateWaiver] = [
             "(seeded by provisioning order) hit it on every later build"
         ),
     ),
-    SharedStateWaiver(
+    Waiver(
         rule="SS604",
         path="repro/netsim/addresses.py",
         contains="_intern",
@@ -140,7 +109,7 @@ OWNERSHIP: List[SharedStateWaiver] = [
             "per-packet address lookup allocation-free on the parse path"
         ),
     ),
-    SharedStateWaiver(
+    Waiver(
         rule="SS605",
         path="repro/telemetry/registry.py",
         contains="_process_root",
@@ -151,7 +120,7 @@ OWNERSHIP: List[SharedStateWaiver] = [
             "(repro.sim.parallel._run_fork)"
         ),
     ),
-    SharedStateWaiver(
+    Waiver(
         rule="SS601",
         path="repro/telemetry/registry.py",
         contains="_current",
@@ -167,32 +136,9 @@ OWNERSHIP: List[SharedStateWaiver] = [
 ]
 
 
-def ownership_waived(finding: Finding) -> Optional[SharedStateWaiver]:
-    """The OWNERSHIP entry waiving ``finding``, or None."""
-    for entry in OWNERSHIP:
-        if entry.matches(finding):
-            return entry
-    return None
-
-
 # ----------------------------------------------------------------------
 # analysis tables
 # ----------------------------------------------------------------------
-#: method names too ubiquitous to resolve by bare name in the call
-#: graph (``cache.get(key)`` is a dict read, not ``HttpClient.get``);
-#: extends the TF5xx generic set with driver-level verbs whose bare-name
-#: resolution would drag the whole tree into the sim-driven set.
-GENERIC_NAMES = frozenset(
-    {
-        "get", "pop", "popitem", "setdefault", "items", "keys", "values",
-        "update", "append", "extend", "insert", "remove", "discard", "add",
-        "clear", "copy", "index", "count", "sort", "reverse", "join",
-        "split", "strip", "startswith", "endswith", "encode", "decode",
-        "format", "hex", "run", "step", "close", "open", "read", "write",
-        "next", "peek",
-    }
-)
-
 #: container methods that mutate their receiver.
 MUTATING_METHODS = frozenset(
     {
@@ -215,8 +161,6 @@ CACHE_NAME_HINTS = (
     "CACHE", "REGISTRY", "REGISTRIES", "MEMO", "POOL", "HITS", "MISSES",
     "CLEARS", "COUNT", "STATS", "TOTAL", "INSTANCES", "SINGLETON",
 )
-
-_FuncNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: module-level value nodes considered mutable containers.
 _MUTABLE_LITERALS = (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -261,64 +205,24 @@ class ClassInfo:
     class_attrs: Set[str]
 
 
-@dataclass
-class RawOwnershipFinding:
-    """One shard-safety violation, before waiver filtering."""
-
-    rule: str
-    module: ModuleInfo
-    node: ast.AST
-    message: str
-    symbol: Optional[str] = None
-
-
 class OwnershipAnalysis:
-    """Sim-driven reachability plus shared-state detection."""
+    """Sim-driven reachability plus shared-state and view-escape detection."""
 
-    #: method names excluded from bare-name call resolution; subclasses
-    #: (the HP7xx hot-path engine) extend this set without changing the
-    #: SS6xx call graph
-    generic_names = GENERIC_NAMES
-
-    def __init__(self, modules: Sequence[ModuleInfo]) -> None:
-        # the linter manipulates findings about shared state, not shared
-        # state itself, and would otherwise flag its own fixture prose
-        self.modules = [
-            m
-            for m in modules
-            if (m.module == "repro" or m.module.startswith("repro."))
-            and not m.module.startswith("repro.analysis")
-        ]
-        self.imports: Dict[str, ImportMap] = {m.path: ImportMap(m.tree) for m in self.modules}
-        self.functions: List[FunctionInfo] = []
-        for module in self.modules:
-            self.functions.extend(collect_functions(module))
-        self.by_dotted: Dict[str, FunctionInfo] = {}
-        self.by_bare: Dict[str, List[FunctionInfo]] = {}
-        for fn in self.functions:
-            if fn.qualname == "<module>":
-                continue
-            self.by_dotted[fn.dotted] = fn
-            self.by_bare.setdefault(fn.bare, []).append(fn)
-            if fn.is_method and fn.bare == "__init__":
-                class_dotted = fn.dotted[: -len(".__init__")]
-                self.by_dotted[class_dotted] = fn
+    def __init__(self, graph: CallGraph) -> None:
+        self.graph = graph
+        self.functions = graph.functions
         #: dotted module global -> module dotted name, for mutable
         #: containers assigned at module level
         self.mutable_globals: Dict[str, str] = {}
-        #: module dotted name -> all names assigned at module level
-        self.module_level_names: Dict[str, Set[str]] = {}
         #: "module.Class" -> ClassInfo
         self.classes: Dict[str, ClassInfo] = {}
-        for module in self.modules:
+        for module in graph.modules:
             self._scan_module_state(module)
-        self._register_method_aliases()
 
     # ------------------------------------------------------------------
     # table construction
     # ------------------------------------------------------------------
     def _scan_module_state(self, module: ModuleInfo) -> None:
-        names: Set[str] = set()
         for stmt in module.tree.body:
             targets: List[ast.expr] = []
             value: Optional[ast.expr] = None
@@ -327,13 +231,14 @@ class OwnershipAnalysis:
             elif isinstance(stmt, ast.AnnAssign):
                 targets, value = [stmt.target], stmt.value
             for target in targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-                    if value is not None and _is_mutable_value(value):
-                        self.mutable_globals[f"{module.module}.{target.id}"] = module.module
+                if (
+                    isinstance(target, ast.Name)
+                    and value is not None
+                    and _is_mutable_value(value)
+                ):
+                    self.mutable_globals[f"{module.module}.{target.id}"] = module.module
             if isinstance(stmt, ast.ClassDef):
                 self._scan_class(module, stmt)
-        self.module_level_names[module.module] = names
 
     def _scan_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
         mutable_attrs: Set[str] = set()
@@ -371,96 +276,6 @@ class OwnershipAnalysis:
             class_attrs=class_attrs,
         )
 
-    def _register_method_aliases(self) -> None:
-        """Class-body aliases (``encrypt = process``) resolve to the method."""
-        for module in self.modules:
-            for node in module.tree.body:
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                local_methods = {
-                    fn.bare: fn
-                    for fn in self.functions
-                    if fn.module is module and fn.is_method
-                    and fn.qualname.startswith(node.name + ".")
-                }
-                for stmt in node.body:
-                    if (
-                        isinstance(stmt, ast.Assign)
-                        and isinstance(stmt.value, ast.Name)
-                        and stmt.value.id in local_methods
-                    ):
-                        for target in stmt.targets:
-                            if isinstance(target, ast.Name):
-                                candidates = self.by_bare.setdefault(target.id, [])
-                                if local_methods[stmt.value.id] not in candidates:
-                                    candidates.append(local_methods[stmt.value.id])
-
-    # ------------------------------------------------------------------
-    # call-graph resolution
-    # ------------------------------------------------------------------
-    def resolve_call(self, module: ModuleInfo, node: ast.Call) -> List[FunctionInfo]:
-        """Possible targets of a call, dotted name first, else bare name."""
-        func = node.func
-        imports = self.imports[module.path]
-        if isinstance(func, ast.Attribute):
-            dotted = imports.resolve(func)
-            if dotted is not None and dotted in self.by_dotted:
-                return [self.by_dotted[dotted]]
-            # self.method() / cls.method(): prefer same-module classes
-            if isinstance(func.value, ast.Name) and func.value.id in ("self", "cls"):
-                local = [
-                    fn
-                    for fn in self.by_bare.get(func.attr, [])
-                    if fn.module is module and fn.is_method
-                ]
-                if local:
-                    return local
-            if func.attr not in self.generic_names:
-                return [fn for fn in self.by_bare.get(func.attr, []) if fn.is_method]
-            return []
-        if isinstance(func, ast.Name):
-            local = f"{module.module}.{func.id}"
-            if local in self.by_dotted:
-                return [self.by_dotted[local]]
-            dotted = imports.origin(func.id)
-            if dotted is not None and dotted in self.by_dotted:
-                return [self.by_dotted[dotted]]
-        return []
-
-    def resolve_reference(self, module: ModuleInfo, node: ast.expr) -> List[FunctionInfo]:
-        """Function references (not calls): names, attributes, lambdas."""
-        if isinstance(node, ast.Lambda):
-            out: List[FunctionInfo] = []
-            for sub in ast.walk(node.body):
-                if isinstance(sub, ast.Call):
-                    out.extend(self.resolve_call(module, sub))
-            return out
-        if isinstance(node, ast.Call):
-            # ``sim.process(self._worker())``: the generator factory is
-            # the function that will run under the simulator
-            return self.resolve_call(module, node)
-        if isinstance(node, ast.Attribute):
-            dotted = self.imports[module.path].resolve(node)
-            if dotted is not None and dotted in self.by_dotted:
-                return [self.by_dotted[dotted]]
-            if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
-                return [
-                    fn
-                    for fn in self.by_bare.get(node.attr, [])
-                    if fn.module is module and fn.is_method
-                ]
-            if node.attr not in self.generic_names:
-                return [fn for fn in self.by_bare.get(node.attr, []) if fn.is_method]
-            return []
-        if isinstance(node, ast.Name):
-            local = f"{module.module}.{node.id}"
-            if local in self.by_dotted:
-                return [self.by_dotted[local]]
-            dotted = self.imports[module.path].origin(node.id)
-            if dotted is not None and dotted in self.by_dotted:
-                return [self.by_dotted[dotted]]
-        return []
-
     # ------------------------------------------------------------------
     # sim-driven reachability
     # ------------------------------------------------------------------
@@ -480,25 +295,25 @@ class OwnershipAnalysis:
                     continue
                 func = node.func
                 # callee edges
-                for callee in self.resolve_call(fn.module, node):
+                for callee in self.graph.resolve_call(fn.module, node):
                     out.add(id(callee))
                 # function references escaping as arguments: if this
                 # function runs under a simulator, so (eventually) do
                 # the callbacks it hands away
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
                     if isinstance(arg, (ast.Lambda, ast.Name, ast.Attribute)):
-                        for target in self.resolve_reference(fn.module, arg):
+                        for target in self.graph.resolve_reference(fn.module, arg):
                             out.add(id(target))
                 # sim-driven seeds
                 if isinstance(func, ast.Attribute):
                     recv = _terminal_name(func.value)
                     if func.attr in ("process", "schedule") and recv in SIM_RECEIVERS:
                         for arg in node.args:
-                            for target in self.resolve_reference(fn.module, arg):
+                            for target in self.graph.resolve_reference(fn.module, arg):
                                 seeds.add(id(target))
                     elif func.attr == "add_callback":
                         for arg in node.args:
-                            for target in self.resolve_reference(fn.module, arg):
+                            for target in self.graph.resolve_reference(fn.module, arg):
                                 seeds.add(id(target))
             edges[id(fn)] = out
         return seeds, edges, by_id
@@ -517,28 +332,20 @@ class OwnershipAnalysis:
         return reached
 
     # ------------------------------------------------------------------
-    def run(self) -> List[RawOwnershipFinding]:
-        """Reachability, then the five detectors over sim-driven code."""
+    def run(self) -> List[RawFinding]:
+        """Reachability, the five SS detectors over sim-driven code, and
+        the view-escape detector over every function."""
         reached = self.sim_driven()
-        findings: List[RawOwnershipFinding] = []
-        seen: Set[Tuple[str, str, int, int, str]] = set()
+        hits: List[RawFinding] = []
         for fn in self.functions:
-            if fn.qualname == "<module>" or id(fn) not in reached:
+            if fn.qualname == "<module>":
                 continue
-            scan = _FunctionScan(self, fn)
-            scan.run()
-            for hit in scan.findings:
-                key = (
-                    hit.rule,
-                    hit.module.path,
-                    getattr(hit.node, "lineno", 0),
-                    getattr(hit.node, "col_offset", 0),
-                    hit.message,
-                )
-                if key not in seen:
-                    seen.add(key)
-                    findings.append(hit)
-        return findings
+            if id(fn) in reached:
+                scan = _FunctionScan(self, fn)
+                scan.run()
+                hits.extend(scan.findings)
+            hits.extend(_view_escapes(fn))
+        return unique(hits)
 
 
 class _FunctionScan:
@@ -548,8 +355,8 @@ class _FunctionScan:
         self.analysis = analysis
         self.fn = fn
         self.module = fn.module
-        self.imports = analysis.imports[fn.module.path]
-        self.findings: List[RawOwnershipFinding] = []
+        self.imports = fn.module.imports
+        self.findings: List[RawFinding] = []
         self.global_names: Set[str] = set()
         self.local_names: Set[str] = set()
         #: local name -> class attribute it aliases (``rows = self.ROWS``)
@@ -686,7 +493,7 @@ class _FunctionScan:
     # -- reporting ----------------------------------------------------
     def _report(self, rule: str, node: ast.AST, message: str) -> None:
         self.findings.append(
-            RawOwnershipFinding(
+            RawFinding(
                 rule=rule,
                 module=self.module,
                 node=node,
@@ -902,3 +709,111 @@ class _FunctionScan:
             self._report_class_mutation(
                 node, (self.class_info.name, self.aliases[base.id]), value
             )
+
+
+# ----------------------------------------------------------------------
+# HP705: views over reused buffers
+# ----------------------------------------------------------------------
+def _own_nodes(node: ast.AST) -> Iterator[ast.AST]:
+    """``node`` and its descendants in pre-order, not entering nested defs
+    (each is its own FunctionInfo)."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _own_nodes(child)
+
+
+def _memoryview_base(
+    value: ast.expr, views: Dict[str, Tuple[str, bool]]
+) -> Optional[Tuple[str, bool]]:
+    """(base buffer description, base is reused) when ``value`` is a view."""
+    if (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id == "memoryview"
+        and value.args
+    ):
+        base = value.args[0]
+        if isinstance(base, ast.Attribute):
+            # persistent buffer (self.buf / obj.buf): reused by design
+            return (ast.unparse(base), True)
+        if isinstance(base, ast.Name):
+            return (base.id, False)
+        return (ast.unparse(base), False)
+    if isinstance(value, ast.Subscript) and isinstance(value.value, ast.Name):
+        # a slice of a known view is a view over the same buffer
+        return views.get(value.value.id)
+    return None
+
+
+def _escape(node: ast.AST) -> Optional[Tuple[str, ast.expr]]:
+    """('returned'|'stored', value expr) when ``node`` hands a value out."""
+    if isinstance(node, ast.Return) and node.value is not None:
+        return ("returned", node.value)
+    if isinstance(node, ast.Assign):
+        if any(isinstance(t, (ast.Attribute, ast.Subscript)) for t in node.targets):
+            return ("stored", node.value)
+        return None
+    if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+        call = node.value
+        if (
+            isinstance(call.func, ast.Attribute)
+            and call.func.attr in MUTATING_METHODS
+            and call.args
+        ):
+            return ("stored", call.args[0])
+    return None
+
+
+def _view_escapes(fn: FunctionInfo) -> List[RawFinding]:
+    """HP705 hits in one function body."""
+    if "memoryview" not in fn.module.source:
+        return []  # every view starts at a ``memoryview(...)`` call
+    #: view name -> (base buffer description, base is reused)
+    views: Dict[str, Tuple[str, bool]] = {}
+    #: local buffer names mutated anywhere in the function
+    mutated: Set[str] = set()
+    for node in ast.walk(fn.node):
+        if isinstance(node, ast.Assign):
+            view_of = _memoryview_base(node.value, views)
+            for target in node.targets:
+                if isinstance(target, ast.Name) and view_of is not None:
+                    views[target.id] = view_of
+                elif isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
+                    mutated.add(target.value.id)  # buf[...] = x
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            mutated.add(node.target.id)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATING_METHODS
+            and isinstance(node.func.value, ast.Name)
+        ):
+            mutated.add(node.func.value.id)
+    if not views:
+        return []
+    hits: List[RawFinding] = []
+    for node in _own_nodes(fn.node):
+        escape = _escape(node)
+        if escape is None:
+            continue
+        verb, value = escape
+        for sub in ast.walk(value):
+            if not isinstance(sub, ast.Name) or sub.id not in views:
+                continue
+            base, reused = views[sub.id]
+            if reused or base in mutated:
+                hits.append(
+                    RawFinding(
+                        rule="HP705",
+                        module=fn.module,
+                        node=node,
+                        message=(
+                            f"memoryview '{sub.id}' over reused buffer '{base}' is "
+                            f"{verb} past the buffer's next reuse; copy the bytes out "
+                            f"or scope the view to this burst"
+                        ),
+                        symbol=fn.qualname,
+                    )
+                )
+    return hits

@@ -21,11 +21,9 @@ or inline at the call site with ``# endbox-lint: declassify(TF5xx)``.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
-from repro.analysis.findings import Finding
+from repro.analysis.findings import Waiver
 
 # ----------------------------------------------------------------------
 # rule family
@@ -38,19 +36,6 @@ TF_RULES: Dict[str, str] = {
     "TF505": "secret flows into a JSON/artifact writer",
     "TF506": "secret passed to an externally-injected export hook",
 }
-
-#: inline declassification: ``# endbox-lint: declassify(TF505)`` on the
-#: sink's line.  ``TF5xx`` declassifies the whole family.
-DECLASSIFY_RE = re.compile(r"#\s*endbox-lint:\s*declassify\((?P<rules>[\w\s,]+)\)")
-
-
-def declassify_rules(comment_line: str) -> Optional[FrozenSet[str]]:
-    """Rule ids declassified by an inline comment, or None if absent."""
-    match = DECLASSIFY_RE.search(comment_line)
-    if match is None:
-        return None
-    return frozenset(rule.strip() for rule in match.group("rules").split(","))
-
 
 # ----------------------------------------------------------------------
 # taint sources
@@ -272,36 +257,10 @@ EXPORT_HOOKS: FrozenSet[str] = frozenset({"key_export"})
 # ----------------------------------------------------------------------
 # the declassification registry
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Declassification:
-    """One declared-intentional secret exposure, with its justification.
-
-    Matching mirrors :class:`~repro.analysis.baseline.BaselineEntry`
-    (rule exact, path suffix, message substring) but lives in code so
-    the justification is reviewed like any other source change.
-    """
-
-    rule: str
-    path: str
-    note: str
-    contains: Optional[str] = None
-
-    def matches(self, finding: Finding) -> bool:
-        """True when this entry declassifies ``finding``."""
-        if finding.rule != self.rule:
-            return False
-        normalized = finding.path.replace("\\", "/")
-        if normalized != self.path and not normalized.endswith("/" + self.path.lstrip("/")):
-            return False
-        if self.contains is not None and self.contains not in finding.message:
-            return False
-        return True
-
-
 #: every entry here is paper-sanctioned exposure; anything new must
 #: either be fixed or argued into this table in review.
-DECLASSIFICATIONS: List[Declassification] = [
-    Declassification(
+DECLASSIFICATIONS: List[Waiver] = [
+    Waiver(
         rule="TF506",
         path="repro/tlslib/library.py",
         contains="key_export",
@@ -312,11 +271,3 @@ DECLASSIFICATIONS: List[Declassification] = [
         ),
     ),
 ]
-
-
-def registry_declassified(finding: Finding) -> Optional[Declassification]:
-    """The registry entry declassifying ``finding``, or None."""
-    for entry in DECLASSIFICATIONS:
-        if entry.matches(finding):
-            return entry
-    return None

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.click.graphcheck import check_config_text
 from repro.click.router import Router
 from repro.sgx.gateway import CostLedger
 
@@ -65,12 +66,8 @@ class HotSwapManager:
         dangling ports, cycles (which would recurse forever on the first
         packet), unknown element classes — so a versioned
         reconfiguration fails *before* its grace period switches clients
-        over.  Raises :class:`~repro.analysis.graphcheck.ClickGraphError`.
+        over.  Raises :class:`~repro.click.graphcheck.ClickGraphError`.
         """
-        # imported lazily: repro.analysis.graphcheck depends on the click
-        # package, which is mid-initialisation when this module loads
-        from repro.analysis.graphcheck import check_config_text
-
         check_config_text(config_text)
 
     # ------------------------------------------------------------------

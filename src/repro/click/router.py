@@ -128,7 +128,7 @@ class Router:
         """
         if self._entry is None:
             raise ElementError("configuration has no FromDevice entry point")
-        packet = Packet(ip_packet)  # endbox-lint: hotpath(HP702) the per-packet verdict carrier
+        packet = Packet(ip_packet)
         self.packets_processed += 1
         self._tm_packets.inc()
         self._entry._receive(0, packet)
@@ -136,7 +136,7 @@ class Router:
 
     def process_batch(self, ip_packets) -> List[Tuple[bool, IPv4Packet]]:
         """Run a burst of packets through the graph: a loop over :meth:`process`."""
-        return [self.process(ip) for ip in ip_packets]  # endbox-lint: hotpath(HP702) per burst
+        return [self.process(ip) for ip in ip_packets]
 
     # ------------------------------------------------------------------
     def element(self, name: str) -> Element:

@@ -101,7 +101,7 @@ def as_address(value: AddressLike) -> "IPv4Address":
     """
     if type(value) is IPv4Address:
         return value
-    return IPv4Address(value)  # endbox-lint: hotpath(HP702) interned: allocates once per distinct address
+    return IPv4Address(value)
 
 
 class IPv4Network:

@@ -409,7 +409,7 @@ class TcpEngine:
 
     def _passive_open(self, packet: IPv4Packet, segment: TcpSegment) -> None:
         self._isn += 64000
-        conn = TcpConnection(  # endbox-lint: hotpath(HP702) one allocation per accepted connection, not per packet
+        conn = TcpConnection(
             self, packet.dst, segment.dst_port, packet.src, segment.src_port, self._isn
         )
         conn.state = TcpConnection.SYN_RCVD

@@ -94,7 +94,7 @@ class DataChannel:
     def protect_batch(self, items) -> list:
         """Protect a burst of ``(packet, plaintext)`` pairs: a loop over
         :meth:`protect`, returning the protected packets in order."""
-        return [self.protect(p, data) for p, data in items]  # endbox-lint: hotpath(HP702) per burst
+        return [self.protect(p, data) for p, data in items]
 
     def unprotect_batch(self, packets) -> list:
         """Authenticate/decrypt a burst; one ``Optional[bytes]`` each.

@@ -554,7 +554,7 @@ class OpenVpnServer:
     # ------------------------------------------------------------------
     def _send_session_config(self, session: VpnSession) -> None:
         body = json.dumps(
-            {  # endbox-lint: hotpath(HP702) one config body per session establishment, control channel
+            {
                 "tunnel_ip": str(session.tunnel_ip),
                 "server_tunnel_ip": str(self.server_tunnel_ip),
                 "subnet": str(self.tunnel_network),
@@ -562,7 +562,7 @@ class OpenVpnServer:
             }
         ).encode()
         tag = hmac_sha256(session.secrets.server_hmac, b"session-config", body)[:16]
-        wire = VpnPacket(  # endbox-lint: hotpath(HP702) one packet per session establishment, control channel
+        wire = VpnPacket(
             OP_SESSION_CONFIG, session.session_id, 0, body + tag
         ).serialize()
         self._tm_ctrl_packets.inc()
@@ -570,12 +570,12 @@ class OpenVpnServer:
         self.sock.sendto(wire, session.outer_addr, session.outer_port)
 
     def _send_ping(self, session: VpnSession) -> None:
-        ping = PingMessage(  # endbox-lint: hotpath(HP702) one announcement per keepalive interval, not per packet
+        ping = PingMessage(
             config_version=self.current_config_version,
             grace_period_s=self.grace_period_s,
             timestamp_ns=int(self.sim.now * 1e9),
         )
-        wire = VpnPacket(  # endbox-lint: hotpath(HP702) one packet per keepalive interval, control channel
+        wire = VpnPacket(
             OP_PING, session.session_id, 0, ping.serialize(session.secrets.server_hmac)
         ).serialize()
         self._tm_ctrl_packets.inc()
@@ -1050,12 +1050,12 @@ class OpenVpnClient:
             self.on_server_announcement(ping)
 
     def _send_ping(self) -> None:
-        ping = PingMessage(  # endbox-lint: hotpath(HP702) one keepalive per ping interval, not per packet
+        ping = PingMessage(
             config_version=self.config_version,
             grace_period_s=0.0,
             timestamp_ns=int(self.sim.now * 1e9),
         )
-        wire = VpnPacket(  # endbox-lint: hotpath(HP702) one packet per ping interval, control channel
+        wire = VpnPacket(
             OP_PING, self.session_id, 0, ping.serialize(self.secrets.client_hmac)
         ).serialize()
         self._tm_ctrl_packets.inc()

@@ -1,7 +1,7 @@
 # module: repro.click.router
 # expect: none
 # A view over a function-local buffer that is never mutated nor stored
-# is exactly the zero-copy pattern the pass exists to encourage.
+# is the zero-copy pattern HP705 must leave alone.
 
 
 class Router:

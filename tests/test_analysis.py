@@ -3,7 +3,9 @@
 Each rule gets a dedicated injected-violation test via
 :func:`repro.analysis.engine.analyze_source` (trust domains come from the
 module name we pick), plus the meta-test that matters most: the shipped
-tree itself must lint clean.
+tree itself must lint clean.  The generic CLI behaviour (SARIF output,
+the ``--budget`` latency gate) and the one-call-graph-per-run contract
+are tested here too.
 """
 
 import json
@@ -15,22 +17,23 @@ import pytest
 
 from repro.analysis import (
     Baseline,
-    BaselineEntry,
-    ClickGraphError,
     Severity,
     TrustDomain,
+    Waiver,
     analyze_paths,
     analyze_source,
-    check_config_text,
     trust_domain,
-    validate_parsed,
 )
+from repro.analysis import callgraph, engine
 from repro.analysis.baseline import BaselineError
 from repro.analysis.checkers import all_rules, default_checkers
 from repro.analysis.checkers.boundary import BoundaryChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.interface import InterfaceChecker
+from repro.analysis.checkers.ownership import OwnershipChecker
+from repro.analysis.checkers.taint import TaintChecker
 from repro.click.config import ClickSyntaxError, parse_config
+from repro.click.graphcheck import ClickGraphError, check_config_text, validate_parsed
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -55,9 +58,11 @@ def test_shipped_tree_is_clean():
     assert report.clean, "\n".join(
         f"{f.location()}: {f.rule}: {f.message}" for f in report.findings
     )
+    # an entry that matches nothing is a muted alarm for a bug that is gone
+    assert report.unused_baseline_entries == []
 
 
-def test_all_seven_passes_run():
+def test_all_six_passes_run():
     report = analyze_paths([SRC])
     assert report.checkers == [
         "boundary",
@@ -66,8 +71,35 @@ def test_all_seven_passes_run():
         "clickgraph",
         "taint",
         "ownership",
-        "hotpath",
     ]
+
+
+def test_one_call_graph_serves_taint_and_ownership(monkeypatch, tmp_path):
+    """One run builds each module's function table and import map once."""
+    pkg = tmp_path / "repro" / "netsim"
+    pkg.mkdir(parents=True)
+    (tmp_path / "repro" / "__init__.py").write_text("")
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text("import json\n\ndef f(x):\n    return json.dumps(x)\n")
+    (pkg / "b.py").write_text("from repro.netsim.a import f\n\ndef g(y):\n    return f(y)\n")
+    tabled, mapped = [], []
+    collect = callgraph.collect_functions
+    import_map = engine.ImportMap
+
+    def counting_collect(module):
+        tabled.append(module.module)
+        return collect(module)
+
+    def counting_import_map(tree):
+        mapped.append(tree)
+        return import_map(tree)
+
+    monkeypatch.setattr(callgraph, "collect_functions", counting_collect)
+    monkeypatch.setattr(engine, "ImportMap", counting_import_map)
+    report = analyze_paths([tmp_path], checkers=[TaintChecker(), OwnershipChecker()])
+    assert report.modules_scanned == 4
+    assert sorted(tabled) == ["repro", "repro.netsim", "repro.netsim.a", "repro.netsim.b"]
+    assert len(mapped) == 4
 
 
 # ----------------------------------------------------------------------
@@ -303,24 +335,26 @@ def test_baseline_entry_matches_rule_and_path_suffix():
         checkers=[DeterminismChecker()],
         path="src/repro/netsim/link.py",
     )
-    entry = BaselineEntry(rule="DET401", path="repro/netsim/link.py", note="legacy")
+    entry = Waiver(rule="DET401", path="repro/netsim/link.py", note="legacy")
     assert entry.matches(findings[0])
-    assert not BaselineEntry(rule="DET402", note="other rule").matches(findings[0])
-    assert not BaselineEntry(path="repro/sim/engine.py", note="other file").matches(
-        findings[0]
-    )
+    assert not Waiver(rule="DET402", note="other rule").matches(findings[0])
+    assert not Waiver(path="repro/sim/engine.py", note="other file").matches(findings[0])
 
 
-def test_baseline_requires_rule_or_path():
+def test_baseline_requires_rule_or_path(tmp_path):
+    with pytest.raises(ValueError):
+        Waiver(note="matches everything")
+    path = tmp_path / "lint-baseline.json"
+    path.write_text(json.dumps({"version": 1, "entries": [{"note": "matches everything"}]}))
     with pytest.raises(BaselineError):
-        BaselineEntry(note="matches everything")
+        Baseline.load(path)
 
 
 def test_baseline_roundtrip_and_stale_detection(tmp_path):
     baseline = Baseline(
         [
-            BaselineEntry(rule="DET401", path="link.py", note="sim clock migration"),
-            BaselineEntry(rule="EB101", note="never hit"),
+            Waiver(rule="DET401", path="link.py", note="sim clock migration"),
+            Waiver(rule="EB101", note="never hit"),
         ]
     )
     path = tmp_path / "lint-baseline.json"
@@ -468,6 +502,27 @@ def test_hotswap_rejects_invalid_config_before_commit():
     assert manager.router is running
 
 
+def test_hotswap_validation_does_not_import_the_linter():
+    # the graph validator is runtime code; a deployment that swaps
+    # configurations must not pay for importing endbox-lint
+    code = (
+        "import sys\n"
+        "from repro.click import HotSwapManager, configs\n"
+        "from repro.costs import default_cost_model\n"
+        "manager = HotSwapManager(configs.nop_config(), default_cost_model())\n"
+        "manager.hotswap(configs.firewall_config())\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.analysis')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_hotswap_manager_validates_initial_config():
     from repro.click import HotSwapManager
     from repro.costs import default_cost_model
@@ -507,14 +562,25 @@ def test_apply_config_ecall_raises_config_error_on_bad_graph():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def run_cli(*argv):
+def run_cli(*argv, cwd=REPO_ROOT):
     return subprocess.run(
         [sys.executable, "-m", "repro.analysis", *argv],
         capture_output=True,
         text=True,
-        cwd=REPO_ROOT,
+        cwd=cwd,
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
     )
+
+
+def write_clocky_tree(root):
+    """A one-module tree whose only finding is DET401."""
+    bad = root / "repro" / "netsim"
+    bad.mkdir(parents=True)
+    (bad / "__init__.py").write_text("")
+    (bad / "clocky.py").write_text(
+        '"""Bad module."""\nimport time\n\nSTAMP = time.time()\n'
+    )
+    return root
 
 
 def test_cli_clean_tree_exits_zero():
@@ -536,18 +602,12 @@ def test_cli_json_format_is_machine_readable():
         "clickgraph",
         "taint",
         "ownership",
-        "hotpath",
     }
     assert payload["findings"] == []
 
 
 def test_cli_reports_findings_and_exits_nonzero(tmp_path):
-    bad = tmp_path / "repro" / "netsim"
-    bad.mkdir(parents=True)
-    (bad / "__init__.py").write_text("")
-    (bad / "clocky.py").write_text(
-        '"""Bad module."""\nimport time\n\nSTAMP = time.time()\n'
-    )
+    write_clocky_tree(tmp_path)
     result = run_cli(str(tmp_path), "--format=json", "--no-baseline")
     assert result.returncode == 1
     payload = json.loads(result.stdout)
@@ -555,12 +615,7 @@ def test_cli_reports_findings_and_exits_nonzero(tmp_path):
 
 
 def test_cli_baseline_workflow(tmp_path):
-    bad = tmp_path / "repro" / "netsim"
-    bad.mkdir(parents=True)
-    (bad / "__init__.py").write_text("")
-    (bad / "clocky.py").write_text(
-        '"""Bad module."""\nimport time\n\nSTAMP = time.time()\n'
-    )
+    write_clocky_tree(tmp_path)
     baseline = tmp_path / "lint-baseline.json"
     # 1. adopt: write the baseline, exit 0
     wrote = run_cli(str(tmp_path), "--write-baseline", str(baseline))
@@ -586,6 +641,45 @@ def test_cli_rules_filter_and_listing():
     assert result.returncode == 0
     bogus = run_cli(str(SRC), "--rules", "NOPE99")
     assert bogus.returncode == 2
+
+
+def test_cli_lists_no_retired_hp_rules():
+    listing = run_cli("--list-rules").stdout
+    assert "HP705" in listing
+    for retired in ("HP701", "HP702", "HP703", "HP704"):
+        assert retired not in listing
+
+
+def test_cli_sarif_reports_findings(tmp_path):
+    tree = write_clocky_tree(tmp_path)
+    result = run_cli(str(tree), "--format=sarif", "--no-baseline")
+    assert result.returncode == 1
+    run = json.loads(result.stdout)["runs"][0]
+    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
+    assert "DET401" in rule_ids
+    assert [entry["ruleId"] for entry in run["results"]] == ["DET401"]
+
+
+def test_cli_sarif_out_writes_report_file(tmp_path):
+    tree = write_clocky_tree(tmp_path / "tree")
+    out = tmp_path / "lint.sarif"
+    result = run_cli(str(tree), "--no-baseline", f"--sarif-out={out}", cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    sarif = json.loads(out.read_text())
+    assert [entry["ruleId"] for entry in sarif["runs"][0]["results"]] == ["DET401"]
+
+
+def test_cli_budget_exceeded_exits_3(tmp_path):
+    tree = write_clocky_tree(tmp_path)
+    result = run_cli(str(tree), "--no-baseline", "--budget", "0")
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "budget exceeded" in result.stderr
+
+
+def test_cli_budget_met_keeps_finding_exit_code(tmp_path):
+    tree = write_clocky_tree(tmp_path)
+    result = run_cli(str(tree), "--no-baseline", "--budget", "600")
+    assert result.returncode == 1
 
 
 def test_cli_syntax_error_produces_gen001(tmp_path):

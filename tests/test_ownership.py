@@ -1,15 +1,16 @@
-"""Shard-safety (SS6xx) tests: rule units, fixtures, CLI, cache, waivers.
+"""Ownership-pass tests (SS6xx, HP705): rule units, fixtures, CLI, waivers.
 
 Mirrors the taint-test layering:
 
 * direct :func:`analyze_source` units for each SS rule and for the
-  sim-driven reachability boundary;
+  sim-driven reachability boundary, and for the HP705 view-escape rule,
+  which runs over every function;
 * the fixture corpus under ``tests/fixtures/ownership/`` — every file
   declares its module name and expected rule set in header comments;
 * whole-tree checks: zero unbaselined findings, every OWNERSHIP waiver
   exercised (a waiver matching nothing is stale);
 * subprocess CLI tests for the ``--rules SS`` family filter, SARIF
-  coverage, exit codes and the incremental lint cache.
+  coverage and exit codes.
 """
 
 import json
@@ -20,12 +21,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths, analyze_source
+from repro.analysis import analyze_paths, analyze_source, inline_rules
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import LintCache
 from repro.analysis.checkers.ownership import OwnershipChecker
 from repro.analysis.engine import Analyzer
-from repro.analysis.ownergraph import OWNERSHIP, SS_RULES, shared_rules
+from repro.analysis.findings import Severity
+from repro.analysis.ownergraph import OWNERSHIP, OWNERSHIP_RULES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -44,7 +45,7 @@ def ss_rules(source, module, path="<memory>"):
 # ----------------------------------------------------------------------
 def test_tree_has_no_unbaselined_ownership_findings():
     report = analyze_paths([SRC])
-    shared = [f for f in report.findings if f.rule.startswith("SS")]
+    shared = [f for f in report.findings if f.rule in OWNERSHIP_RULES]
     assert not shared, "\n".join(
         f"{f.location()}: {f.rule}: {f.message}" for f in shared
     )
@@ -212,16 +213,60 @@ def install(sim):
 
 
 def test_shared_rules_parser():
-    assert shared_rules("x = 1  # endbox-lint: shared(SS601)") == {"SS601"}
-    assert shared_rules("x = 1  # endbox-lint: shared(SS601, SS603)") == {
+    assert inline_rules("x = 1  # endbox-lint: shared(SS601)", "shared") == {"SS601"}
+    assert inline_rules("x = 1  # endbox-lint: shared(SS601, SS603)", "shared") == {
         "SS601",
         "SS603",
     }
-    assert shared_rules("x = 1  # plain comment") is None
+    assert inline_rules("x = 1  # plain comment", "shared") is None
+    # shared must name its rules, and other verbs are not read as shared
+    assert inline_rules("x = 1  # endbox-lint: shared", "shared") is None
+    assert inline_rules("x = 1  # endbox-lint: declassify(SS601)", "shared") is None
 
 
 def test_non_repro_modules_are_ignored():
     assert ss_rules(SS601_SNIPPET, "thirdparty.helper") == []
+
+
+# ----------------------------------------------------------------------
+# HP705: views over reused buffers, in every function
+# ----------------------------------------------------------------------
+def test_hp705_is_an_error():
+    source = '''
+class Router:
+    def process(self, ip_packet):
+        view = memoryview(self._scratch)
+        self.kept = view
+        return ip_packet
+'''
+    findings = analyze_source(
+        source, module="repro.click.router", checkers=[OwnershipChecker()]
+    )
+    assert [(f.rule, f.severity) for f in findings] == [("HP705", Severity.ERROR)]
+
+
+def test_hp705_fresh_local_view_is_clean():
+    source = '''
+class Router:
+    def process(self, ip_packet):
+        local = bytes(self.header)
+        view = memoryview(local)
+        return view
+'''
+    assert ss_rules(source, "repro.click.router") == []
+
+
+def test_hp705_view_over_mutated_local_escaping():
+    source = '''
+class Router:
+    def process(self, ip_packet):
+        scratch = bytearray(64)
+        view = memoryview(scratch)
+        self.kept = view
+        scratch[0:4] = ip_packet
+        return True
+'''
+    assert ss_rules(source, "repro.click.router") == ["HP705"]
 
 
 # ----------------------------------------------------------------------
@@ -257,7 +302,7 @@ def test_fixture_corpus_covers_every_ss_rule():
     for path in fixture_files():
         _source, _module, expected = read_fixture(path)
         covered.update(expected)
-    assert covered == set(SS_RULES)
+    assert covered == set(OWNERSHIP_RULES)
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +330,7 @@ def write_shared_tree(root):
 def test_cli_ss_family_filter_and_exit_code(tmp_path):
     tree = write_shared_tree(tmp_path)
     result = run_cli(
-        str(tree), "--format=json", "--no-baseline", "--no-cache", "--rules", "SS"
+        str(tree), "--format=json", "--no-baseline", "--rules", "SS"
     )
     assert result.returncode == 1, result.stdout + result.stderr
     payload = json.loads(result.stdout)
@@ -295,7 +340,7 @@ def test_cli_ss_family_filter_and_exit_code(tmp_path):
 def test_cli_exact_rule_still_matches(tmp_path):
     tree = write_shared_tree(tmp_path)
     result = run_cli(
-        str(tree), "--format=json", "--no-baseline", "--no-cache", "--rules", "SS601"
+        str(tree), "--format=json", "--no-baseline", "--rules", "SS601"
     )
     assert result.returncode == 1
     assert json.loads(result.stdout)["findings"]
@@ -304,7 +349,7 @@ def test_cli_exact_rule_still_matches(tmp_path):
 def test_cli_other_family_filters_it_out(tmp_path):
     tree = write_shared_tree(tmp_path)
     result = run_cli(
-        str(tree), "--format=json", "--no-baseline", "--no-cache", "--rules", "TF"
+        str(tree), "--format=json", "--no-baseline", "--rules", "TF"
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["findings"] == []
@@ -312,20 +357,20 @@ def test_cli_other_family_filters_it_out(tmp_path):
 
 def test_cli_unknown_family_is_a_usage_error(tmp_path):
     tree = write_shared_tree(tmp_path)
-    result = run_cli(str(tree), "--no-baseline", "--no-cache", "--rules", "ZZ")
+    result = run_cli(str(tree), "--no-baseline", "--rules", "ZZ")
     assert result.returncode == 2
 
 
 def test_cli_lists_ss_rules():
     result = run_cli("--list-rules")
     assert result.returncode == 0
-    for rule in SS_RULES:
+    for rule in OWNERSHIP_RULES:
         assert rule in result.stdout
 
 
 def test_cli_sarif_covers_ss_rules(tmp_path):
     tree = write_shared_tree(tmp_path)
-    result = run_cli(str(tree), "--format=sarif", "--no-baseline", "--no-cache")
+    result = run_cli(str(tree), "--format=sarif", "--no-baseline")
     assert result.returncode == 1
     sarif = json.loads(result.stdout)
     run = sarif["runs"][0]
@@ -335,92 +380,15 @@ def test_cli_sarif_covers_ss_rules(tmp_path):
     assert any(entry["ruleId"] == "SS601" for entry in results)
 
 
-# ----------------------------------------------------------------------
-# the incremental cache
-# ----------------------------------------------------------------------
-def test_cache_hit_returns_identical_report(tmp_path):
-    tree = write_shared_tree(tmp_path)
-    cache_dir = tmp_path / "cache"
-    cold = analyze_paths([tree], cache=LintCache(cache_dir))
-    warm = analyze_paths([tree], cache=LintCache(cache_dir))
-    assert not cold.from_cache
-    assert warm.from_cache
-    assert warm.to_dict() == cold.to_dict()
-    assert any(cache_dir.glob("report-*.json"))
-
-
-def test_cache_misses_on_content_change(tmp_path):
-    tree = write_shared_tree(tmp_path)
-    cache_dir = tmp_path / "cache"
-    first = analyze_paths([tree], cache=LintCache(cache_dir))
-    assert [f.rule for f in first.findings] == ["SS601"]
-    # fix the leak: the cached report must not be served stale
-    target = tree / "repro" / "netsim" / "sharedstate.py"
-    target.write_text('"""Fixed."""\n\ndef install(sim):\n    pass\n')
-    second = analyze_paths([tree], cache=LintCache(cache_dir))
-    assert not second.from_cache
-    assert second.findings == []
-
-
-def test_cache_misses_on_baseline_change(tmp_path):
-    tree = write_shared_tree(tmp_path)
-    cache_dir = tmp_path / "cache"
-    analyze_paths([tree], cache=LintCache(cache_dir))
-    from repro.analysis.baseline import BaselineEntry
-
-    with_baseline = analyze_paths(
-        [tree],
-        baseline=Baseline([BaselineEntry(rule="SS601", note="accepted")]),
-        cache=LintCache(cache_dir),
-    )
-    assert not with_baseline.from_cache
-    assert with_baseline.findings == []
-    assert len(with_baseline.baselined) == 1
-
-
-def test_cache_module_memo_is_populated(tmp_path):
-    tree = write_shared_tree(tmp_path)
-    cache_dir = tmp_path / "cache"
-    analyze_paths([tree], cache=LintCache(cache_dir))
-    assert any(cache_dir.glob("module-*.json"))
-
-
-def test_corrupt_cache_degrades_to_full_run(tmp_path):
-    tree = write_shared_tree(tmp_path)
-    cache_dir = tmp_path / "cache"
-    analyze_paths([tree], cache=LintCache(cache_dir))
-    for entry in cache_dir.glob("*.json"):
-        entry.write_text("{not json")
-    report = analyze_paths([tree], cache=LintCache(cache_dir))
-    assert not report.from_cache
-    assert [f.rule for f in report.findings] == ["SS601"]
-
-
-def test_cli_no_cache_leaves_no_cache_dir(tmp_path):
+def test_cli_leaves_no_files_in_the_working_directory(tmp_path):
     # run from a directory that does NOT contain the fixture `repro`
     # package (cwd shadows the real one on sys.path under `python -m`)
     tree = write_shared_tree(tmp_path / "tree")
     workdir = tmp_path / "wk"
     workdir.mkdir()
-    result = run_cli(str(tree), "--no-baseline", "--no-cache", cwd=workdir)
+    result = run_cli(str(tree), "--no-baseline", cwd=workdir)
     assert result.returncode == 1, result.stdout + result.stderr
-    assert not (workdir / ".lint_cache").exists()
-
-
-def test_cli_cache_dir_flag(tmp_path):
-    tree = write_shared_tree(tmp_path / "tree")
-    workdir = tmp_path / "wk"
-    workdir.mkdir()
-    cache_dir = tmp_path / "customcache"
-    first = run_cli(
-        str(tree), "--no-baseline", f"--cache-dir={cache_dir}", cwd=workdir
-    )
-    second = run_cli(
-        str(tree), "--no-baseline", f"--cache-dir={cache_dir}", cwd=workdir
-    )
-    assert first.returncode == second.returncode == 1, first.stdout + first.stderr
-    assert first.stdout == second.stdout
-    assert any(cache_dir.glob("report-*.json"))
+    assert list(workdir.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -434,7 +402,7 @@ def test_collect_files_prunes_non_source_trees(tmp_path):
     junk_dirs = [
         tmp_path / "__pycache__",
         tmp_path / "build",
-        tmp_path / ".lint_cache",
+        tmp_path / ".mypy_cache",
         tmp_path / "repro.egg-info",
     ]
     for junk in junk_dirs:

@@ -19,13 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_paths, analyze_source
+from repro.analysis import analyze_paths, analyze_source, inline_rules
 from repro.analysis.checkers.taint import TaintChecker
-from repro.analysis.secrets import (
-    DECLASSIFICATIONS,
-    TF_RULES,
-    declassify_rules,
-)
+from repro.analysis.dataflow import Summary
+from repro.analysis.secrets import DECLASSIFICATIONS, TF_RULES
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -235,6 +232,15 @@ def drive_leak(key):
     assert "secret" not in "" + findings[0].message.split("flows into")[1]
 
 
+def test_fixpoint_that_never_settles_fails_the_run(monkeypatch):
+    # summaries that never compare equal keep every round "changed": the
+    # run must fail at the round bound instead of reporting from partial
+    # summaries
+    monkeypatch.setattr(Summary, "__eq__", lambda self, other: False)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        taint_rules(LEAKY_OCALL, "repro.sgx.snippet")
+
+
 def test_untrusted_parameters_are_not_seeded():
     # the parameter-name heuristic applies only inside the enclave:
     # host-side code handles ciphertext under the same names
@@ -306,12 +312,12 @@ class Lib:
 
 
 def test_declassify_comment_parser():
-    assert declassify_rules("x = 1  # endbox-lint: declassify(TF505)") == {"TF505"}
-    assert declassify_rules("x  # endbox-lint: declassify(TF501, TF502)") == {
+    assert inline_rules("x = 1  # endbox-lint: declassify(TF505)", "declassify") == {"TF505"}
+    assert inline_rules("x  # endbox-lint: declassify(TF501, TF502)", "declassify") == {
         "TF501",
         "TF502",
     }
-    assert declassify_rules("x = 1  # endbox-lint: ignore[TF505]") is None
+    assert inline_rules("x = 1  # endbox-lint: ignore[TF505]", "declassify") is None
 
 
 def test_every_registry_declassification_names_a_tf_rule():
