@@ -4,7 +4,7 @@ Uses a reduced client grid to keep the regeneration affordable; the
 full grid is available through ``endbox-experiments fig10``.
 """
 
-from repro.experiments import fig10_scalability, fig10_swarm
+from repro.experiments import fig10_scalability
 
 COUNTS = (1, 20, 40, 60)
 
@@ -57,18 +57,3 @@ def test_fig10b_use_case_scalability(once, benchmark):
     assert 2.6 < idps_ratio < 4.5
     assert idps_ratio > fw_ratio
 
-
-def test_fig10_swarm_sharded_scalability(once, benchmark):
-    result = once(benchmark, fig10_swarm.run_fig10_swarm, shard_counts=(1, 2, 4))
-    print("\n" + result.to_text())
-    goodput = result.series["EndBox swarm goodput"]
-    offered = result.metadata["offered_gbps"]
-    # the flow-level swarm sustains the full offered load at every
-    # shard count (no loss modelled; lookahead windows lose nothing)
-    for n_shards, gbps in goodput.items():
-        assert abs(gbps - offered) / offered < 0.05, (n_shards, gbps, offered)
-    # determinism contract: merged digests equal the serial reference
-    assert all(result.metadata["digest_matches_serial"].values())
-    # same shard count => byte-identical digests on a repeat run
-    repeat = fig10_swarm.run_fig10_swarm(shard_counts=(2,))
-    assert repeat.metadata["digests"][2] == result.metadata["digests"][2]

@@ -124,8 +124,8 @@ class EndBoxClient(OpenVpnClient):
         gateway = self.endbox.gateway
         if self.sim.now < getattr(self, "_swap_until", 0.0):
             # the Click graph is mid-hot-swap: packets in this window are
-            # dropped, exactly one ping in the Fig 11 experiment
-            self.packets_dropped_by_click += 1
+            # dropped (the caller counts them), exactly one ping in the
+            # Fig 11 experiment
             return False, packet, self.model.partition_fixed
         accepted, packet = gateway.ecall(
             "process_packet",
@@ -281,14 +281,16 @@ class EndBoxClient(OpenVpnClient):
         run every completed inner packet through one enclave crossing."""
         fresh = []
         for packet in packets:
-            if self.replay.check_and_update(packet.packet_id):
+            if self.replay.would_accept(packet.packet_id):
                 fresh.append(packet)
             else:
                 self.packets_rejected += 1
         fragment_cost = 0.0
         inners = []
         for packet, plaintext in zip(fresh, self.rx_channel.unprotect_batch(fresh)):
-            if plaintext is None:
+            # record an id only once its datagram authenticated; an
+            # in-burst duplicate of a genuine datagram is refused here
+            if plaintext is None or not self.replay.check_and_update(packet.packet_id):
                 self.packets_rejected += 1
                 continue
             fragment_cost += ingress_fragment_cost(

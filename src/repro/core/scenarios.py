@@ -113,7 +113,7 @@ class EndBoxDeployment:
     #: by fault injection to rebuild an enclave after a client crash
     platforms: List[SgxPlatform] = field(default_factory=list)
     #: the deadline ``connect_all`` waits for, taken from the spec's
-    #: ``connect_timeout_s`` (10 s for the deprecated kwargs path)
+    #: ``connect_timeout_s``
     connect_timeout_s: float = 10.0
 
     def connect_all(self, until: Optional[float] = None) -> None:

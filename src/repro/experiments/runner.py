@@ -15,8 +15,8 @@ match what EXPERIMENTS.md records.
 :func:`repro.telemetry.session`, attaches the registry snapshot to each
 :class:`~repro.experiments.common.ExperimentResult`, and writes a
 ``telemetry_<name>.json`` artifact per experiment (ecall/ocall
-transition counts, EPC paging events, per-element Click timings, crypto
-cache hit rates, VPN byte counters, link/queue occupancy).
+transition counts, EPC paging events, per-element Click timings, VPN
+byte counters, link/queue occupancy).
 """
 
 from __future__ import annotations

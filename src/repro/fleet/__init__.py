@@ -17,8 +17,9 @@ demonstrates for shielded Click instances:
   superset of :class:`~repro.core.scenarios.EndBoxDeployment` with N
   gateways, fleet-wide config rollouts (per-version grace deadlines
   hold across every gateway) and sealed-state client migration.
-* :mod:`repro.fleet.swarm` — the flow-level fleet dispatcher used by the
-  10k-client rolling-restart scenario on the sharded runner.
+* :mod:`repro.fleet.swarm` — the flow-level client swarms and fleet
+  dispatcher of the 10k-client rolling-restart scenario, the one
+  scenario on the sharded runner.
 """
 
 from repro.fleet.balancer import Balancer, HashRing, RoundRobinBalancer, make_balancer

@@ -1,10 +1,10 @@
 """Flow-level fleet scenario: 10k+ clients across a rolling gateway fleet.
 
-:mod:`repro.netsim.swarm` models thousands of identical clients as one
-flow-level source per shard; this module adds the *fleet* side for the
-sharded runner (:mod:`repro.sim.parallel`): every gateway of a
-multi-gateway fleet lives on shard 0 behind a :class:`FleetDispatcher`
-that replays, per packet, exactly the decisions the packet-granularity
+This is the scenario the sharded runner (:mod:`repro.sim.parallel`)
+exists for.  Each client shard models its clients as one
+:class:`ClientSwarmSource`; every gateway of a multi-gateway fleet lives
+on shard 0 behind a :class:`FleetDispatcher` that replays, per packet,
+exactly the decisions the packet-granularity
 :class:`~repro.fleet.deployment.FleetDeployment` makes per session:
 
 * **balancing** — the packet's home gateway comes from the same
@@ -26,6 +26,10 @@ that replays, per packet, exactly the decisions the packet-granularity
   ``fleet.gateway.stale_admitted`` tripwire counts stale packets that
   *were* admitted after the deadline — it must stay 0.
 
+Each swarm packet crosses to shard 0 as a ``(client_id, packet_bytes)``
+frame payload, where ``client_id`` is the sending shard's local client
+index.
+
 Everything is counters (no trace records), all fleet state lives on
 shard 0, and cross-shard frames arrive in the fabric's canonical order,
 so serial / inline / fork runs of the same parameters merge to the
@@ -40,13 +44,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.faults.plan import FaultPlan, GatewayRestart
 from repro.fleet.balancer import make_balancer
 from repro.fleet.spec import BALANCER_POLICIES
-from repro.netsim.swarm import (
-    DELIVERED_BYTES_NAME,
-    DELIVERED_NAME,
-    GATEWAY_STEPS_NAME,
-    WINDOW_BYTES_NAME,
-    ClientSwarmSource,
-)
 from repro.sim import SimulationError, Simulator
 from repro.sim.parallel import (
     CrossShardFabric,
@@ -56,8 +53,30 @@ from repro.sim.parallel import (
     run_serial,
     run_sharded,
 )
+from repro.telemetry import names as _names
 from repro.telemetry.registry import Registry
 
+PACKETS_NAME = _names.register(
+    "netsim.swarm.packets", "counter", "packets", "packets emitted by swarm sources"
+)
+BYTES_NAME = _names.register(
+    "netsim.swarm.bytes", "counter", "bytes", "payload bytes emitted by swarm sources"
+)
+STEPS_NAME = _names.register(
+    "netsim.swarm.steps", "counter", "events", "client-side pipeline stages executed"
+)
+DELIVERED_NAME = _names.register(
+    "netsim.swarm.delivered", "counter", "packets", "packets absorbed by swarm gateways"
+)
+DELIVERED_BYTES_NAME = _names.register(
+    "netsim.swarm.delivered_bytes", "counter", "bytes", "payload bytes absorbed by swarm gateways"
+)
+WINDOW_BYTES_NAME = _names.register(
+    "netsim.swarm.window_bytes", "counter", "bytes", "post-warmup bytes absorbed (throughput window)"
+)
+GATEWAY_STEPS_NAME = _names.register(
+    "netsim.swarm.gateway_steps", "counter", "events", "gateway-side pipeline stages executed"
+)
 REMAPS_NAME = "fleet.balancer.remaps"
 MIGRATIONS_NAME = "fleet.balancer.migrations"
 SESSIONS_RESUMED_NAME = "fleet.gateway.sessions_resumed"
@@ -68,6 +87,88 @@ STALE_ADMITTED_NAME = "fleet.gateway.stale_admitted"
 def _channel(shard: int) -> str:
     """Cross-shard channel carrying one client shard's swarm traffic."""
     return f"fleet.shard{shard}"
+
+
+class ClientSwarmSource:
+    """``n_clients`` identical constant-rate clients as one generator.
+
+    Simulating every client at packet granularity costs several heap
+    events per packet.  This source instead wakes once per ``tick_s``,
+    computes how many packets the aggregate rate owes, runs the
+    per-packet client pipeline as a plain loop (every packet is still
+    touched, so the counters are exact, not extrapolated), and emits
+    each packet onto ``egress`` with its exact timestamp ``t(i) =
+    (i+1)/aggregate_pps`` — a product, never an accumulated sum — plus
+    ``latency_s``.  Packets are attributed round-robin to the local
+    client ids.  ``start()`` spawns the tick process; emission continues
+    until the shard runner stops running windows.
+
+    Lookahead safety: a packet due in the tick ending at ``now`` was
+    emitted after ``now - tick_s``, so its delivery at ``t_emit +
+    latency_s`` clears the next window bound whenever ``latency_s >=
+    lookahead + tick_s``.  :func:`make_fleet_builder` uses ``tick_s =
+    lookahead`` and ``latency_s = 2*lookahead``
+    (:attr:`FleetSwarmParams.latency_s`).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        egress,
+        n_clients: int,
+        per_client_bps: float,
+        packet_bytes: int,
+        pipeline_steps: int,
+        latency_s: float,
+        tick_s: float,
+    ) -> None:
+        if n_clients < 1:
+            raise SimulationError(f"swarm needs at least one client, got {n_clients}")
+        self.sim = sim
+        self.n_clients = n_clients
+        self.packet_bytes = packet_bytes
+        self.pipeline_steps = pipeline_steps
+        self.latency_s = latency_s
+        self.tick_s = tick_s
+        self.aggregate_pps = n_clients * per_client_bps / (packet_bytes * 8)
+        self._interval = 1.0 / self.aggregate_pps
+        self._egress = egress
+        self.emitted = 0
+        registry = Registry.current()
+        self._tm_packets = registry.counter(PACKETS_NAME)
+        self._tm_bytes = registry.counter(BYTES_NAME)
+        self._tm_steps = registry.counter(STEPS_NAME)
+
+    def start(self) -> None:
+        """Spawn the per-lookahead tick process that drives emission."""
+        self.sim.process(self._run(), name="swarm.source")
+
+    def _run(self):
+        sim = self.sim
+        emit = self._egress.emit
+        interval = self._interval
+        steps = self.pipeline_steps
+        nbytes = self.packet_bytes
+        latency = self.latency_s
+        n_clients = self.n_clients
+        while True:
+            yield sim.timeout(self.tick_s)
+            # packets the aggregate rate owes since the last tick (floor,
+            # with a fuzz term so t_emit == now counts as due)
+            due = int(sim.now / interval + 1e-9) - self.emitted
+            if due <= 0:
+                continue
+            emitted = self.emitted
+            work = 0
+            for i in range(emitted, emitted + due):
+                # the client-side pipeline, batched: each stage is real
+                # per-packet work (counted exactly), not an engine event
+                work += steps
+                emit((i + 1) * interval + latency, (i % n_clients, nbytes))
+            self.emitted += due
+            self._tm_packets.inc(due)
+            self._tm_bytes.inc(due * nbytes)
+            self._tm_steps.inc(work)
 
 
 @dataclass(frozen=True)
@@ -141,7 +242,8 @@ class FleetSwarmParams:
     @property
     def latency_s(self) -> float:
         """Client→gateway one-way latency; ``2×lookahead`` clears every
-        window bound (see the lookahead-safety note in ``netsim.swarm``)."""
+        window bound (see the lookahead-safety note on
+        :class:`ClientSwarmSource`)."""
         return 2 * self.lookahead_s
 
     @property
@@ -211,7 +313,7 @@ class FleetDispatcher:
             clients = plan.clients_on(shard)
             if not clients:
                 continue
-            fabric.bind_ingress(_channel(shard), self._binder(clients[0]), batched=True)
+            fabric.bind_ingress(_channel(shard), self._binder(clients[0]))
 
     def _binder(self, base: int):
         """Batch callback translating shard-local to global client ids."""
@@ -305,7 +407,7 @@ def make_fleet_builder(params: FleetSwarmParams):
         if ctx.is_gateway:
             FleetDispatcher(ctx.sim, ctx.fabric, plan, params)
         if ctx.clients:
-            egress = ctx.fabric.open_egress(_channel(ctx.shard_index), 0, batched=True)
+            egress = ctx.fabric.open_egress(_channel(ctx.shard_index), 0)
             ClientSwarmSource(
                 ctx.sim,
                 egress,

@@ -16,6 +16,12 @@ Frames drained in window *k* can, by construction, only be delivered at
 or after the window-*k* bound, so injecting them between windows never
 rewinds a shard.
 
+Every channel is batched: the frames one channel drained in a window
+reach its receiver as one list, in one call at the first frame's
+delivery time, so a whole window of traffic costs one heap entry.  The
+one scenario built on this runner is the flow-level fleet rollout
+(:mod:`repro.fleet.swarm`).
+
 Determinism contract
 --------------------
 * Same seed + same shard count ⇒ byte-identical merged
@@ -32,9 +38,9 @@ Three mechanisms make this hold:
 1. cross-shard deliveries are injected via
    :meth:`Simulator.schedule_external`, which orders them *before* any
    same-timestamp local event, in injection order;
-2. every injection batch is sorted by the canonical key
-   ``(deliver_time, channel, emit_index)`` — never by arrival order,
-   pipe scheduling, or dict iteration order;
+2. the batches of one injection are sorted by the canonical key of
+   their first frame, ``(deliver_time, channel, emit_index)`` — never by
+   arrival order, pipe scheduling, or dict iteration order;
 3. per-shard telemetry registries are folded with
    :func:`repro.telemetry.merge.merge_snapshots`, whose counter sums and
    histogram merges are partition-independent.
@@ -69,8 +75,8 @@ FRAMES_NAME = _names.register(
 
 #: a routed frame: (deliver_at, emit_index, payload).
 Frame = Tuple[float, int, Any]
-#: one drained unit: (channel, dest_shard, batched, frames).
-Record = Tuple[str, int, bool, List[Frame]]
+#: one channel's drain for one window: (channel, dest_shard, frames).
+Record = Tuple[str, int, List[Frame]]
 
 Builder = Callable[["ShardContext"], None]
 
@@ -152,13 +158,12 @@ class ShardPlan:
 class _Egress:
     """Emit handle for one cross-shard channel (held by a sender)."""
 
-    __slots__ = ("_fabric", "channel", "dest_shard", "batched", "_frames", "_emit_index")
+    __slots__ = ("_fabric", "channel", "dest_shard", "_frames", "_emit_index")
 
-    def __init__(self, fabric: "CrossShardFabric", channel: str, dest_shard: int, batched: bool):
+    def __init__(self, fabric: "CrossShardFabric", channel: str, dest_shard: int):
         self._fabric = fabric
         self.channel = channel
         self.dest_shard = dest_shard
-        self.batched = batched
         self._frames: List[Frame] = []
         self._emit_index = 0
 
@@ -188,33 +193,31 @@ class CrossShardFabric:
         self.shard_index = shard_index
         self.n_shards = n_shards
         self._egresses: Dict[str, _Egress] = {}
-        self._ingresses: Dict[str, Tuple[Callable[..., None], bool]] = {}
+        self._ingresses: Dict[str, Callable[[List[Frame]], None]] = {}
         self._tm_frames = Registry.current().counter(FRAMES_NAME)
 
     # -- wiring (builder time) ----------------------------------------
-    def open_egress(self, channel: str, dest_shard: int, batched: bool = False) -> _Egress:
+    def open_egress(self, channel: str, dest_shard: int) -> _Egress:
         """Declare an outbound channel; returns its emit handle."""
         if channel in self._egresses:
             raise SimulationError(f"egress channel {channel!r} already open")
         if not 0 <= dest_shard < self.n_shards:
             raise SimulationError(f"egress {channel!r} targets unknown shard {dest_shard}")
-        egress = _Egress(self, channel, dest_shard, batched)
+        egress = _Egress(self, channel, dest_shard)
         self._egresses[channel] = egress
         return egress
 
-    def bind_ingress(self, channel: str, receive: Callable[..., None], batched: bool = False) -> None:
+    def bind_ingress(self, channel: str, receive: Callable[[List[Frame]], None]) -> None:
         """Register the delivery callback for an inbound channel.
 
-        Unbatched channels call ``receive(payload)`` once per frame, at
-        the frame's delivery time.  Batched channels call
-        ``receive(frames)`` once per channel and window — at the first
-        frame's delivery time, with the full ``[(t, emit_index,
-        payload), ...]`` list — trading intra-window arrival granularity
-        for one heap entry per batch (the flow-level fast path).
+        ``receive(frames)`` runs once per channel and window, at the
+        first frame's delivery time, with the full ``[(t, emit_index,
+        payload), ...]`` list — intra-window arrival granularity traded
+        for one heap entry per batch.
         """
         if channel in self._ingresses:
             raise SimulationError(f"ingress channel {channel!r} already bound")
-        self._ingresses[channel] = (receive, batched)
+        self._ingresses[channel] = receive
 
     # -- window machinery (runner time) -------------------------------
     def drain(self) -> List[Record]:
@@ -223,42 +226,28 @@ class CrossShardFabric:
         for channel in sorted(self._egresses):
             egress = self._egresses[channel]
             if egress._frames:
-                records.append((channel, egress.dest_shard, egress.batched, egress._frames))
+                records.append((channel, egress.dest_shard, egress._frames))
                 egress._frames = []
         return records
 
     def inject(self, sim: Simulator, records: Sequence[Record]) -> None:
         """Schedule inbound records into ``sim`` in canonical order.
 
-        Units (single frames, or whole batches for batched channels)
-        are sorted by ``(deliver_time, channel, emit_index)`` before
-        being handed to :meth:`Simulator.schedule_external`, which
-        preserves exactly that order against same-timestamp local
-        events.  The resulting execution order is a pure function of
-        the frames themselves — identical in serial, inline and fork
-        modes.
+        Each record becomes one delivery of its whole frame list at its
+        first frame's time.  Deliveries are sorted by that frame's
+        ``(deliver_time, channel, emit_index)`` before being handed to
+        :meth:`Simulator.schedule_external`, which preserves exactly
+        that order against same-timestamp local events.  The resulting
+        execution order is a pure function of the frames themselves —
+        identical in serial, inline and fork modes.
         """
         units: List[Tuple[float, str, int, Callable[[], None]]] = []
-        for channel, _dest, batched, frames in records:
-            bound = self._ingresses.get(channel)
-            if bound is None:
+        for channel, _dest, frames in records:
+            receive = self._ingresses.get(channel)
+            if receive is None:
                 raise SimulationError(f"no ingress bound for channel {channel!r}")
-            receive, want_batched = bound
-            if batched != want_batched:
-                raise SimulationError(
-                    f"channel {channel!r}: egress batched={batched} but "
-                    f"ingress batched={want_batched}"
-                )
-            if batched:
-                first = frames[0]
-                units.append(
-                    (first[0], channel, first[1], (lambda r=receive, f=frames: r(f)))
-                )
-            else:
-                for deliver_at, emit_index, payload in frames:
-                    units.append(
-                        (deliver_at, channel, emit_index, (lambda r=receive, p=payload: r(p)))
-                    )
+            first = frames[0]
+            units.append((first[0], channel, first[1], (lambda r=receive, f=frames: r(f))))
         units.sort(key=lambda unit: (unit[0], unit[1], unit[2]))
         for when, _channel, _index, thunk in units:
             sim.schedule_external(when, thunk)
@@ -296,7 +285,6 @@ class ShardRunResult:
     horizon_s: float
     snapshots: List[dict]
     events_executed: List[int]
-    frames_shipped: int = 0
     _merged: Optional[dict] = field(default=None, repr=False)
 
     @property
@@ -342,20 +330,16 @@ def run_serial(
     for shard in range(plan.n_shards):
         builder(ShardContext(shard, plan, sim, fabric))
     bounds = plan.window_bounds(horizon_s)
-    shipped = 0
     for index, bound in enumerate(bounds):
         sim.run(until=bound)
         if index + 1 < len(bounds):
-            records = fabric.drain()
-            shipped += sum(len(frames) for _c, _d, _b, frames in records)
-            fabric.inject(sim, records)
+            fabric.inject(sim, fabric.drain())
     return ShardRunResult(
         plan=plan,
         mode="serial",
         horizon_s=horizon_s,
         snapshots=[sim.telemetry.snapshot()],
         events_executed=[sim.events_executed],
-        frames_shipped=shipped,
     )
 
 
@@ -393,16 +377,13 @@ def _run_inline(
         sims.append(sim)
         fabrics.append(fabric)
     bounds = plan.window_bounds(horizon_s)
-    shipped = 0
     inbound: Dict[int, List[Record]] = {}
     for index, bound in enumerate(bounds):
         for shard in range(plan.n_shards):
             fabrics[shard].inject(sims[shard], inbound.get(shard, []))
             sims[shard].run(until=bound)
         if index + 1 < len(bounds):
-            drains = [fabric.drain() for fabric in fabrics]
-            shipped += sum(len(r[3]) for records in drains for r in records)
-            inbound = _route(drains)
+            inbound = _route([fabric.drain() for fabric in fabrics])
         else:
             inbound = {}
     return ShardRunResult(
@@ -411,7 +392,6 @@ def _run_inline(
         horizon_s=horizon_s,
         snapshots=[sim.telemetry.snapshot() for sim in sims],
         events_executed=[sim.events_executed for sim in sims],
-        frames_shipped=shipped,
     )
 
 
@@ -516,14 +496,12 @@ def _run_fork(
             return message
 
         bounds = plan.window_bounds(horizon_s)
-        shipped = 0
         inbound: Dict[int, List[Record]] = {}
         for index, bound in enumerate(bounds):
             for shard in range(plan.n_shards):
                 send(shard, ("window", bound, inbound.get(shard, [])))
             drains = [receive(shard, "frames")[1] for shard in range(plan.n_shards)]
             if index + 1 < len(bounds):
-                shipped += sum(len(r[3]) for records in drains for r in records)
                 inbound = _route(drains)
             else:
                 inbound = {}
@@ -542,7 +520,6 @@ def _run_fork(
             horizon_s=horizon_s,
             snapshots=snapshots,
             events_executed=events,
-            frames_shipped=shipped,
         )
     finally:
         for worker in workers:

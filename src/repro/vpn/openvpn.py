@@ -475,7 +475,7 @@ class OpenVpnServer:
         if not session.established:
             self.packets_rejected += 1
             return
-        if not session.replay.check_and_update(packet.packet_id):
+        if not session.replay.would_accept(packet.packet_id):
             self.packets_rejected += 1
             return
         try:
@@ -483,6 +483,7 @@ class OpenVpnServer:
         except ChannelError:
             self.packets_rejected += 1
             return
+        session.replay.check_and_update(packet.packet_id)
         # per-datagram work: socket recv, copy, verify+decrypt
         yield from self._charge(ingress_fragment_cost(self.model, len(plaintext), self.mode))
         inner_bytes = session.reassembler.add(
@@ -1011,7 +1012,7 @@ class OpenVpnClient:
         return packet_id
 
     def _handle_data(self, packet: VpnPacket):
-        if not self.replay.check_and_update(packet.packet_id):
+        if not self.replay.would_accept(packet.packet_id):
             self.packets_rejected += 1
             return
         try:
@@ -1019,6 +1020,7 @@ class OpenVpnClient:
         except ChannelError:
             self.packets_rejected += 1
             return
+        self.replay.check_and_update(packet.packet_id)
         yield from self._charge(
             ingress_fragment_cost(self.model, len(plaintext), self.fragment_crypto_mode())
         )

@@ -10,7 +10,7 @@ tunnel packets larger than the link MTU.  Control bodies are opcode
 specific; DATA bodies are ``ciphertext || hmac_tag``.
 
 Buffer model: DATA bodies may be :class:`memoryview` slices carved over
-an immutable receive buffer (zero-copy parse) or a batch-seal arena;
+an immutable receive buffer (zero-copy parse) or plain ``bytes``;
 ``serialize`` accepts either form and emits identical wire bytes.
 Control bodies are always materialised ``bytes`` — control handlers
 decode/JSON-parse them and may hold them across events, so ownership
@@ -102,9 +102,9 @@ def new_data_packet(
 ) -> VpnPacket:
     """Construct an ``OP_DATA`` packet without dataclass ``__init__``.
 
-    The batched data path builds one packet per fragment per burst;
-    direct slot assignment skips the generated constructor's default
-    processing and is measurably cheaper at that rate.  Semantically
+    The per-packet send paths of the server and the client build one
+    packet per fragment with it; direct slot assignment skips the
+    generated constructor's default processing.  Semantically
     identical to ``VpnPacket(OP_DATA, session_id, packet_id, ...)``.
     """
     packet = VpnPacket.__new__(VpnPacket)

@@ -4,6 +4,11 @@ Packet ids increase monotonically per direction.  The window accepts the
 highest id seen so far plus a 64-entry bitmap of recent ids below it;
 anything older than the window or already seen is rejected — which is
 what defeats the traffic-replay attack of §V-A.
+
+Receivers use the window in two steps, as OpenVPN does: test the id with
+:meth:`ReplayWindow.would_accept` before the MAC work, and record it with
+:meth:`ReplayWindow.check_and_update` only once the datagram has been
+authenticated.  A forged datagram therefore never moves the window.
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ class ReplayWindow:
             return False
         if packet_id > self._top:
             shift = packet_id - self._top
-            self._bitmap = ((self._bitmap << shift) | 1) & ((1 << self.size) - 1)
+            if shift >= self.size:
+                self._bitmap = 1  # every older bit falls out of the window
+            else:
+                self._bitmap = ((self._bitmap << shift) | 1) & ((1 << self.size) - 1)
             self._top = packet_id
             self.accepted += 1
             return True
@@ -44,7 +52,7 @@ class ReplayWindow:
         return True
 
     def would_accept(self, packet_id: int) -> bool:
-        """Check without mutating (diagnostics)."""
+        """Check without mutating: the pre-authentication test."""
         if packet_id <= 0:
             return False
         if packet_id > self._top:

@@ -98,6 +98,38 @@ def test_idps_use_case_drops_matching_traffic():
     assert client.packets_dropped_by_click >= 1
 
 
+@pytest.mark.parametrize("ecall_batching", [False, True])
+def test_packet_dropped_during_hot_swap_is_counted_once(ecall_batching):
+    world = DeploymentSpec(
+        clients=1,
+        setup="endbox_sgx",
+        use_case="NOP",
+        with_config_server=False,
+        ecall_batching=ecall_batching,
+        seed="swap-drops",
+    ).build()
+    world.connect_all()
+    client = world.clients[0]
+    uplink = UdpSink(world.internal, 5600)
+    downlink = UdpSink(client.host, 5601)
+    client._swap_until = world.sim.now + 1.0  # the Click graph is mid-swap for 1 s
+    to_internal = client.host.stack.udp_socket()
+    to_client = world.internal.stack.udp_socket()
+    expected = 0
+    for send in (
+        lambda: to_internal.sendto(b"up", world.internal.address, 5600),
+        lambda: to_client.sendto(b"down", client.tunnel_ip, 5601),
+    ):
+        for burst in (1, 3):
+            for _ in range(burst):
+                send()
+            world.sim.run(until=world.sim.now + 0.05)
+            expected += burst
+            assert client.packets_dropped_by_click == expected
+    assert world.sim.now < client._swap_until
+    assert uplink.packets == downlink.packets == 0
+
+
 def test_client_to_client_flagging_skips_second_click():
     world = DeploymentSpec(clients=2, setup="endbox_sgx", use_case="IDPS").build()
     world.connect_all()

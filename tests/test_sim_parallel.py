@@ -1,19 +1,21 @@
-"""Sharded parallel runner: partitioning, ordering, determinism, adapters."""
+"""Sharded parallel runner: partitioning, ordering, determinism, accounting."""
 
 import multiprocessing
 
 import pytest
 
-from repro.experiments.fig10_swarm import (
-    SwarmParams,
-    modeled_stage_events,
-    run_packet_reference,
-    run_swarm,
-    swarm_throughput_bps,
+from repro.fleet.swarm import (
+    BYTES_NAME,
+    DELIVERED_BYTES_NAME,
+    DELIVERED_NAME,
+    GATEWAY_STEPS_NAME,
+    PACKETS_NAME,
+    STEPS_NAME,
+    WINDOW_BYTES_NAME,
+    FleetSwarmParams,
+    fleet_goodput_bps,
+    run_fleet_swarm,
 )
-from repro.netsim.interface import Interface
-from repro.netsim.link import Link
-from repro.netsim.shardlink import CrossShardEgressLink, CrossShardIngressPort
 from repro.sim import SimulationError, Simulator
 from repro.sim.parallel import (
     CrossShardFabric,
@@ -22,8 +24,23 @@ from repro.sim.parallel import (
     run_serial,
     run_sharded,
 )
+from repro.telemetry.registry import Registry
 
-SMALL = SwarmParams(n_clients=60, horizon_s=0.004, warmup_s=0.001)
+
+def _fault_free(n_clients=60, horizon_s=0.004, warmup_s=0.001):
+    """A small fleet with no restarts and no stragglers: every packet a
+    source emits before the last barrier is delivered."""
+    return FleetSwarmParams(
+        n_clients=n_clients,
+        n_gateways=2,
+        per_client_bps=20e6,
+        horizon_s=horizon_s,
+        warmup_s=warmup_s,
+        stale_every=0,
+    )
+
+
+SMALL = _fault_free()
 
 
 # ----------------------------------------------------------------------
@@ -76,69 +93,101 @@ def test_fabric_rejects_duplicate_and_dangling_wiring():
         fabric.open_egress("ch", 1)
     with pytest.raises(SimulationError):
         fabric.open_egress("other", 7)
-    fabric.bind_ingress("in", lambda payload: None)
+    fabric.bind_ingress("in", lambda frames: None)
     with pytest.raises(SimulationError):
-        fabric.bind_ingress("in", lambda payload: None)
+        fabric.bind_ingress("in", lambda frames: None)
 
 
-def test_fabric_inject_requires_bound_ingress_and_matching_batching():
+def test_fabric_inject_requires_bound_ingress():
     sim = Simulator()
     fabric = CrossShardFabric(shard_index=0, n_shards=1)
-    with pytest.raises(SimulationError):
-        fabric.inject(sim, [("ghost", 0, False, [(1.0, 0, b"x")])])
-    fabric.bind_ingress("batchy", lambda frames: None, batched=True)
-    with pytest.raises(SimulationError):
-        fabric.inject(sim, [("batchy", 0, False, [(1.0, 0, b"x")])])
+    with pytest.raises(SimulationError, match="no ingress"):
+        fabric.inject(sim, [("ghost", 0, [(1.0, 0, b"x")])])
 
 
 def test_fabric_injects_in_canonical_order_before_local_events():
     sim = Simulator()
     fabric = CrossShardFabric(shard_index=0, n_shards=1)
     order = []
-    fabric.bind_ingress("b", lambda p: order.append(("b", p)))
-    fabric.bind_ingress("a", lambda p: order.append(("a", p)))
-    sim.schedule(1.0, lambda: order.append(("local", None)))
+
+    def receiver(channel):
+        return lambda frames: order.append((channel, sim.now, [f[2] for f in frames]))
+
+    for channel in ("c", "b", "a"):
+        fabric.bind_ingress(channel, receiver(channel))
+    sim.schedule(1.0, lambda: order.append(("local", sim.now, None)))
     # records arrive in arbitrary (non-canonical) order
     fabric.inject(
         sim,
         [
-            ("b", 0, False, [(1.0, 0, "b0")]),
-            ("a", 0, False, [(1.0, 1, "a1"), (1.0, 0, "a0"), (0.5, 2, "early")]),
+            ("c", 0, [(1.0, 0, "c0")]),
+            ("b", 0, [(1.0, 3, "b3")]),
+            ("a", 0, [(0.5, 2, "a2"), (1.0, 3, "a3")]),
         ],
     )
     sim.run()
+    # one delivery per channel, at its first frame's time, carrying the
+    # whole list; same-time batches by channel, all before local events
     assert order == [
-        ("a", "early"),
-        ("a", "a0"),
-        ("a", "a1"),
-        ("b", "b0"),
-        ("local", None),
+        ("a", 0.5, ["a2", "a3"]),
+        ("b", 1.0, ["b3"]),
+        ("c", 1.0, ["c0"]),
+        ("local", 1.0, None),
     ]
 
 
 def test_lookahead_violation_fails_loudly_at_injection():
     sim = Simulator()
     fabric = CrossShardFabric(shard_index=0, n_shards=1)
-    fabric.bind_ingress("late", lambda p: None)
+    fabric.bind_ingress("late", lambda frames: None)
     sim.run(until=1.0)
     with pytest.raises(SimulationError, match="past"):
-        fabric.inject(sim, [("late", 0, False, [(0.5, 0, b"x")])])
+        fabric.inject(sim, [("late", 0, [(0.5, 0, b"x")])])
+
+
+def make_noop_exchanger():
+    """Builder: shard 1 pings shard 0 once per window."""
+
+    def build(ctx):
+        if ctx.is_gateway:
+            ctx.fabric.bind_ingress("ping", lambda frames: None)
+        elif ctx.shard_index == 1:
+            egress = ctx.fabric.open_egress("ping", 0)
+
+            def pinger():
+                while True:
+                    yield ctx.sim.timeout(1e-3)
+                    egress.emit(ctx.sim.now + 1e-3, b"ping")
+
+            ctx.sim.process(pinger())
+
+    return build
+
+
+def test_runners_count_cross_shard_frames():
+    plan = ShardPlan.partition(0, 2, 1e-3)
+    # every emitted frame is counted where it is emitted (accumulated
+    # tick drift pushes the 10th ping past the horizon)
+    serial = run_serial(make_noop_exchanger(), plan, horizon_s=0.01)
+    assert serial.counter("sim.shard.frames") == 9
+    inline = run_sharded(make_noop_exchanger(), plan, horizon_s=0.01, mode="inline")
+    assert inline.counter("sim.shard.frames") == 9
 
 
 # ----------------------------------------------------------------------
 # determinism contract
 # ----------------------------------------------------------------------
 def test_one_shard_matches_serial_engine_exactly():
-    serial = run_swarm(SMALL, 1, mode="serial")
-    inline = run_swarm(SMALL, 1, mode="inline")
+    serial = run_fleet_swarm(SMALL, 1, mode="serial")
+    inline = run_fleet_swarm(SMALL, 1, mode="inline")
     assert inline.trace_digest() == serial.trace_digest()
     assert inline.total_events == serial.total_events
 
 
 @pytest.mark.parametrize("n_shards", [2, 4])
 def test_sharded_digest_matches_serial_reference(n_shards):
-    serial = run_swarm(SMALL, n_shards, mode="serial")
-    inline = run_swarm(SMALL, n_shards, mode="inline")
+    serial = run_fleet_swarm(SMALL, n_shards, mode="serial")
+    inline = run_fleet_swarm(SMALL, n_shards, mode="inline")
     assert inline.trace_digest() == serial.trace_digest()
     assert inline.total_events == serial.total_events
     assert inline.merged_snapshot["counters"] == serial.merged_snapshot["counters"]
@@ -147,29 +196,29 @@ def test_sharded_digest_matches_serial_reference(n_shards):
 @pytest.mark.skipif(not fork_available(), reason="requires POSIX fork")
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
 def test_fork_workers_digest_match_serial_reference(n_shards):
-    serial = run_swarm(SMALL, n_shards, mode="serial")
-    fork = run_swarm(SMALL, n_shards, mode="fork")
+    serial = run_fleet_swarm(SMALL, n_shards, mode="serial")
+    fork = run_fleet_swarm(SMALL, n_shards, mode="fork")
     assert fork.trace_digest() == serial.trace_digest()
     assert fork.total_events == serial.total_events
 
 
 def test_same_seed_same_shard_count_repeats_byte_identical():
-    first = run_swarm(SMALL, 2, mode="inline")
-    second = run_swarm(SMALL, 2, mode="inline")
+    first = run_fleet_swarm(SMALL, 2, mode="inline")
+    second = run_fleet_swarm(SMALL, 2, mode="inline")
     assert first.trace_digest() == second.trace_digest()
 
 
 def test_two_shard_digest_matches_serial_smoke():
-    """The ``make check`` shard-determinism smoke (small fig10 config)."""
-    params = SwarmParams(n_clients=24, horizon_s=0.002, warmup_s=0.0005)
-    serial = run_swarm(params, 2, mode="serial")
-    sharded = run_swarm(params, 2, mode="auto")
+    """The ``make check`` shard-determinism smoke (a small fleet)."""
+    params = _fault_free(n_clients=24, horizon_s=0.002, warmup_s=0.0005)
+    serial = run_fleet_swarm(params, 2, mode="serial")
+    sharded = run_fleet_swarm(params, 2, mode="auto")
     assert sharded.trace_digest() == serial.trace_digest()
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(SimulationError):
-        run_swarm(SMALL, 2, mode="hovercraft")
+        run_fleet_swarm(SMALL, 2, mode="hovercraft")
 
 
 def _shard_one_fails(ctx):
@@ -209,133 +258,94 @@ def test_worker_report_survives_pipe_closed_before_first_window(monkeypatch):
 # swarm accounting
 # ----------------------------------------------------------------------
 def test_swarm_packet_conservation_and_throughput():
-    result = run_swarm(SMALL, 2, mode="inline")
+    result = run_fleet_swarm(SMALL, 2, mode="inline")
     counters = result.merged_snapshot["counters"]
-    packets = counters["netsim.swarm.packets"]
-    delivered = counters["netsim.swarm.delivered"]
+    packets = counters[PACKETS_NAME]
+    delivered = counters[DELIVERED_NAME]
     assert 0 < delivered <= packets
     # every delivered packet carries exactly packet_bytes
-    assert counters["netsim.swarm.delivered_bytes"] == delivered * SMALL.packet_bytes
-    assert counters["netsim.swarm.window_bytes"] <= counters["netsim.swarm.delivered_bytes"]
+    assert counters[DELIVERED_BYTES_NAME] == delivered * SMALL.packet_bytes
+    assert counters[WINDOW_BYTES_NAME] <= counters[DELIVERED_BYTES_NAME]
     # per-packet stage accounting is exact, not extrapolated
-    assert counters["netsim.swarm.steps"] == packets * SMALL.client_steps
-    assert counters["netsim.swarm.gateway_steps"] == delivered * SMALL.gateway_steps
-    # goodput lands on the offered load (no loss modelled in this scenario)
+    assert counters[STEPS_NAME] == packets * SMALL.client_steps
+    assert counters[GATEWAY_STEPS_NAME] == delivered * SMALL.gateway_steps
+    # goodput lands on the offered load (no faults, no stragglers)
     offered = SMALL.n_clients * SMALL.per_client_bps
-    assert swarm_throughput_bps(result, SMALL) == pytest.approx(offered, rel=0.05)
+    assert fleet_goodput_bps(result, SMALL) == pytest.approx(offered, rel=0.05)
+
+
+def _modeled_stage_events(counters):
+    """Client stages + one link transfer + gateway stages per packet:
+    the packet-granularity engine spends at least one heap event on each."""
+    return int(
+        counters.get(STEPS_NAME, 0)
+        + counters.get(DELIVERED_NAME, 0)
+        + counters.get(GATEWAY_STEPS_NAME, 0)
+    )
+
+
+def _run_packet_reference(params):
+    """Drive the same offered load per packet through one serial sim.
+
+    Every client is its own process; every client stage, link transfer
+    and gateway stage is a separate heap event, and the counters match
+    the swarm's names and accounting.  Returns (events, counters).
+    """
+    sim = Simulator()
+    registry = Registry.current()
+    tm_packets = registry.counter(PACKETS_NAME)
+    tm_bytes = registry.counter(BYTES_NAME)
+    tm_steps = registry.counter(STEPS_NAME)
+    tm_delivered = registry.counter(DELIVERED_NAME)
+    tm_delivered_bytes = registry.counter(DELIVERED_BYTES_NAME)
+    tm_window_bytes = registry.counter(WINDOW_BYTES_NAME)
+    tm_gateway_steps = registry.counter(GATEWAY_STEPS_NAME)
+    interval = params.packet_bytes * 8 / params.per_client_bps
+    stage_delay = 2e-6  # per-stage processing latency, client and gateway
+
+    def gateway_side():
+        for _ in range(params.gateway_steps):
+            yield sim.timeout(stage_delay)
+            tm_gateway_steps.inc()
+        tm_delivered.inc()
+        tm_delivered_bytes.inc(params.packet_bytes)
+        if sim.now >= params.warmup_s:
+            tm_window_bytes.inc(params.packet_bytes)
+
+    def client(index):
+        # stagger starts so the heap never sees all clients in lockstep
+        yield sim.timeout(interval * (index + 1) / params.n_clients)
+        while True:
+            tm_packets.inc()
+            tm_bytes.inc(params.packet_bytes)
+            for _ in range(params.client_steps):
+                yield sim.timeout(stage_delay)
+                tm_steps.inc()
+            sim.schedule(params.latency_s, lambda: sim.process(gateway_side()))
+            yield sim.timeout(interval)
+
+    for index in range(params.n_clients):
+        sim.process(client(index), name=f"client{index}")
+    sim.run(until=params.horizon_s)
+    return sim.events_executed, sim.telemetry.snapshot()["counters"]
 
 
 def test_packet_reference_counts_same_stage_events():
-    params = SwarmParams(n_clients=8, horizon_s=0.003, warmup_s=0.001)
-    reference = run_packet_reference(params)
-    flow = run_swarm(params, 1, mode="serial")
+    params = FleetSwarmParams(
+        n_clients=8,
+        n_gateways=2,
+        per_client_bps=200e6,
+        horizon_s=0.003,
+        warmup_s=0.001,
+        stale_every=0,
+    )
+    ref_events, ref_counters = _run_packet_reference(params)
+    flow = run_fleet_swarm(params, 1, mode="serial")
     # both arms account the same per-packet stages; rates may differ,
     # totals must agree within edge effects at the horizon boundary
-    ref_modeled = reference.modeled_events
-    flow_modeled = modeled_stage_events(flow.merged_snapshot["counters"])
+    ref_modeled = _modeled_stage_events(ref_counters)
+    flow_modeled = _modeled_stage_events(flow.merged_snapshot["counters"])
     assert ref_modeled > 0 and flow_modeled > 0
     assert abs(ref_modeled - flow_modeled) / max(ref_modeled, flow_modeled) < 0.1
     # and the reference really does burn about one heap event per stage
-    assert reference.events_executed >= ref_modeled
-
-
-# ----------------------------------------------------------------------
-# cross-shard link adapters (frame granularity)
-# ----------------------------------------------------------------------
-def _drive_frames(sim, iface, count=20, nbytes=100, gap=50e-6):
-    def source():
-        for _ in range(count):
-            iface.send(bytes(nbytes))
-            yield sim.timeout(gap)
-
-    sim.process(source())
-
-
-def test_cross_shard_link_matches_local_link_timing():
-    """Differential: CrossShardEgressLink vs a real Link, same frames."""
-    horizon = 0.002
-    # reference: one sim, a real duplex link
-    ref_sim = Simulator()
-    ref_arrivals = []
-    tx = Interface("client.eth0")
-    rx = Interface(
-        "gw.eth0", on_receive=lambda f, _i: ref_arrivals.append((ref_sim.now, len(f)))
-    )
-    link = Link(ref_sim, bandwidth_bps=1e9, latency_s=40e-6, name="ref")
-    link.attach(tx)
-    link.attach(rx)
-    _drive_frames(ref_sim, tx)
-    ref_sim.run(until=horizon)
-
-    # sharded: sender on shard 1, receiver on shard 0, inline mode
-    shard_arrivals = []
-
-    def build(ctx):
-        if ctx.is_gateway:
-            gw = Interface(
-                "gw.eth0",
-                on_receive=lambda f, _i, s=ctx.sim: shard_arrivals.append((s.now, len(f))),
-            )
-            CrossShardIngressPort(ctx.fabric, "uplink", gw)
-        else:
-            client = Interface("client.eth0")
-            xlink = CrossShardEgressLink(
-                ctx.sim,
-                ctx.fabric,
-                "uplink",
-                dest_shard=0,
-                bandwidth_bps=1e9,
-                latency_s=40e-6,
-                name="xref",
-            )
-            xlink.attach(client)
-            _drive_frames(ctx.sim, client)
-
-    plan = ShardPlan.partition(1, 2, lookahead_s=20e-6)
-    run_sharded(build, plan, horizon, mode="inline")
-    assert shard_arrivals == ref_arrivals
-
-
-def test_cross_shard_link_enforces_mtu_and_queue_bound():
-    sim = Simulator()
-    fabric = CrossShardFabric(shard_index=0, n_shards=1)
-    xlink = CrossShardEgressLink(
-        sim, fabric, "ch", dest_shard=0, mtu=1500, queue_frames=2, name="tiny"
-    )
-    iface = Interface("eth0")
-    xlink.attach(iface)
-    assert not iface.send(bytes(1561))  # over MTU + encapsulation headroom
-    assert iface.send(bytes(100))
-    assert iface.send(bytes(100))
-    assert not iface.send(bytes(100))  # queue full: dropped, counted
-    assert xlink.frames_dropped == 2
-    assert xlink.frames_sent == 2
-
-
-def test_serial_runner_counts_frames_shipped():
-    result = run_serial(
-        make_noop_exchanger(), ShardPlan.partition(0, 2, 1e-3), horizon_s=0.01
-    )
-    # every emitted frame crossed a barrier (none emitted in the final
-    # window: accumulated tick drift pushes the 10th ping past the horizon)
-    assert result.frames_shipped == 9
-    assert result.counter("sim.shard.frames") == result.frames_shipped
-
-
-def make_noop_exchanger():
-    """Builder: shard 1 pings shard 0 once per window."""
-
-    def build(ctx):
-        if ctx.is_gateway:
-            ctx.fabric.bind_ingress("ping", lambda p: None)
-        elif ctx.shard_index == 1:
-            egress = ctx.fabric.open_egress("ping", 0)
-
-            def pinger():
-                while True:
-                    yield ctx.sim.timeout(1e-3)
-                    egress.emit(ctx.sim.now + 1e-3, b"ping")
-
-            ctx.sim.process(pinger())
-
-    return build
+    assert ref_events >= ref_modeled

@@ -89,6 +89,19 @@ def test_replay_rejects_nonpositive():
     assert not window.check_and_update(-3)
 
 
+def test_replay_jump_past_the_window_resets_the_bitmap():
+    window = ReplayWindow()
+    assert all(window.check_and_update(i) for i in range(1, 20))
+    # a shift by 2**63 cannot be computed; the jump empties the window
+    assert window.check_and_update(2**63)
+    assert not window.check_and_update(2**63)
+    assert window.check_and_update(2**63 - 1)
+    assert not window.check_and_update(19)  # far behind the new top
+    assert window.check_and_update(2**63 + 64)
+    assert window.would_accept(2**63 + 1)
+    assert not window.would_accept(2**63)  # 64 behind: out of the window
+
+
 def test_replay_would_accept_is_pure():
     window = ReplayWindow()
     window.check_and_update(5)
