@@ -45,10 +45,6 @@ class ParsedConfig:
     declarations: List[Declaration] = field(default_factory=list)
     connections: List[Connection] = field(default_factory=list)
 
-    def declaration_map(self) -> Dict[str, Declaration]:
-        """Declarations indexed by element name."""
-        return {d.name: d for d in self.declarations}
-
 
 _DECLARATION_RE = re.compile(
     r"^(?P<name>[A-Za-z_][\w]*)\s*::\s*(?P<cls>[A-Za-z_][\w]*)\s*(?:\((?P<args>.*)\))?$",

@@ -28,7 +28,7 @@ from repro.core.enclave_app import ConfigError, EndBoxEnclave
 from repro.http.client import HttpClient, HttpError
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.host import Host
-from repro.netsim.packet import IPv4Packet, parse_ipv4
+from repro.netsim.packet import IPv4Packet
 from repro.sgx.enclave import EnclaveMode
 from repro.vpn.costing import (
     client_egress_cost,
@@ -38,7 +38,6 @@ from repro.vpn.costing import (
 )
 from repro.vpn.openvpn import OpenVpnClient
 from repro.vpn.ping import PingMessage
-from repro.vpn.protocol import OP_DATA, VpnPacket
 
 #: enclave transitions per packet without the single-ecall optimisation
 #: (one ecall per crypto call plus memory-management ocalls, §IV-A/V-G)
@@ -74,6 +73,8 @@ class EndBoxClient(OpenVpnClient):
         #: taken further; opt-in so the default deployment keeps the
         #: paper's one-ecall-per-packet accounting bit-for-bit)
         self.ecall_batching = ecall_batching
+        if ecall_batching:
+            self.burst_limit = ECALL_BATCH_LIMIT
         self.ecall_bursts = 0
         self.ecall_burst_packets = 0
         # all enclave state flows through the gateway: the credentials
@@ -101,6 +102,8 @@ class EndBoxClient(OpenVpnClient):
         self.click_config = click_config
         self.ruleset_text = ruleset_text
         self.packets_dropped_by_click = 0
+        #: end of the current Click hot-swap window (see ``_swapping``)
+        self._swap_until = 0.0
         self.update_timings: list = []
         self.update_in_progress = False
         # bounded retry-with-backoff for the Fig 5 fetch (steps 5-9):
@@ -120,13 +123,33 @@ class EndBoxClient(OpenVpnClient):
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
+    def _swapping(self) -> bool:
+        """True while the in-enclave Click graph is mid-hot-swap: packets
+        in this window are dropped (exactly one ping in the Fig 11
+        experiment), and the caller counts them."""
+        return self.sim.now < self._swap_until
+
+    def _egress_cost(self, packet: IPv4Packet) -> float:
+        """Host-side egress work for one packet: the crypto runs in the enclave."""
+        size = len(packet)
+        return (
+            client_egress_cost(self.model, size, self.mode)
+            - crypto_cost(self.model, size, self.mode)
+            + self.model.partition_fixed
+        )
+
+    def _ingress_cost(self, packet: IPv4Packet) -> float:
+        """Host-side completion work for one reassembled inner packet.
+
+        Per-datagram recv costs were charged as fragments arrived
+        (without crypto: decryption happens in the enclave crossing).
+        """
+        return client_ingress_completion_cost(self.model, len(packet)) + self.model.partition_fixed
+
     def _enclave_packet(self, packet: IPv4Packet, direction: str) -> Tuple[bool, IPv4Packet, float]:
-        gateway = self.endbox.gateway
-        if self.sim.now < getattr(self, "_swap_until", 0.0):
-            # the Click graph is mid-hot-swap: packets in this window are
-            # dropped (the caller counts them), exactly one ping in the
-            # Fig 11 experiment
+        if self._swapping():
             return False, packet, self.model.partition_fixed
+        gateway = self.endbox.gateway
         accepted, packet = gateway.ecall(
             "process_packet",
             packet,
@@ -143,24 +166,38 @@ class EndBoxClient(OpenVpnClient):
             extra_transitions = (UNOPTIMIZED_TRANSITIONS - 2) * self.model.enclave_transition
         return accepted, packet, gateway.ledger.drain() + extra_transitions
 
+    def _enclave_batch(self, packets, direction: str):
+        """One ``ecall_batch`` crossing for a burst; returns (results, cost).
+
+        Every packet runs the scalar ``process_packet`` handler, so the
+        per-packet work (boundary copies, EPC tax, crypto, Click) is
+        charged exactly as in the scalar path; only the EENTER/EEXIT
+        transition pair is paid once for the burst — that single
+        crossing is what the §V-G ablation reads off the ledger.  Inside
+        a hot-swap window nothing crosses: every packet comes back
+        rejected at the scalar path's per-packet price.
+        """
+        if self._swapping():
+            return [(False, p) for p in packets], len(packets) * self.model.partition_fixed
+        gateway = self.endbox.gateway
+        calls = [(p, direction, self.mode.value, self.c2c_flagging) for p in packets]
+        results = gateway.ecall_batch(
+            "process_packet", calls, payload_bytes=sum(len(p) for p in packets)
+        )
+        self.ecall_bursts += 1
+        self.ecall_burst_packets += len(packets)
+        return results, gateway.ledger.drain()
+
     def process_egress(self, packet: IPv4Packet) -> Tuple[bool, IPv4Packet, float]:
         """Per-packet egress hook; returns (accept, packet, cpu_seconds)."""
-        size = len(packet)
-        base = (
-            client_egress_cost(self.model, size, self.mode)
-            - crypto_cost(self.model, size, self.mode)  # crypto moved into the enclave
-            + self.model.partition_fixed
-        )
+        base = self._egress_cost(packet)
         accepted, packet, enclave_cost = self._enclave_packet(packet, "egress")
         if not accepted:
             self.packets_dropped_by_click += 1
         return accepted, packet, base + enclave_cost
 
     def process_ingress(self, packet: IPv4Packet) -> Tuple[bool, IPv4Packet, float]:
-        size = len(packet)
-        # per-datagram recv costs were charged as fragments arrived
-        # (without crypto: decryption happens in the single ecall below)
-        base = client_ingress_completion_cost(self.model, size) + self.model.partition_fixed
+        base = self._ingress_cost(packet)
         accepted, packet, enclave_cost = self._enclave_packet(packet, "ingress")
         if not accepted:
             self.packets_dropped_by_click += 1
@@ -172,159 +209,60 @@ class EndBoxClient(OpenVpnClient):
     # ------------------------------------------------------------------
     # batched data plane (opt-in, §IV-A batching in burst form)
     # ------------------------------------------------------------------
-    def _worker(self):
-        if not self.ecall_batching:
-            yield from super()._worker()
+    def _handle_egress_run(self, inners):
+        """A run of egress packets from the base worker (at most
+        ``burst_limit``).  A run of one keeps the scalar path (``ecall``
+        and ``process_egress``), so ``ecall_bursts`` counts only real
+        bursts; a longer run crosses the enclave once and is charged
+        once, then seals each accepted packet."""
+        if len(inners) == 1:
+            yield from self._handle_egress(inners[0])
             return
-        # burst-draining worker: after waking up for one work item, drain
-        # the contiguous run of same-kind items already queued (bounded by
-        # ``ECALL_BATCH_LIMIT``) and cross the enclave boundary once for
-        # the whole run.  Peeking keeps mixed bursts in arrival order —
-        # a control packet never jumps ahead of the data burst before it.
-        inbox = self._work_inbox
-        while True:
-            kind, item, epoch = yield inbox.get()
-            if kind == "tx":
-                batch = [item]
-                while len(batch) < ECALL_BATCH_LIMIT:
-                    pending = inbox.peek()
-                    if pending is None or pending[0] != "tx":
-                        break
-                    batch.append(inbox.try_get()[1])
-                if len(batch) == 1:
-                    yield from self._handle_egress(item)
-                else:
-                    yield from self._handle_egress_batch(batch)
-                continue
-            if epoch != self.channel_epoch:
-                # superseded-key item (see OpenVpnClient._worker): drop
-                # deliberately rather than feed the fresh replay window
-                self.packets_dropped_stale += 1
-                continue
-            if isinstance(item, VpnPacket) and item.opcode == OP_DATA:
-                batch = [item]
-                while len(batch) < ECALL_BATCH_LIMIT:
-                    pending = inbox.peek()
-                    if (
-                        pending is None
-                        or pending[0] == "tx"
-                        or pending[2] != self.channel_epoch
-                        or not isinstance(pending[1], VpnPacket)
-                        or pending[1].opcode != OP_DATA
-                    ):
-                        break
-                    batch.append(inbox.try_get()[1])
-                if len(batch) == 1:
-                    yield from self._handle_data(item)
-                else:
-                    yield from self._handle_data_batch(batch)
-            else:
-                self._handle_ping(item)
-
-    def _enclave_batch(self, packets, direction: str):
-        """One ``ecall_batch`` crossing for a burst; returns (results, cost).
-
-        Every packet runs the scalar ``process_packet`` handler, so the
-        per-packet work (boundary copies, EPC tax, crypto, Click) is
-        charged exactly as in the scalar path; only the EENTER/EEXIT
-        transition pair is paid once for the burst — that single
-        crossing is what the §V-G ablation reads off the ledger.
-        """
-        gateway = self.endbox.gateway
-        calls = [(p, direction, self.mode.value, self.c2c_flagging) for p in packets]
-        results = gateway.ecall_batch(
-            "process_packet", calls, payload_bytes=sum(len(p) for p in packets)
-        )
-        self.ecall_bursts += 1
-        self.ecall_burst_packets += len(packets)
-        return results, gateway.ledger.drain()
-
-    def _handle_egress_batch(self, inners):
-        """Burst form of ``_handle_egress``: one crossing, then seal all."""
-        if self.sim.now < getattr(self, "_swap_until", 0.0):
-            self.packets_dropped_by_click += len(inners)
-            yield from self._charge(len(inners) * self.model.partition_fixed)
-            return
-        base = 0.0
-        for inner in inners:
-            size = len(inner)
-            base += (
-                client_egress_cost(self.model, size, self.mode)
-                - crypto_cost(self.model, size, self.mode)
-                + self.model.partition_fixed
-            )
+        base = sum(self._egress_cost(inner) for inner in inners)
         results, enclave_cost = self._enclave_batch(inners, "egress")
         yield from self._charge(base + enclave_cost)
-        to_protect = []
         for accepted, inner in results:
             if not accepted:
                 self.packets_dropped_by_click += 1
                 continue
-            inner_bytes = inner.serialize()
-            self.inner_bytes_sent += len(inner_bytes)
-            frag_id, pieces = self.fragmenter.split(inner_bytes)
-            for index, piece in enumerate(pieces):
-                packet = VpnPacket(
-                    opcode=OP_DATA,
-                    session_id=self.session_id,
-                    packet_id=self._take_packet_id(),
-                    frag_id=frag_id,
-                    frag_index=index,
-                    frag_count=len(pieces),
-                )
-                to_protect.append((packet, piece))
-        for packet in self.tx_channel.protect_batch(to_protect):
-            self.sock.sendto(packet.serialize(), self.server_addr, self.server_port)
+            self._send_inner(inner)
 
-    def _handle_data_batch(self, packets):
-        """Burst form of ``_handle_data``: authenticate the burst, then
-        run every completed inner packet through one enclave crossing."""
-        fresh = []
-        for packet in packets:
-            if self.replay.would_accept(packet.packet_id):
-                fresh.append(packet)
-            else:
-                self.packets_rejected += 1
+    def _handle_data_run(self, packets):
+        """A run of DATA datagrams: open and reassemble each in arrival
+        order, then cross once for the completed inner packets."""
+        if len(packets) == 1:
+            yield from self._handle_data(packets[0])
+            return
+        tunnel = self.tunnel
         fragment_cost = 0.0
         inners = []
-        for packet, plaintext in zip(fresh, self.rx_channel.unprotect_batch(fresh)):
-            # record an id only once its datagram authenticated; an
-            # in-burst duplicate of a genuine datagram is refused here
-            if plaintext is None or not self.replay.check_and_update(packet.packet_id):
+        for packet in packets:
+            plaintext = tunnel.open(packet)
+            if plaintext is None:
                 self.packets_rejected += 1
                 continue
             fragment_cost += ingress_fragment_cost(
                 self.model, len(plaintext), self.fragment_crypto_mode()
             )
-            inner_bytes = self.reassembler.add(
-                packet.session_id, packet.frag_id, packet.frag_index, packet.frag_count, plaintext
-            )
-            if inner_bytes is None:
-                continue
             try:
-                inners.append(parse_ipv4(inner_bytes))
+                inner = tunnel.reassemble(packet, plaintext)
             except ValueError:
                 self.packets_rejected += 1
-        if self.sim.now < getattr(self, "_swap_until", 0.0):
-            self.packets_dropped_by_click += len(inners)
-            yield from self._charge(
-                fragment_cost + len(inners) * self.model.partition_fixed
-            )
-            return
+                continue
+            if inner is not None:
+                inners.append(inner)
         if not inners:
             yield from self._charge(fragment_cost)
             return
-        base = sum(
-            client_ingress_completion_cost(self.model, len(inner)) + self.model.partition_fixed
-            for inner in inners
-        )
+        sizes = [len(inner) for inner in inners]
+        base = sum(self._ingress_cost(inner) for inner in inners)
         results, enclave_cost = self._enclave_batch(inners, "ingress")
         yield from self._charge(fragment_cost + base + enclave_cost)
-        for accepted, inner in results:
+        for (accepted, inner), size in zip(results, sizes):
             if not accepted:
                 self.packets_dropped_by_click += 1
                 continue
-            self.inner_bytes_received += len(inner)
+            self.inner_bytes_received += size
             self.tun.write(inner)
 
     # ------------------------------------------------------------------

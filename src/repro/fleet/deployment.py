@@ -111,10 +111,6 @@ class FleetDeployment(EndBoxDeployment):
         """Number of gateways in the fleet."""
         return len(self.gateways)
 
-    def gateway_for(self, client_index: int) -> OpenVpnServer:
-        """The gateway currently serving ``clients[client_index]``."""
-        return self.gateways[self.assignment[client_index]]
-
     # ------------------------------------------------------------------
     # fleet-wide configuration rollout
     # ------------------------------------------------------------------
@@ -462,6 +458,7 @@ class _ClickAttachedServer(OpenVpnServer):
     def __init__(self, *args, use_case: str = "NOP", **kwargs) -> None:
         self._use_case = use_case
         super().__init__(*args, **kwargs)
+        self._swap_until = 0.0
         config, rules = use_case_configs(use_case, server_side=True)
         self._click_config = config
         self._ruleset = (
@@ -483,7 +480,7 @@ class _ClickAttachedServer(OpenVpnServer):
 
     def session_packet_hook(self, session, packet, inbound: bool):
         """Drop packets while a vanilla hot-swap has the path down."""
-        if self.sim.now < getattr(self, "_swap_until", 0.0):
+        if self.sim.now < self._swap_until:
             # vanilla Click hot-swap in progress: the packet path is down
             return False, packet, self.model.vpn_server_fixed
         return super().session_packet_hook(session, packet, inbound)

@@ -70,10 +70,6 @@ class AhoCorasick:
                 self._output[node] = self._output[node] + self._output[self._fail[node]]
         self._built = True
 
-    @property
-    def node_count(self) -> int:
-        return len(self._goto)
-
     # ------------------------------------------------------------------
     # scanning
     # ------------------------------------------------------------------

@@ -70,10 +70,6 @@ class UdpSocket:
         """Event yielding ``(payload, src_addr, src_port, packet)``."""
         return self._inbox.get()
 
-    def try_recv(self):
-        """Non-blocking receive; returns None when empty."""
-        return self._inbox.try_get()
-
     def pending(self) -> int:
         """Number of queued items."""
         return len(self._inbox)
@@ -137,10 +133,6 @@ class NetworkStack:
         self._route_seq = getattr(self, "_route_seq", 0) + 1
         self._routes.append((network, interface, self._route_seq))
         self._routes.sort(key=lambda item: (-item[0].prefix_len, -item[2]))
-
-    def local_addresses(self) -> List[IPv4Address]:
-        """Every address assigned to this stack."""
-        return [itf.address for itf in self.interfaces if itf.address is not None]
 
     def is_local(self, address: IPv4Address) -> bool:
         """True when the address belongs to this stack."""

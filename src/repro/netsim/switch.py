@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.netsim.addresses import IPv4Address, IPv4Network
 from repro.netsim.interface import Interface
 from repro.netsim.link import Link
-from repro.netsim.packet import WireFrame, parse_ipv4
+from repro.netsim.packet import WireFrame
 from repro.sim import Simulator
 
 
@@ -81,8 +81,3 @@ class Switch:
                 return
         self.packets_forwarded += 1
         self.sim.schedule(self.forwarding_delay, lambda: egress.send(frame))
-
-    # Convenience used by tests/tools
-    def parse_and_lookup(self, frame: bytes) -> Optional[Interface]:
-        """Parse a frame and return its egress port (diagnostics)."""
-        return self._lookup(parse_ipv4(frame).dst)

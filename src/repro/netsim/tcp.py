@@ -181,18 +181,9 @@ class TcpConnection:
         if self.state == self.CLOSED:
             self._teardown()
 
-    def abort(self) -> None:
-        """Send RST and drop all state."""
-        self._send_segment(TCP_RST, b"")
-        self._teardown()
-
     def wait_established(self):
         """Event that fires when the connection is ESTABLISHED."""
         return self._established_event
-
-    def wait_closed(self):
-        """Event that fires when the connection is closed."""
-        return self._closed_event
 
     # ------------------------------------------------------------------
     # sending machinery

@@ -57,10 +57,6 @@ class EnclavePageCache:
     def allocated_bytes(self) -> int:
         return sum(self._allocations.values())
 
-    @property
-    def free_bytes(self) -> int:
-        return max(0, self.size_bytes - self.allocated_bytes)
-
     def allocate(self, owner: str, num_bytes: int) -> None:
         """Reserve pages for ``owner`` (an enclave id)."""
         if num_bytes < 0:

@@ -3,26 +3,24 @@
 A local control socket on the client machine.  EndBox uses it for the
 custom TLS library's key forwarding (§III-D): the (untrusted)
 application process pushes negotiated session keys, which the VPN client
-relays into the enclave's key registry.  Commands are also used by
-operators/tests to inspect state.
+relays into the enclave's key registry.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List
 
 from repro.sim import Simulator
 
 
 class ManagementInterface:
-    """A command/event channel into a running VPN client."""
+    """An event channel into a running VPN client."""
 
     def __init__(self, sim: Simulator, cost_model=None, host=None) -> None:
         self.sim = sim
         self.cost_model = cost_model
         self.host = host
         self._key_listeners: List[Callable[[Any], None]] = []
-        self._commands: Dict[str, Callable[..., Any]] = {}
         self.keys_forwarded = 0
 
     # ------------------------------------------------------------------
@@ -48,16 +46,3 @@ class ManagementInterface:
 
         self.sim.schedule(delay, deliver)
 
-    # ------------------------------------------------------------------
-    # generic commands
-    # ------------------------------------------------------------------
-    def register_command(self, name: str, handler: Callable[..., Any]) -> None:
-        """Expose a named management command."""
-        self._commands[name] = handler
-
-    def command(self, name: str, *args: Any, **kwargs: Any) -> Any:
-        """Invoke a named management command."""
-        handler = self._commands.get(name)
-        if handler is None:
-            raise KeyError(f"unknown management command {name!r}")
-        return handler(*args, **kwargs)

@@ -15,6 +15,11 @@ charge calibrated CPU costs (``repro.vpn.costing``) against their host's
 core pool, which is how throughput saturation, CPU-usage curves and
 multi-process contention emerge.
 
+Both ends of a session seal and open DATA datagrams through one
+:class:`Tunnel`: it numbers, fragments, protects and serializes on the
+way out, and checks the replay window, verifies, decrypts and
+reassembles on the way in.
+
 Subclass hooks (used by EndBox in :mod:`repro.core`):
 
 * ``process_egress(packet)`` / ``process_ingress(packet)`` on the client
@@ -81,6 +86,68 @@ class VpnError(RuntimeError):
     """Connection-level VPN failure."""
 
 
+class Tunnel:
+    """One session's data channel, as either end holds it.
+
+    It owns the session id, both :class:`DataChannel` directions, the
+    replay window, the fragmenter, the reassembler and the next packet
+    id.  The gateway, the vanilla client and EndBox's burst path all
+    seal and open datagrams through it, so each step has one copy.  No
+    method touches the simulator: callers charge the CPU for the work.
+    """
+
+    def __init__(self, session_id: int, tx_channel: DataChannel, rx_channel: DataChannel) -> None:
+        self.session_id = session_id
+        self.tx_channel = tx_channel
+        self.rx_channel = rx_channel
+        self.replay = ReplayWindow()
+        self.fragmenter = Fragmenter()
+        self.reassembler = Reassembler()
+        self.next_packet_id = 1
+
+    def seal(self, inner_bytes: bytes) -> List[bytes]:
+        """Split, number and protect one inner packet; its wire datagrams."""
+        frag_id, pieces = self.fragmenter.split(inner_bytes)
+        count = len(pieces)
+        protect = self.tx_channel.protect
+        wires = []
+        for index, piece in enumerate(pieces):
+            packet = new_data_packet(self.session_id, self.next_packet_id, frag_id, index, count)
+            self.next_packet_id += 1
+            wires.append(protect(packet, piece).serialize())
+        return wires
+
+    def open(self, packet: VpnPacket) -> Optional[bytes]:
+        """Authenticate one DATA datagram; its plaintext, or None if rejected.
+
+        The packet id is tested against the replay window before the MAC
+        and recorded only after it: a replayed copy costs no MAC
+        verification, and a forged id never moves the window.
+        """
+        if not self.replay.would_accept(packet.packet_id):
+            return None
+        try:
+            plaintext = self.rx_channel.unprotect(packet)
+        except ChannelError:
+            return None
+        self.replay.check_and_update(packet.packet_id)
+        return plaintext
+
+    def reassemble(self, packet: VpnPacket, plaintext: bytes) -> Optional[IPv4Packet]:
+        """Add one opened fragment; the parsed inner packet once complete.
+
+        Raises ``ValueError`` (a :class:`FragmentError` among them) on
+        fragment fields that contradict their group or on an inner
+        packet that does not parse.
+        """
+        inner_bytes = self.reassembler.add(
+            packet.session_id, packet.frag_id, packet.frag_index, packet.frag_count, plaintext
+        )
+        if inner_bytes is None:
+            return None
+        return parse_ipv4(inner_bytes)
+
+
 class VpnSession:
     """Server-side state for one connected client."""
 
@@ -102,15 +169,14 @@ class VpnSession:
         self.outer_addr = outer_addr
         self.outer_port = outer_port
         self.tunnel_ip = tunnel_ip
-        self.rx_channel = DataChannel(secrets.client_cipher, secrets.client_hmac, mode)
-        self.tx_channel = DataChannel(secrets.server_cipher, secrets.server_hmac, mode)
-        self.replay = ReplayWindow()
-        self.reassembler = Reassembler()
-        self.fragmenter = Fragmenter()
+        self.tunnel = Tunnel(
+            session_id,
+            tx_channel=DataChannel(secrets.server_cipher, secrets.server_hmac, mode),
+            rx_channel=DataChannel(secrets.client_cipher, secrets.client_hmac, mode),
+        )
         self.established = False
         self.client_version = 0
         self.last_ping_time = 0.0
-        self.next_packet_id = 1
         self.inner_bytes_in = 0  # decrypted payload bytes from the client
         self.inner_bytes_out = 0
         self.packets_dropped_policy = 0
@@ -119,12 +185,6 @@ class VpnSession:
         #: the per-session "OpenVPN process" work queue
         self.inbox = FifoStore(server.sim, name=f"session-{session_id}.inbox")
         self.worker = server.sim.process(server._session_worker(self), name=f"session-{session_id}")
-
-    def take_packet_id(self) -> int:
-        """Allocate the next data-channel packet id."""
-        packet_id = self.next_packet_id
-        self.next_packet_id += 1
-        return packet_id
 
 
 class OpenVpnServer:
@@ -475,27 +535,20 @@ class OpenVpnServer:
         if not session.established:
             self.packets_rejected += 1
             return
-        if not session.replay.would_accept(packet.packet_id):
+        plaintext = session.tunnel.open(packet)
+        if plaintext is None:
             self.packets_rejected += 1
             return
-        try:
-            plaintext = session.rx_channel.unprotect(packet)
-        except ChannelError:
-            self.packets_rejected += 1
-            return
-        session.replay.check_and_update(packet.packet_id)
         # per-datagram work: socket recv, copy, verify+decrypt
         yield from self._charge(ingress_fragment_cost(self.model, len(plaintext), self.mode))
-        inner_bytes = session.reassembler.add(
-            packet.session_id, packet.frag_id, packet.frag_index, packet.frag_count, plaintext
-        )
-        if inner_bytes is None:
-            return
         try:
-            inner = parse_ipv4(inner_bytes)
+            inner = session.tunnel.reassemble(packet, plaintext)
         except ValueError:
             self.packets_rejected += 1
             return
+        if inner is None:
+            return
+        size = len(inner)
         if not self.data_policy(session):
             session.packets_dropped_policy += 1
             self.packets_rejected += 1
@@ -509,12 +562,10 @@ class OpenVpnServer:
             # assert this stays zero
             self.stale_admitted_after_grace += 1
         accepted, inner, middlebox_cost = self.session_packet_hook(session, inner, inbound=True)
-        yield from self._charge(
-            server_completion_cost(self.model, len(inner_bytes)) + middlebox_cost
-        )
+        yield from self._charge(server_completion_cost(self.model, size) + middlebox_cost)
         if not accepted:
             return
-        session.inner_bytes_in += len(inner_bytes)
+        session.inner_bytes_in += size
         self.deliver_inner(session, inner)
 
     def deliver_inner(self, session: VpnSession, inner: IPv4Packet) -> None:
@@ -530,7 +581,8 @@ class OpenVpnServer:
         if not accepted:
             return
         session.inner_bytes_out += len(inner_bytes)
-        self._send_data(session, inner_bytes)
+        for wire in session.tunnel.seal(inner_bytes):
+            self.sock.sendto(wire, session.outer_addr, session.outer_port)
 
     def _session_ping(self, session: VpnSession, packet: VpnPacket):
         try:
@@ -583,29 +635,13 @@ class OpenVpnServer:
         self._tm_ctrl_bytes.inc(len(wire))
         self.sock.sendto(wire, session.outer_addr, session.outer_port)
 
-    def _send_data(self, session: VpnSession, inner_bytes: bytes) -> None:
-        frag_id, pieces = session.fragmenter.split(inner_bytes)
-        count = len(pieces)
-        protect = session.tx_channel.protect
-        sendto = self.sock.sendto
-        for index, piece in enumerate(pieces):
-            packet = new_data_packet(
-                session.session_id, session.take_packet_id(), frag_id, index, count
-            )
-            protect(packet, piece)
-            wire = packet.serialize()
-            sendto(wire, session.outer_addr, session.outer_port)
-
-    # ------------------------------------------------------------------
-    # metrics
-    # ------------------------------------------------------------------
-    def aggregate_inner_bytes(self) -> int:
-        """Total decrypted tunnel payload across all sessions."""
-        return sum(s.inner_bytes_in + s.inner_bytes_out for s in self.sessions_by_peer.values())
-
 
 class OpenVpnClient:
     """The vanilla VPN client (one per client machine)."""
+
+    #: most queued work items of one kind the worker hands its run
+    #: handlers at once; the vanilla client handles each on its own
+    burst_limit = 1
 
     def __init__(
         self,
@@ -644,13 +680,9 @@ class OpenVpnClient:
         self.tunnel_ip: Optional[IPv4Address] = None
         self.sock = None
         self.session_id = 0
-        self.tx_channel: Optional[DataChannel] = None
-        self.rx_channel: Optional[DataChannel] = None
         self.secrets: Optional[SessionSecrets] = None
-        self.replay = ReplayWindow()
-        self.reassembler = Reassembler()
-        self.fragmenter = Fragmenter()
-        self._next_packet_id = 1
+        #: the data channel of the current key generation
+        self.tunnel: Optional[Tunnel] = None
         self._control_inbox = FifoStore(self.sim, name=f"{host.name}.vpn-control")
         _registry = Registry.current()
         self._tm_ctrl_packets = _registry.counter("vpn.control.packets_sent")
@@ -691,10 +723,6 @@ class OpenVpnClient:
         self.sock = self.host.stack.udp_socket()
         self.sim.process(self._rx_dispatch(), name=f"{self.host.name}.vpn-rx")
         self.sim.process(self._connect_loop(), name=f"{self.host.name}.vpn-connect")
-
-    def wait_connected(self):
-        """Event that fires when the tunnel is established."""
-        return self.connected_event
 
     def _charge(self, seconds: float):
         if self.charge_cpu and seconds > 0:
@@ -754,7 +782,7 @@ class OpenVpnClient:
     def _do_key_exchange(self, attempt_label: bytes):
         """Process generator: run the control-channel handshake.
 
-        On success, installs fresh secrets/channels/windows and returns
+        On success, installs fresh secrets and a fresh tunnel and returns
         the authenticated session-config dict; raises VpnError otherwise.
         """
         exchange = ClientKeyExchange(
@@ -785,14 +813,14 @@ class OpenVpnClient:
             raise VpnError(str(exc)) from exc
         self.secrets = exchange.secrets
         self.session_id = reply.session_id
-        self.tx_channel = DataChannel(self.secrets.client_cipher, self.secrets.client_hmac, self.mode)
-        self.rx_channel = DataChannel(self.secrets.server_cipher, self.secrets.server_hmac, self.mode)
-        self.replay = ReplayWindow()
-        self.reassembler = Reassembler()
-        self._next_packet_id = 1
+        self.tunnel = Tunnel(
+            self.session_id,
+            tx_channel=DataChannel(self.secrets.client_cipher, self.secrets.client_hmac, self.mode),
+            rx_channel=DataChannel(self.secrets.server_cipher, self.secrets.server_hmac, self.mode),
+        )
         # any data packet still queued for the worker belongs to the
-        # previous keys/window; bump the epoch so it is dropped (and
-        # counted) instead of polluting the fresh replay window
+        # previous tunnel; bump the epoch so it is dropped (and counted)
+        # instead of polluting the fresh replay window
         self.channel_epoch += 1
         # the key-confirmation ping doubles as the client Finished message
         self._send_ping()
@@ -969,12 +997,24 @@ class OpenVpnClient:
             self._work_inbox.put(("tx", inner, self.channel_epoch))
 
     def _worker(self):
+        # after waking for one work item, take the contiguous run of
+        # same-kind items already queued, up to ``burst_limit``: egress
+        # packets, or DATA datagrams of the current key generation.
+        # Peeking keeps arrival order, so a ping never jumps ahead of the
+        # run before it, and a run never waits for more traffic.
+        inbox = self._work_inbox
         while True:
-            kind, item, epoch = yield self._work_inbox.get()
+            kind, item, epoch = yield inbox.get()
             if kind == "tx":
                 # egress packets are not bound to a key generation: they
-                # are protected with whatever channel is current
-                yield from self._handle_egress(item)
+                # are protected with whatever tunnel is current
+                run = [item]
+                while len(run) < self.burst_limit:
+                    pending = inbox.peek()
+                    if pending is None or pending[0] != "tx":
+                        break
+                    run.append(inbox.try_get()[1])
+                yield from self._handle_egress_run(run)
                 continue
             if epoch != self.channel_epoch:
                 # queued under superseded keys: dropping deliberately
@@ -982,63 +1022,65 @@ class OpenVpnClient:
                 # window (which they would otherwise wedge)
                 self.packets_dropped_stale += 1
                 continue
-            if isinstance(item, VpnPacket) and item.opcode == OP_DATA:
-                yield from self._handle_data(item)
-            else:
+            if item.opcode != OP_DATA:
                 self._handle_ping(item)
+                continue
+            run = [item]
+            while len(run) < self.burst_limit:
+                pending = inbox.peek()
+                if (
+                    pending is None
+                    or pending[0] == "tx"
+                    or pending[2] != self.channel_epoch
+                    or pending[1].opcode != OP_DATA
+                ):
+                    break
+                run.append(inbox.try_get()[1])
+            yield from self._handle_data_run(run)
+
+    def _handle_egress_run(self, inners):
+        """A run of egress packets; the vanilla client takes them singly."""
+        for inner in inners:
+            yield from self._handle_egress(inner)
+
+    def _handle_data_run(self, packets):
+        """A run of DATA datagrams; the vanilla client takes them singly."""
+        for packet in packets:
+            yield from self._handle_data(packet)
 
     def _handle_egress(self, inner: IPv4Packet):
         accepted, inner, cost = self.process_egress(inner)
         yield from self._charge(cost)
-        if not accepted:
-            return
+        if accepted:
+            self._send_inner(inner)
+
+    def _send_inner(self, inner: IPv4Packet) -> None:
         inner_bytes = inner.serialize()
         self.inner_bytes_sent += len(inner_bytes)
-        frag_id, pieces = self.fragmenter.split(inner_bytes)
-        count = len(pieces)
-        protect = self.tx_channel.protect
-        sendto = self.sock.sendto
-        for index, piece in enumerate(pieces):
-            packet = new_data_packet(
-                self.session_id, self._take_packet_id(), frag_id, index, count
-            )
-            protect(packet, piece)
-            wire = packet.serialize()
-            sendto(wire, self.server_addr, self.server_port)
-
-    def _take_packet_id(self) -> int:
-        packet_id = self._next_packet_id
-        self._next_packet_id += 1
-        return packet_id
+        for wire in self.tunnel.seal(inner_bytes):
+            self.sock.sendto(wire, self.server_addr, self.server_port)
 
     def _handle_data(self, packet: VpnPacket):
-        if not self.replay.would_accept(packet.packet_id):
+        plaintext = self.tunnel.open(packet)
+        if plaintext is None:
             self.packets_rejected += 1
             return
-        try:
-            plaintext = self.rx_channel.unprotect(packet)
-        except ChannelError:
-            self.packets_rejected += 1
-            return
-        self.replay.check_and_update(packet.packet_id)
         yield from self._charge(
             ingress_fragment_cost(self.model, len(plaintext), self.fragment_crypto_mode())
         )
-        inner_bytes = self.reassembler.add(
-            packet.session_id, packet.frag_id, packet.frag_index, packet.frag_count, plaintext
-        )
-        if inner_bytes is None:
-            return
         try:
-            inner = parse_ipv4(inner_bytes)
+            inner = self.tunnel.reassemble(packet, plaintext)
         except ValueError:
             self.packets_rejected += 1
             return
+        if inner is None:
+            return
+        size = len(inner)
         accepted, inner, cost = self.process_ingress(inner)
         yield from self._charge(cost)
         if not accepted:
             return
-        self.inner_bytes_received += len(inner_bytes)
+        self.inner_bytes_received += size
         self.tun.write(inner)
 
     def _handle_ping(self, packet: VpnPacket) -> None:

@@ -102,9 +102,9 @@ def new_data_packet(
 ) -> VpnPacket:
     """Construct an ``OP_DATA`` packet without dataclass ``__init__``.
 
-    The per-packet send paths of the server and the client build one
-    packet per fragment with it; direct slot assignment skips the
-    generated constructor's default processing.  Semantically
+    :class:`repro.vpn.openvpn.Tunnel` builds one packet per fragment
+    with it; direct slot assignment skips the generated constructor's
+    default processing.  Semantically
     identical to ``VpnPacket(OP_DATA, session_id, packet_id, ...)``.
     """
     packet = VpnPacket.__new__(VpnPacket)

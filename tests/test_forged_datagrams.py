@@ -5,6 +5,11 @@ does know the session id and can spoof the peer's outer address.  Both
 receivers test the packet id before the MAC check but only record it
 after, so the forged id never moves the replay window and the genuine
 traffic that follows still gets through.
+
+In EndBox the untrusted host does the fragmenting (Fig 3), so a client
+host can also send its gateway authenticated datagrams whose fragment
+fields contradict each other.  Those are rejected like any other bad
+datagram, and the receiver keeps working.
 """
 
 import pytest
@@ -12,6 +17,8 @@ import pytest
 from repro.fleet import DeploymentSpec
 from repro.netsim.packet import IPv4Packet, UdpDatagram
 from repro.netsim.traffic import UdpSink
+from repro.vpn import channel
+from repro.vpn.channel import DataChannel
 from repro.vpn.protocol import OP_DATA, VpnPacket
 
 #: far ahead of the window, and far enough that shifting by it cannot work
@@ -93,10 +100,11 @@ def test_forged_downlink_datagram_leaves_the_client_working(packet_id, ecall_bat
     assert sink.packets == LEGIT
 
 
-def test_forged_datagram_inside_a_burst_spares_the_rest():
-    """The burst receiver checks ids before the MAC and records them
-    after: a forged id cannot reject its burst-mates, and an in-burst
-    copy of a genuine datagram is still refused."""
+def test_forged_datagram_inside_a_burst_spares_the_rest(monkeypatch):
+    """The burst receiver opens each datagram in turn, checking its id
+    before the MAC and recording it after: a forged id cannot reject its
+    burst-mates, and an in-burst copy of a genuine datagram is refused
+    before its MAC is verified."""
     world = _world(ecall_batching=True)
     victim = world.clients[0]
     sink = UdpSink(victim.host, 6300)
@@ -116,8 +124,95 @@ def test_forged_datagram_inside_a_burst_spares_the_rest():
     forged = VpnPacket(OP_DATA, victim.session_id, 10**9, body=bytes(64))
     burst = [captured[0], forged] + captured[1:] + [captured[-1]]
     rejected = victim.packets_rejected
+    verified = []
+    real_verify = channel.hmac_verify
 
-    world.sim.process(victim._handle_data_batch(burst))
+    def counting_verify(*args, **kwargs):
+        verified.append(args)
+        return real_verify(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "hmac_verify", counting_verify)
+    world.sim.process(victim._handle_data_run(burst))
     world.sim.run(until=world.sim.now + 0.1)
     assert sink.packets == LEGIT
     assert victim.packets_rejected == rejected + 2  # the forgery and the copy
+    assert len(verified) == LEGIT + 1  # the copy cost no MAC verification
+
+
+#: (frag_id, index, count) of two fragments that disagree on their group's size
+MISMATCHED = [(777, 0, 2), (777, 1, 3)]
+#: genuine packets sent after them
+AFTER = 3
+
+
+def _hand_sealed(tx, session_id, src, dst, port):
+    """Authenticated wire datagrams: the mismatched pair, then AFTER
+    single-fragment inner UDP packets to ``dst:port``.
+
+    The ids start far above anything the session has sent, so the
+    receiver's replay window accepts them all.
+    """
+    frames = [(frag_id, index, count, bytes(40)) for frag_id, index, count in MISMATCHED]
+    for index in range(AFTER):
+        inner = IPv4Packet(src=src, dst=dst, l4=UdpDatagram(40000, port, b"after %d" % index))
+        frames.append((900 + index, 0, 1, inner.serialize()))
+    wires = []
+    for packet_id, (frag_id, index, count, body) in enumerate(frames, start=1000):
+        packet = VpnPacket(
+            OP_DATA, session_id, packet_id, frag_id=frag_id, frag_index=index, frag_count=count
+        )
+        wires.append(tx.protect(packet, body).serialize())
+    return wires
+
+
+@pytest.mark.parametrize("setup", ["vanilla", "endbox_sgx"])
+def test_fragment_count_mismatch_leaves_the_gateway_session_working(setup):
+    world = DeploymentSpec(
+        clients=1, setup=setup, use_case="NOP", with_config_server=False, seed="frag-count"
+    ).build()
+    world.connect_all()
+    client = world.clients[0]
+    secrets = client.secrets
+    sink = UdpSink(world.internal, 6400)
+    rejected = world.server.packets_rejected
+    tx = DataChannel(secrets.client_cipher, secrets.client_hmac, client.mode)
+    for wire in _hand_sealed(
+        tx, client.session_id, client.tunnel_ip, world.internal.address, 6400
+    ):
+        client.sock.sendto(wire, client.server_addr, client.server_port)
+    world.sim.run(until=world.sim.now + 0.5)
+    assert world.server.packets_rejected == rejected + 1  # the second fragment
+    assert sink.packets == AFTER
+
+
+@pytest.mark.parametrize(
+    "setup, ecall_batching", [("vanilla", False), ("endbox_sgx", False), ("endbox_sgx", True)]
+)
+def test_fragment_count_mismatch_leaves_the_client_working(setup, ecall_batching):
+    world = DeploymentSpec(
+        clients=1,
+        setup=setup,
+        use_case="NOP",
+        with_config_server=False,
+        ecall_batching=ecall_batching,
+        seed="frag-count",
+    ).build()
+    world.connect_all()
+    client = world.clients[0]
+    secrets = client.secrets
+    sink = UdpSink(client.host, 6500)
+    rejected = client.packets_rejected
+    tx = DataChannel(secrets.server_cipher, secrets.server_hmac, client.mode)
+    wires = _hand_sealed(tx, client.session_id, world.internal.address, client.tunnel_ip, 6500)
+    if ecall_batching:
+        # the datagrams trickle in one by one off the link; hand them
+        # over as one run, so they take the burst path
+        run = [VpnPacket.parse(wire) for wire in wires]
+        world.sim.process(client._handle_data_run(run))
+    else:
+        outer = client.host.stack.interfaces[0].address
+        for wire in wires:
+            world.server.sock.sendto(wire, outer, client.sock.port)
+    world.sim.run(until=world.sim.now + 0.5)
+    assert client.packets_rejected == rejected + 1
+    assert sink.packets == AFTER
