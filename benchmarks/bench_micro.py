@@ -5,6 +5,8 @@ measure the Python implementation itself — useful for keeping the
 functional datapath fast enough that big simulations stay tractable.
 """
 
+import random
+
 import pytest
 
 from repro.click import Router, configs
@@ -27,15 +29,34 @@ def test_micro_hmac_1500(benchmark):
     benchmark(hmac_sha256, b"key-material-16b", PAYLOAD_1500)
 
 
-def test_micro_aho_corasick_scan_1500(benchmark):
-    rules = community_ruleset()
-    automaton = AhoCorasick(
-        [c.pattern for rule in rules for c in rule.contents]
+def _scan_payloads():
+    """1,472 B payloads (a 1,500 B packet's) that stay clean of every rule:
+    the hex filler the bench workloads carry, HTTP-like text, whose
+    common bigrams take the scan below the dense table, and random
+    binary."""
+    rng = random.Random("micro-scan")
+    text = (
+        b"GET /static/site/unit/physics.html?session=nice HTTP/1.1\r\n"
+        b"Host: www.university.example\r\nAccept-Language: en-US,en;q=0.5\r\n\r\n"
+        b"Since the unit assignment, the community of physicists has been\n"
+        b"sincerely united in graphics, philosophy and signal analysis.\n"
     )
-    automaton.scan(b"warmup")
-    payload = PAYLOAD_1500 + b"unique-tail"
+    return {
+        "hex": rng.randbytes(736).hex().encode(),
+        "text": (text * 8)[:1472],
+        "binary": rng.randbytes(1472),
+    }
 
-    result = benchmark(automaton.scan, payload)
+
+SCAN_PAYLOADS = _scan_payloads()
+
+
+@pytest.mark.parametrize("kind", list(SCAN_PAYLOADS))
+def test_micro_aho_corasick_scan_1500(benchmark, kind):
+    rules = community_ruleset()
+    automaton = AhoCorasick([c.pattern for rule in rules for c in rule.contents], case_insensitive=True)
+    automaton.scan(b"warmup")
+    result = benchmark(automaton.scan, SCAN_PAYLOADS[kind])
     assert result == []
 
 

@@ -15,7 +15,7 @@ text) or from the router context key ``ruleset`` (a list of
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List
 
 from repro.click.element import Element, ElementError, Packet
 from repro.click.registry import register_element
@@ -46,20 +46,23 @@ class IDSMatcher(Element):
         self._compile()
 
     def _compile(self) -> None:
-        self.automaton = AhoCorasick([], case_insensitive=False)
+        # Patterns enter the automaton lowercased and the scan folds the
+        # payload's case: that makes the automaton a *superset* prefilter
+        # for both case modes (a case-sensitive match implies a
+        # case-insensitive one); the exact rule.payload_matches() check in
+        # _match restores precision (including offset/depth/distance/within
+        # constraints).
+        self.automaton = AhoCorasick([], case_insensitive=True)
         self._pattern_owner = []
-        self._content_counts: List[int] = []
+        contentless = []
         for index, rule in enumerate(self.rules):
-            self._content_counts.append(len(rule.contents))
+            if not rule.contents:
+                contentless.append(index)
             for content in rule.contents:
-                # Patterns enter the automaton lowercased and the scan runs
-                # over a lowercased payload: that makes the automaton a
-                # *superset* prefilter for both case modes (a case-sensitive
-                # match implies a case-insensitive one); the exact
-                # rule.payload_matches() check below restores precision
-                # (including offset/depth/distance/within constraints).
-                self.automaton.add_pattern(content.pattern.lower())
+                self.automaton.add_pattern(content.pattern)
                 self._pattern_owner.append(index)
+        #: rules with no content pattern: candidates for every packet
+        self._contentless = tuple(contentless)
 
     # ------------------------------------------------------------------
     def push(self, port: int, packet: Packet) -> None:
@@ -81,17 +84,9 @@ class IDSMatcher(Element):
 
     def _match(self, packet: Packet, payload: bytes) -> SnortRule | None:
         """First rule that fully matches, or None."""
-        hits_lower = self.automaton.scan(payload.lower()) if payload else []
-        candidate_rules: Set[int] = set()
-        patterns_seen: Dict[int, Set[int]] = {}
-        for pattern_id, _offset in hits_lower:
-            rule_index = self._pattern_owner[pattern_id]
-            patterns_seen.setdefault(rule_index, set()).add(pattern_id)
-            candidate_rules.add(rule_index)
-        # content-less rules are always candidates
-        for index, count in enumerate(self._content_counts):
-            if count == 0:
-                candidate_rules.add(index)
+        owner = self._pattern_owner
+        candidate_rules = {owner[pattern_id] for pattern_id, _end in self.automaton.scan(payload)}
+        candidate_rules.update(self._contentless)
         for rule_index in sorted(candidate_rules):
             rule = self.rules[rule_index]
             if not rule.header_matches(packet.ip):

@@ -5,7 +5,12 @@ Aho–Corasick string-matching algorithm (§V-B, refs [40]–[42]).  This
 package provides:
 
 * :mod:`~repro.ids.aho_corasick` — the real algorithm (failure links,
-  simultaneous multi-pattern scan),
+  simultaneous multi-pattern scan).  Payload bytes map to byte classes
+  with ``bytes.translate``; the states of trie depth at most 2 get dense
+  rows over those classes, so most bytes cost one list lookup, and a
+  short goto/fail excursion handles the deeper states and reports every
+  match.  The whole automaton gets no table: for the community set that
+  would take 5.2 MiB, memory an enclave's EPC would have to hold;
 * :mod:`~repro.ids.snort_rules` — a parser for the Snort rule grammar
   subset the evaluation needs (action/proto/addresses/ports + ``msg``,
   ``content``, ``nocase``, ``sid``),

@@ -36,11 +36,18 @@ class Fragmenter:
 
 
 class Reassembler:
-    """Rebuilds tunnel payloads from fragment bodies."""
+    """Rebuilds tunnel payloads from fragment bodies.
 
-    def __init__(self, max_groups: int = 256) -> None:
+    ``max_count`` is the largest fragment count a group may claim.  The
+    count comes off the wire, so a fragment claiming more is rejected
+    before any storage is set aside for its group.
+    """
+
+    def __init__(self, max_groups: int = 256, max_count: int = 0xFFFF) -> None:
         self.max_groups = max_groups
-        self._groups: "OrderedDict[Tuple[int, int], List[Optional[bytes]]]" = OrderedDict()
+        self.max_count = max_count
+        # (session id, frag id) -> [pieces, number of pieces received]
+        self._groups: "OrderedDict[Tuple[int, int], list]" = OrderedDict()
         self.completed = 0
         self.dropped_groups = 0
         self.duplicate_fragments = 0
@@ -49,32 +56,36 @@ class Reassembler:
         """Add one fragment; returns the full payload when complete.
 
         Metadata is validated before any fast path: a single-fragment
-        group must carry ``index == 0``, and a duplicate ``(frag_id,
-        index)`` is dropped (first body wins) and counted in
-        :attr:`duplicate_fragments` rather than silently overwriting the
-        stored piece.
+        group must carry ``index == 0``, a count above :attr:`max_count`
+        is refused, and a duplicate ``(frag_id, index)`` is dropped (first
+        body wins) and counted in :attr:`duplicate_fragments` rather than
+        silently overwriting the stored piece.
         """
         if count < 1 or index < 0 or index >= count:
             raise FragmentError("invalid fragment index/count")
+        if count > self.max_count:
+            raise FragmentError(f"fragment count {count} exceeds {self.max_count}")
         if count == 1:
             self.completed += 1
             return body
         key = (session_id, frag_id)
         group = self._groups.get(key)
         if group is None:
-            group = [None] * count
+            group = [[None] * count, 0]
             self._groups[key] = group
             if len(self._groups) > self.max_groups:
                 self._groups.popitem(last=False)
                 self.dropped_groups += 1
-        if len(group) != count:
+        pieces: List[Optional[bytes]] = group[0]
+        if len(pieces) != count:
             raise FragmentError("fragment count mismatch within group")
-        if group[index] is not None:
+        if pieces[index] is not None:
             self.duplicate_fragments += 1
             return None
-        group[index] = body
-        if all(piece is not None for piece in group):
-            del self._groups[key]
-            self.completed += 1
-            return b"".join(group)  # type: ignore[arg-type]
-        return None
+        pieces[index] = body
+        group[1] += 1
+        if group[1] < count:
+            return None
+        del self._groups[key]
+        self.completed += 1
+        return b"".join(pieces)  # type: ignore[arg-type]

@@ -81,6 +81,9 @@ OP_SESSION_CONFIG = 6
 
 VPN_PORT = 1194
 
+#: the largest inner packet a tunnel carries (IPv4's total-length limit)
+MAX_INNER_PACKET = 65535
+
 
 class VpnError(RuntimeError):
     """Connection-level VPN failure."""
@@ -102,7 +105,10 @@ class Tunnel:
         self.rx_channel = rx_channel
         self.replay = ReplayWindow()
         self.fragmenter = Fragmenter()
-        self.reassembler = Reassembler()
+        # no group needs more pieces than the largest inner packet splits into
+        self.reassembler = Reassembler(
+            max_count=-(-MAX_INNER_PACKET // self.fragmenter.max_payload)
+        )
         self.next_packet_id = 1
 
     def seal(self, inner_bytes: bytes) -> List[bytes]:

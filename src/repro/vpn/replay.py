@@ -23,13 +23,10 @@ class ReplayWindow:
         self.size = size
         self._top = 0  # highest id accepted
         self._bitmap = 0  # bit i => (top - i) seen
-        self.accepted = 0
-        self.rejected = 0
 
     def check_and_update(self, packet_id: int) -> bool:
         """True if ``packet_id`` is fresh; records it when accepted."""
         if packet_id <= 0:
-            self.rejected += 1
             return False
         if packet_id > self._top:
             shift = packet_id - self._top
@@ -38,17 +35,13 @@ class ReplayWindow:
             else:
                 self._bitmap = ((self._bitmap << shift) | 1) & ((1 << self.size) - 1)
             self._top = packet_id
-            self.accepted += 1
             return True
         offset = self._top - packet_id
         if offset >= self.size:
-            self.rejected += 1  # too old
-            return False
+            return False  # too old
         if self._bitmap & (1 << offset):
-            self.rejected += 1  # duplicate
-            return False
+            return False  # duplicate
         self._bitmap |= 1 << offset
-        self.accepted += 1
         return True
 
     def would_accept(self, packet_id: int) -> bool:

@@ -231,6 +231,26 @@ def test_idsmatcher_header_constraints_respected():
     assert router.process(wrong_port)[0]  # port 8080: rule does not apply
 
 
+def test_idsmatcher_pcre_only_rule_matches_by_regex():
+    """A rule with no content has no pattern in the automaton: it is a
+    candidate for every packet, and its pcre decides."""
+    rules = parse_rules('alert udp any any -> any any (msg:"beacon"; pcre:"/id=[0-9]{4}/"; sid:31;)')
+    router = Router(configs.idps_config(), context={"ruleset": rules})
+    assert not router.process(udp_packet(payload=b"GET /?id=1234 HTTP/1.1"))[0]
+    assert router.process(udp_packet(payload=b"GET /?id=12 HTTP/1.1"))[0]
+    assert router.find_elements(IDSMatcher)[0].alerts == [31]
+
+
+def test_idsmatcher_header_only_rule_drops_by_header():
+    """No content and no pcre: the header alone decides, next to rules
+    that do have contents."""
+    rules = community_ruleset() + parse_rules('alert udp any any -> any 445 (msg:"smb"; sid:32;)')
+    router = Router(configs.idps_config(), context={"ruleset": rules})
+    assert not router.process(udp_packet(payload=b"innocuous", dport=445))[0]
+    assert router.process(udp_packet(payload=b"innocuous", dport=5001))[0]
+    assert router.find_elements(IDSMatcher)[0].alerts == [32]
+
+
 def test_idsmatcher_requires_ruleset():
     with pytest.raises(ElementError):
         Router(configs.idps_config())

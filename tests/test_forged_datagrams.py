@@ -8,9 +8,12 @@ traffic that follows still gets through.
 
 In EndBox the untrusted host does the fragmenting (Fig 3), so a client
 host can also send its gateway authenticated datagrams whose fragment
-fields contradict each other.  Those are rejected like any other bad
-datagram, and the receiver keeps working.
+fields contradict each other, or that claim more fragments than any
+packet needs.  Those are rejected like any other bad datagram, before
+any storage is set aside for them, and the receiver keeps working.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -141,18 +144,23 @@ def test_forged_datagram_inside_a_burst_spares_the_rest(monkeypatch):
 
 #: (frag_id, index, count) of two fragments that disagree on their group's size
 MISMATCHED = [(777, 0, 2), (777, 1, 3)]
+#: one fragment claiming the largest count the wire can carry
+OVERSIZED = [(778, 0, 0xFFFF)]
+#: a quarter of what storing a group of that count takes (a pointer a
+#: slot): receiving hostile fragments must stay far below it
+PEAK_BOUND = 0xFFFF * 8 // 4
 #: genuine packets sent after them
 AFTER = 3
 
 
-def _hand_sealed(tx, session_id, src, dst, port):
-    """Authenticated wire datagrams: the mismatched pair, then AFTER
+def _hand_sealed(tx, session_id, src, dst, port, hostile):
+    """Authenticated wire datagrams: the ``hostile`` fragments, then AFTER
     single-fragment inner UDP packets to ``dst:port``.
 
     The ids start far above anything the session has sent, so the
     receiver's replay window accepts them all.
     """
-    frames = [(frag_id, index, count, bytes(40)) for frag_id, index, count in MISMATCHED]
+    frames = [(frag_id, index, count, bytes(40)) for frag_id, index, count in hostile]
     for index in range(AFTER):
         inner = IPv4Packet(src=src, dst=dst, l4=UdpDatagram(40000, port, b"after %d" % index))
         frames.append((900 + index, 0, 1, inner.serialize()))
@@ -165,30 +173,46 @@ def _hand_sealed(tx, session_id, src, dst, port):
     return wires
 
 
-@pytest.mark.parametrize("setup", ["vanilla", "endbox_sgx"])
-def test_fragment_count_mismatch_leaves_the_gateway_session_working(setup):
+def _traced_peak(run):
+    """Run ``run()``; the most memory it held allocated at any one time."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def _gateway_receives(setup, hostile, port):
+    """Hand-seal ``hostile`` then genuine datagrams from a client to its
+    gateway; (gateway rejects, genuine packets delivered, traced peak)."""
     world = DeploymentSpec(
         clients=1, setup=setup, use_case="NOP", with_config_server=False, seed="frag-count"
     ).build()
     world.connect_all()
     client = world.clients[0]
     secrets = client.secrets
-    sink = UdpSink(world.internal, 6400)
+    sink = UdpSink(world.internal, port)
     rejected = world.server.packets_rejected
     tx = DataChannel(secrets.client_cipher, secrets.client_hmac, client.mode)
-    for wire in _hand_sealed(
-        tx, client.session_id, client.tunnel_ip, world.internal.address, 6400
-    ):
-        client.sock.sendto(wire, client.server_addr, client.server_port)
-    world.sim.run(until=world.sim.now + 0.5)
-    assert world.server.packets_rejected == rejected + 1  # the second fragment
-    assert sink.packets == AFTER
+    wires = _hand_sealed(
+        tx, client.session_id, client.tunnel_ip, world.internal.address, port, hostile
+    )
+
+    def deliver():
+        for wire in wires:
+            client.sock.sendto(wire, client.server_addr, client.server_port)
+        world.sim.run(until=world.sim.now + 0.5)
+
+    peak = _traced_peak(deliver)
+    return world.server.packets_rejected - rejected, sink.packets, peak
 
 
-@pytest.mark.parametrize(
-    "setup, ecall_batching", [("vanilla", False), ("endbox_sgx", False), ("endbox_sgx", True)]
-)
-def test_fragment_count_mismatch_leaves_the_client_working(setup, ecall_batching):
+def _client_receives(setup, ecall_batching, hostile, port):
+    """Hand-seal ``hostile`` then genuine datagrams from the gateway to a
+    client; (client rejects, genuine packets delivered, traced peak)."""
     world = DeploymentSpec(
         clients=1,
         setup=setup,
@@ -200,19 +224,61 @@ def test_fragment_count_mismatch_leaves_the_client_working(setup, ecall_batching
     world.connect_all()
     client = world.clients[0]
     secrets = client.secrets
-    sink = UdpSink(client.host, 6500)
+    sink = UdpSink(client.host, port)
     rejected = client.packets_rejected
     tx = DataChannel(secrets.server_cipher, secrets.server_hmac, client.mode)
-    wires = _hand_sealed(tx, client.session_id, world.internal.address, client.tunnel_ip, 6500)
-    if ecall_batching:
-        # the datagrams trickle in one by one off the link; hand them
-        # over as one run, so they take the burst path
-        run = [VpnPacket.parse(wire) for wire in wires]
-        world.sim.process(client._handle_data_run(run))
-    else:
-        outer = client.host.stack.interfaces[0].address
-        for wire in wires:
-            world.server.sock.sendto(wire, outer, client.sock.port)
-    world.sim.run(until=world.sim.now + 0.5)
-    assert client.packets_rejected == rejected + 1
-    assert sink.packets == AFTER
+    wires = _hand_sealed(
+        tx, client.session_id, world.internal.address, client.tunnel_ip, port, hostile
+    )
+
+    def deliver():
+        if ecall_batching:
+            # the datagrams trickle in one by one off the link; hand them
+            # over as one run, so they take the burst path
+            run = [VpnPacket.parse(wire) for wire in wires]
+            world.sim.process(client._handle_data_run(run))
+        else:
+            outer = client.host.stack.interfaces[0].address
+            for wire in wires:
+                world.server.sock.sendto(wire, outer, client.sock.port)
+        world.sim.run(until=world.sim.now + 0.5)
+
+    peak = _traced_peak(deliver)
+    return client.packets_rejected - rejected, sink.packets, peak
+
+
+CLIENT_PATHS = [("vanilla", False), ("endbox_sgx", False), ("endbox_sgx", True)]
+
+
+@pytest.mark.parametrize("setup", ["vanilla", "endbox_sgx"])
+def test_fragment_count_mismatch_leaves_the_gateway_session_working(setup):
+    rejected, delivered, peak = _gateway_receives(setup, MISMATCHED, 6400)
+    assert rejected == 1  # the second fragment
+    assert delivered == AFTER
+    assert peak < PEAK_BOUND
+
+
+@pytest.mark.parametrize("setup, ecall_batching", CLIENT_PATHS)
+def test_fragment_count_mismatch_leaves_the_client_working(setup, ecall_batching):
+    rejected, delivered, peak = _client_receives(setup, ecall_batching, MISMATCHED, 6500)
+    assert rejected == 1
+    assert delivered == AFTER
+    assert peak < PEAK_BOUND
+
+
+@pytest.mark.parametrize("setup", ["vanilla", "endbox_sgx"])
+def test_oversized_fragment_count_is_refused_unallocated_at_the_gateway(setup):
+    """A count no inner packet needs is rejected before its group is
+    stored: 8 pieces at most for 65,535 B in 8,900 B fragments."""
+    rejected, delivered, peak = _gateway_receives(setup, OVERSIZED, 6600)
+    assert rejected == 1
+    assert delivered == AFTER
+    assert peak < PEAK_BOUND
+
+
+@pytest.mark.parametrize("setup, ecall_batching", CLIENT_PATHS)
+def test_oversized_fragment_count_is_refused_unallocated_at_the_client(setup, ecall_batching):
+    rejected, delivered, peak = _client_receives(setup, ecall_batching, OVERSIZED, 6700)
+    assert rejected == 1
+    assert delivered == AFTER
+    assert peak < PEAK_BOUND

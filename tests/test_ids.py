@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ids import AhoCorasick, RuleSyntaxError, community_ruleset, parse_rules
+from repro.ids import AhoCorasick, RuleSyntaxError, aho_corasick, community_ruleset, parse_rules
 from repro.ids.community_rules import COMMUNITY_RULE_COUNT, ruleset_text
 from repro.ids.snort_rules import parse_rule
 from repro.netsim import IPv4Packet, TcpSegment, UdpDatagram
@@ -54,10 +54,13 @@ def test_empty_pattern_rejected():
 
 
 def test_add_pattern_after_scan_rebuilds():
+    """New bytes join the alphabet and a new pattern extends an old path."""
     ac = AhoCorasick([b"one"])
-    assert ac.matches(b"one")
+    assert ac.scan(b"zone") == [(0, 4)]
+    ac.add_pattern(b"ones")
+    ac.add_pattern(b"z")
     ac.add_pattern(b"two")
-    assert ac.matches(b"two")
+    assert ac.scan(b"zones two") == [(2, 1), (0, 4), (1, 5), (3, 9)]
 
 
 def test_binary_patterns():
@@ -76,20 +79,119 @@ def test_scan_verdict_ignores_payload_hash():
     assert ac.matches(_CollidingBytes(b"run cmd.exe"))  # same hash, same length
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=8), st.binary(max_size=300))
-def test_aho_corasick_agrees_with_naive_search(patterns, haystack):
-    ac = AhoCorasick(patterns)
-    expected = set()
-    for pid, pattern in enumerate(ac.patterns):
-        start = 0
-        while True:
-            index = haystack.find(pattern, start)
-            if index < 0:
-                break
-            expected.add((pid, index + len(pattern)))
-            start = index + 1
-    assert set(ac.scan(haystack)) == expected
+def _naive_scan(patterns, haystack, case_insensitive=False):
+    """Every (pattern id, end offset) that ``bytes.find`` sees, in the order
+    the automaton reports them: by end offset, then the longest pattern
+    first, then by id."""
+    if case_insensitive:
+        patterns = [pattern.lower() for pattern in patterns]
+        haystack = haystack.lower()
+    found = []
+    for pid, pattern in enumerate(patterns):
+        start = haystack.find(pattern)
+        while start >= 0:
+            found.append((start + len(pattern), -len(pattern), pid))
+            start = haystack.find(pattern, start + 1)
+    return [(pid, end) for end, _longest_first, pid in sorted(found)]
+
+
+#: dense table depths to check the scan at, around the module's own
+DENSE_DEPTHS = [0, 1, 2, 3, 6]
+#: few symbols, so that patterns share prefixes and suffixes and overlap
+SMALL_ALPHABET = b"abAB\x00\xff"
+
+
+def _small(max_size):
+    return st.lists(st.sampled_from(SMALL_ALPHABET), max_size=max_size).map(bytes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.binary(min_size=1, max_size=8), _small(8).filter(bool)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.one_of(st.binary(max_size=300), _small(300)),
+    st.booleans(),
+)
+def test_aho_corasick_agrees_with_naive_search(patterns, haystack, case_insensitive):
+    expected = _naive_scan(patterns, haystack, case_insensitive)
+    for depth in DENSE_DEPTHS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(aho_corasick, "DENSE_DEPTH", depth)
+            ac = AhoCorasick(patterns, case_insensitive=case_insensitive)
+            assert ac.scan(haystack) == expected, depth
+
+
+EDGE_CASES = {
+    "patterns of length 1 and 2": ([b"a", b"ab", b"b"], b"xabab", False),
+    "a prefix of another": ([b"abc", b"abcdef"], b"abcdefabc", False),
+    "a suffix of another": ([b"cdef", b"ef", b"f"], b"abcdef", False),
+    "overlapping occurrences": ([b"aa", b"aaa"], b"aaaaa", False),
+    "bytes outside the alphabet": ([b"\xbe\xef", b"ef"], bytes(range(256)) + b"\xbe\xef", False),
+    "every byte in some pattern": ([bytes(range(256)), b"\xff\x00"], bytes(range(256)) * 2, False),
+    "a match on the last byte": ([b"tail", b"il"], b"on the tail", False),
+    "empty data": ([b"x", b"xy"], b"", False),
+    "case_insensitive": ([b"CmD.eXe", b"md", b"E"], b"run CMD.exe cmd.EXE", True),
+}
+
+
+@pytest.mark.parametrize(
+    "patterns, data, case_insensitive", list(EDGE_CASES.values()), ids=list(EDGE_CASES)
+)
+def test_scan_edge_cases_agree_with_naive_search(patterns, data, case_insensitive):
+    ac = AhoCorasick(patterns, case_insensitive=case_insensitive)
+    assert ac.scan(data) == _naive_scan(patterns, data, case_insensitive)
+
+
+def test_scan_reports_in_order_with_exact_end_offsets():
+    ac = AhoCorasick([b"a", b"ab", b"b", b"abc", b"bc"])
+    assert ac.scan(b"abcab") == [(0, 1), (1, 2), (2, 2), (3, 3), (4, 3), (0, 4), (1, 5), (2, 5)]
+
+
+COMMUNITY_PATTERNS = [content.pattern for rule in community_ruleset() for content in rule.contents]
+
+
+def _community_automaton():
+    """The IDSMatcher's automaton: community patterns, case folded."""
+    return AhoCorasick(COMMUNITY_PATTERNS, case_insensitive=True)
+
+
+def test_community_scan_exact_at_every_depth():
+    """Each pattern planted whole and cut at every length, so the scan
+    leaves the dense table and comes back at every depth it has."""
+    ac = _community_automaton()
+    for pattern in COMMUNITY_PATTERNS:
+        for cut in range(1, len(pattern) + 1):
+            data = b"~" + pattern[:cut] + pattern + pattern[:cut].upper()
+            assert ac.scan(data) == _naive_scan(COMMUNITY_PATTERNS, data, True), (pattern, cut)
+
+
+def _plant(pattern, cut, upper):
+    """A pattern's first ``cut`` bytes (all of it when ``cut`` is long enough)."""
+    piece = pattern[:cut]
+    return piece.upper() if upper else piece
+
+
+PLANTED = st.builds(_plant, st.sampled_from(COMMUNITY_PATTERNS), st.integers(1, 16), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.binary(max_size=24), PLANTED), max_size=12).map(b"".join))
+def test_community_scan_agrees_with_naive_search(data):
+    assert _community_automaton().scan(data) == _naive_scan(COMMUNITY_PATTERNS, data, True)
+
+
+def test_dense_table_has_rows_only_for_the_shallow_states():
+    """One row per distinct pattern prefix of at most DENSE_DEPTH bytes
+    (plus the root), one column per byte class: never the whole automaton."""
+    ac = _community_automaton()
+    ac.scan(b"")
+    patterns = ac.patterns
+    prefixes = {pattern[:depth] for pattern in patterns for depth in range(aho_corasick.DENSE_DEPTH + 1)}
+    classes = 1 + len(set().union(*patterns))
+    assert len(ac._table) == len(prefixes) * classes == 503 * 158
 
 
 # ----------------------------------------------------------------------
