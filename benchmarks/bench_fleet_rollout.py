@@ -1,9 +1,9 @@
 """Fleet-rollout bench: the sharded runner's scenario in every mode.
 
 Runs the rolling-restart fleet at the ``--quick`` size (600 clients,
-4 gateways) serially and sharded, inline and in fork workers; the full
-10k-client fleet is available through ``endbox-experiments
-fleet-rollout``.
+4 gateways) serially and sharded, inline and in fork workers, next to
+its 16-client packet-level oracle; the full 10k-client fleet is
+available through ``endbox-experiments fleet-rollout``.
 """
 
 from repro.experiments import fleet_rollout
@@ -20,6 +20,9 @@ def test_fleet_rollout_sharded_modes(once, benchmark):
     assert all(meta["digest_matches_serial"].values())
     # the §III-E tripwire never fires, even with restarts mid-rollout
     assert meta["stale_admitted_after_grace"] == 0
-    # the restarts migrated clients, each one resumed from its record
-    assert meta["migrations"] > 0
-    assert meta["sessions_resumed"] == meta["migrations"]
+    # the restarts drained and re-homed every client once...
+    assert meta["migrations"] == meta["remaps"] == 2 * 600
+    # ...and the packet-level oracle agreed on the same plan
+    oracle = meta["oracle"]
+    assert oracle["packet"] == oracle["swarm"]
+    assert oracle["all_home"]

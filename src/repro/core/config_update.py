@@ -50,10 +50,6 @@ class ConfigBundle:
     encrypted: bool
     blob: bytes
 
-    def serialized(self) -> bytes:
-        """The distributable blob bytes."""
-        return self.blob
-
 
 class ConfigPublisher:
     """Administrator tooling: sign/encrypt and publish configurations."""

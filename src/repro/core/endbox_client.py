@@ -25,11 +25,12 @@ from typing import Optional, Tuple
 
 from repro.core.config_update import UpdateTimings
 from repro.core.enclave_app import ConfigError, EndBoxEnclave
+from repro.core.provisioning import restore_client
 from repro.http.client import HttpClient, HttpError
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.host import Host
 from repro.netsim.packet import IPv4Packet
-from repro.sgx.enclave import EnclaveMode
+from repro.sgx.enclave import EnclaveError, EnclaveMode
 from repro.vpn.costing import (
     client_egress_cost,
     client_ingress_completion_cost,
@@ -102,6 +103,8 @@ class EndBoxClient(OpenVpnClient):
         self.click_config = click_config
         self.ruleset_text = ruleset_text
         self.packets_dropped_by_click = 0
+        #: packets dropped, failing closed, because the crossing raised
+        self.packets_dropped_enclave_error = 0
         #: end of the current Click hot-swap window (see ``_swapping``)
         self._swap_until = 0.0
         self.update_timings: list = []
@@ -126,7 +129,7 @@ class EndBoxClient(OpenVpnClient):
     def _swapping(self) -> bool:
         """True while the in-enclave Click graph is mid-hot-swap: packets
         in this window are dropped (exactly one ping in the Fig 11
-        experiment), and the caller counts them."""
+        experiment) and counted as Click drops."""
         return self.sim.now < self._swap_until
 
     def _egress_cost(self, packet: IPv4Packet) -> float:
@@ -147,17 +150,25 @@ class EndBoxClient(OpenVpnClient):
         return client_ingress_completion_cost(self.model, len(packet)) + self.model.partition_fixed
 
     def _enclave_packet(self, packet: IPv4Packet, direction: str) -> Tuple[bool, IPv4Packet, float]:
+        """One ``process_packet`` crossing; counts the packet if dropped."""
         if self._swapping():
+            self.packets_dropped_by_click += 1
             return False, packet, self.model.partition_fixed
         gateway = self.endbox.gateway
-        accepted, packet = gateway.ecall(
-            "process_packet",
-            packet,
-            direction,
-            self.mode.value,
-            self.c2c_flagging,
-            payload_bytes=len(packet),
-        )
+        try:
+            accepted, packet = gateway.ecall(
+                "process_packet",
+                packet,
+                direction,
+                self.mode.value,
+                self.c2c_flagging,
+                payload_bytes=len(packet),
+            )
+        except EnclaveError:
+            self.packets_dropped_enclave_error += 1
+            return False, packet, self.model.partition_fixed
+        if not accepted:
+            self.packets_dropped_by_click += 1
         extra_transitions = 0.0
         if (
             not self.single_ecall_optimization
@@ -174,33 +185,36 @@ class EndBoxClient(OpenVpnClient):
         charged exactly as in the scalar path; only the EENTER/EEXIT
         transition pair is paid once for the burst — that single
         crossing is what the §V-G ablation reads off the ledger.  Inside
-        a hot-swap window nothing crosses: every packet comes back
-        rejected at the scalar path's per-packet price.
+        a hot-swap window, or without an enclave, nothing crosses: no
+        results come back, and every packet is counted as dropped at the
+        scalar path's per-packet price.
         """
         if self._swapping():
-            return [(False, p) for p in packets], len(packets) * self.model.partition_fixed
+            self.packets_dropped_by_click += len(packets)
+            return [], len(packets) * self.model.partition_fixed
         gateway = self.endbox.gateway
         calls = [(p, direction, self.mode.value, self.c2c_flagging) for p in packets]
-        results = gateway.ecall_batch(
-            "process_packet", calls, payload_bytes=sum(len(p) for p in packets)
-        )
+        try:
+            results = gateway.ecall_batch(
+                "process_packet", calls, payload_bytes=sum(len(p) for p in packets)
+            )
+        except EnclaveError:
+            self.packets_dropped_enclave_error += len(packets)
+            return [], len(packets) * self.model.partition_fixed
         self.ecall_bursts += 1
         self.ecall_burst_packets += len(packets)
+        self.packets_dropped_by_click += sum(1 for accepted, _ in results if not accepted)
         return results, gateway.ledger.drain()
 
     def process_egress(self, packet: IPv4Packet) -> Tuple[bool, IPv4Packet, float]:
         """Per-packet egress hook; returns (accept, packet, cpu_seconds)."""
         base = self._egress_cost(packet)
         accepted, packet, enclave_cost = self._enclave_packet(packet, "egress")
-        if not accepted:
-            self.packets_dropped_by_click += 1
         return accepted, packet, base + enclave_cost
 
     def process_ingress(self, packet: IPv4Packet) -> Tuple[bool, IPv4Packet, float]:
         base = self._ingress_cost(packet)
         accepted, packet, enclave_cost = self._enclave_packet(packet, "ingress")
-        if not accepted:
-            self.packets_dropped_by_click += 1
         return accepted, packet, base + enclave_cost
 
     def fragment_crypto_mode(self):
@@ -222,10 +236,8 @@ class EndBoxClient(OpenVpnClient):
         results, enclave_cost = self._enclave_batch(inners, "egress")
         yield from self._charge(base + enclave_cost)
         for accepted, inner in results:
-            if not accepted:
-                self.packets_dropped_by_click += 1
-                continue
-            self._send_inner(inner)
+            if accepted:
+                self._send_inner(inner)
 
     def _handle_data_run(self, packets):
         """A run of DATA datagrams: open and reassemble each in arrival
@@ -259,11 +271,9 @@ class EndBoxClient(OpenVpnClient):
         results, enclave_cost = self._enclave_batch(inners, "ingress")
         yield from self._charge(fragment_cost + base + enclave_cost)
         for (accepted, inner), size in zip(results, sizes):
-            if not accepted:
-                self.packets_dropped_by_click += 1
-                continue
-            self.inner_bytes_received += size
-            self.tun.write(inner)
+            if accepted:
+                self.inner_bytes_received += size
+                self.tun.write(inner)
 
     # ------------------------------------------------------------------
     # TLS key intake (§III-D)
@@ -408,16 +418,20 @@ class EndBoxClient(OpenVpnClient):
             self._fetch_and_apply(None), name=f"{self.host.name}.config-recover"
         )
 
-    def rebuild_enclave(self, endbox: EndBoxEnclave) -> None:
-        """Install a freshly created + restored enclave after a crash.
+    def restart_enclave(self, platform, storage) -> None:
+        """The §III-C restart of a destroyed enclave on its SGX platform.
 
-        The sealed credentials survive (restore_client re-attests via
-        unsealing, §III-C); the in-RAM Click graph does not, so the
-        enclave is re-initialised with the provisioning-time
+        A fresh enclave is created from the same measured image and the
+        credentials sealed in ``storage`` are unsealed into it (no new
+        remote attestation).  The in-RAM Click graph does not survive,
+        so the enclave is re-initialised with the provisioning-time
         configuration and the version number drops back to 1 — the
         grace-period machinery (or the lockout-recovery fetch) brings
         the client forward again.
         """
+        old = self.endbox.enclave
+        endbox = EndBoxEnclave.create(old.image, platform, mode=old.mode)
+        restore_client(endbox, storage)
         self.endbox = endbox
         endbox.gateway.ecall("set_cost_model", self.model, payload_bytes=0)
         endbox.gateway.ecall(

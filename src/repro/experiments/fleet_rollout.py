@@ -8,8 +8,12 @@ announcement's grace deadline (§III-E) is in flight.  The experiment
 reports the determinism evidence the sharded engine promises — the
 merged trace digest of the inline and fork runs must equal the serial
 reference byte-for-byte — plus the fleet counters the acceptance bar
-names: sealed-state migrations/resumes during the restarts, stale
-rejections after the deadline, and the ``stale_admitted`` tripwire at 0.
+names: migrations during the restarts, stale rejections after the
+deadline, and the ``stale_admitted`` tripwire at 0.
+
+Its oracle, :func:`compare_fleets`, runs the same spec and plan through
+the packet-level fleet, whose restarts drive the real sealed-state
+migration path; both fleets place clients by ``Balancer.moves``.
 
 The whole scenario is described by one declarative
 :class:`~repro.fleet.DeploymentSpec` (clients, gateways, balancer
@@ -21,7 +25,7 @@ truth for both the packet-granularity and the swarm arm.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
 from repro.faults.plan import FaultPlan, GatewayRestart
@@ -29,7 +33,6 @@ from repro.fleet.spec import DeploymentSpec
 from repro.fleet.swarm import (
     MIGRATIONS_NAME,
     REMAPS_NAME,
-    SESSIONS_RESUMED_NAME,
     STALE_ADMITTED_NAME,
     STALE_REJECTED_NAME,
     FleetSwarmParams,
@@ -47,8 +50,11 @@ def rolling_restart_plan(
 ) -> FaultPlan:
     """One :class:`GatewayRestart` per gateway, staggered ``gap_s`` apart.
 
-    ``gap_s >= outage_s`` keeps at most one gateway down at a time, so
-    every drained client always has a live ring-failover target.
+    ``gap_s > outage_s`` keeps at most one gateway down at a time, so
+    every drained client always has a live ring-failover target.  At
+    ``gap_s == outage_s`` the fault injector drains the next gateway
+    before it restores the previous one, so two are down for an
+    instant.
     """
     return FaultPlan(
         "rolling-gateway-restart",
@@ -71,6 +77,10 @@ def fleet_rollout_spec(n_clients: int = 10_000, gateways: int = 4) -> Deployment
     )
 
 
+#: clients in the packet-level oracle fleet
+ORACLE_CLIENTS = 16
+
+
 def swarm_params_from_spec(spec: DeploymentSpec, **overrides) -> FleetSwarmParams:
     """Flow-level parameters for ``spec``'s fleet (size, policy, plan).
 
@@ -86,6 +96,36 @@ def swarm_params_from_spec(spec: DeploymentSpec, **overrides) -> FleetSwarmParam
     return replace(params, **overrides) if overrides else params
 
 
+def compare_fleets(spec: DeploymentSpec, params: FleetSwarmParams) -> Dict[str, Any]:
+    """Run ``spec``'s fault plan through both fleets; return their decisions.
+
+    The packet-level fleet is ``spec`` built, connected, armed with
+    ``arm_faults()`` and run ``params.horizon_s`` on; the swarm runs
+    ``params``, which must describe the same fleet (as
+    :func:`swarm_params_from_spec` builds it), serially.
+    """
+    world = spec.build()
+    world.connect_all()
+    world.arm_faults()
+    world.sim.run(until=world.sim.now + params.horizon_s)
+    packet = world.sim.telemetry.counter
+    swarm = run_fleet_swarm(params, n_shards=1, mode="serial")
+    return {
+        "clients": spec.clients,
+        "packet": {
+            "remaps": packet(REMAPS_NAME).value,
+            "migrations": packet(MIGRATIONS_NAME).value,
+            "stale_admitted_after_grace": sum(g.stale_admitted_after_grace for g in world.gateways),
+        },
+        "swarm": {
+            "remaps": swarm.counter(REMAPS_NAME),
+            "migrations": swarm.counter(MIGRATIONS_NAME),
+            "stale_admitted_after_grace": swarm.counter(STALE_ADMITTED_NAME),
+        },
+        "all_home": world.assignment == world.homes,
+    }
+
+
 def run_fleet_rollout(
     spec: Optional[DeploymentSpec] = None,
     n_shards: int = 5,
@@ -97,7 +137,7 @@ def run_fleet_rollout(
     Each sharded mode is compared against the serial reference digest;
     ``metadata["digest_matches_serial"]`` must be all-True and
     ``metadata["stale_admitted_after_grace"]`` must be 0 for the
-    scenario to count as passing.
+    scenario to count as passing; ``metadata["oracle"]`` must agree.
     """
     spec = spec or fleet_rollout_spec()
     params = params or swarm_params_from_spec(spec)
@@ -114,7 +154,7 @@ def run_fleet_rollout(
         mode: result.trace_digest() == reference for mode, result in results.items()
     }
     goodput = {mode: fleet_goodput_bps(result, params) for mode, result in results.items()}
-    return ExperimentResult(
+    result = ExperimentResult(
         name="fleet_rollout",
         title="Fleet rollout: rolling gateway restarts under grace (sharded)",
         x_label="runner mode",
@@ -130,9 +170,30 @@ def run_fleet_rollout(
             "digest_matches_serial": digest_ok,
             "modes_skipped": skipped,
             "migrations": serial.counter(MIGRATIONS_NAME),
-            "sessions_resumed": serial.counter(SESSIONS_RESUMED_NAME),
             "remaps": serial.counter(REMAPS_NAME),
             "stale_rejected": serial.counter(STALE_REJECTED_NAME),
             "stale_admitted_after_grace": serial.counter(STALE_ADMITTED_NAME),
+            "oracle": compare_fleets(
+                replace(spec, clients=ORACLE_CLIENTS), replace(params, n_clients=ORACLE_CLIENTS)
+            ),
         },
+    )
+    result.text = result.to_text() + "\n\n" + _render_counters(result.metadata)
+    return result
+
+
+def _render_counters(meta: Dict[str, Any]) -> str:
+    """The digest, migration, stale and oracle lines under the table."""
+    matches = ", ".join(f"{mode}: {ok}" for mode, ok in meta["digest_matches_serial"].items())
+    skipped = f" (skipped: {', '.join(meta['modes_skipped'])})" if meta["modes_skipped"] else ""
+    oracle = meta["oracle"]
+    packet, swarm = oracle["packet"], oracle["swarm"]
+    pairs = ", ".join(f"{key} {packet[key]} / {swarm[key]}" for key in packet)
+    return (
+        f"digest {meta['digest'][:16]}: matches serial {{{matches}}}{skipped}\n"
+        f"migrations / remaps: {meta['migrations']} / {meta['remaps']}\n"
+        f"stale_rejected after grace: {meta['stale_rejected']}; "
+        f"stale_admitted_after_grace: {meta['stale_admitted_after_grace']}\n"
+        f"oracle, packet-level / swarm at {oracle['clients']} clients: {pairs}; "
+        f"every client home: {oracle['all_home']}"
     )

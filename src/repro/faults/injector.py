@@ -306,27 +306,19 @@ class FaultInjector:
     def _apply_client_crash(self, event: ClientCrash):
         """Crash a client, destroy its enclave, restore from sealed state.
 
-        The restore path is the paper's §III-C restart: a *fresh* enclave
-        of the same measured image is created on the same platform, the
-        sealed credentials are unsealed (no new remote attestation), and
-        the client re-handshakes via DPD.  In-RAM configuration state is
-        gone, so the client restarts at version 1 and catches up through
-        the normal (or lockout-recovery) update path.
+        After the outage window the client takes the paper's §III-C
+        restart (:meth:`~repro.core.endbox_client.EndBoxClient.restart_enclave`):
+        a *fresh* enclave of the same measured image on the same
+        platform, the sealed credentials unsealed (no new remote
+        attestation), and a re-handshake via DPD.  In-RAM configuration
+        state is gone, so the client restarts at version 1 and catches
+        up through the normal (or lockout-recovery) update path.
         """
-        from repro.core.enclave_app import EndBoxEnclave
-        from repro.core.provisioning import restore_client
-
         client = self._client(event.client)
-        platform = self.platforms[event.client]
-        storage = self.storages[event.client]
-        image = client.endbox.enclave.image
-        mode = client.endbox.enclave.mode
         client.suspend()
         client.endbox.enclave.destroy()
         yield self.sim.timeout(event.outage_s)
-        endbox = EndBoxEnclave.create(image, platform, mode=mode)
-        restore_client(endbox, storage)
-        client.rebuild_enclave(endbox)
+        client.restart_enclave(self.platforms[event.client], self.storages[event.client])
         client.resume()
 
     def _apply_config_outage(self, event: ConfigServerOutage):

@@ -19,12 +19,15 @@ Two policies assign clients (keyed by their stable string identity, e.g.
 Both are deterministic: no randomness, no wall clock, and SHA-256 ring
 points are fixed for all time.  Every lookup counts into
 ``fleet.balancer.picks`` on the current telemetry registry.
+
+:meth:`Balancer.moves` is the placement rule both fleets (the
+packet-level ``FleetDeployment`` and the swarm) migrate by.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Collection, List, Tuple
+from typing import Collection, List, Sequence, Tuple
 
 from repro.click.element import Element, Packet
 from repro.click.elements.roundrobin import RoundRobinSwitch
@@ -50,7 +53,8 @@ def _point(label: str) -> int:
 
 
 class Balancer:
-    """Common surface: ``pick`` a home gateway, ``fallback`` around outages."""
+    """Common surface: ``pick`` a home gateway, ``fallback`` around
+    outages, ``moves`` by the placement rule."""
 
     def __init__(self, n_gateways: int) -> None:
         if n_gateways < 1:
@@ -77,6 +81,26 @@ class Balancer:
             if candidate not in down:
                 return candidate
         raise BalancerError("unreachable: some gateway must be up")  # pragma: no cover
+
+    def moves(
+        self, homes: Sequence[int], current: Sequence[int], down: Collection[int]
+    ) -> List[Tuple[int, int]]:
+        """``(client, gateway)`` for each client that must move, in order.
+
+        Client ``i`` (``"client-<i>"``) belongs on ``homes[i]`` when that
+        gateway is up, else on ``fallback(key, down)``; it moves when
+        that differs from ``current[i]``.  While every gateway is down,
+        no client moves.
+        """
+        down = frozenset(down)
+        if len(down) >= self.n_gateways:
+            return []
+        pairs = []
+        for client, home in enumerate(homes):
+            place = home if home not in down else self.fallback(f"client-{client}", down)
+            if place != current[client]:
+                pairs.append((client, place))
+        return pairs
 
 
 class HashRing(Balancer):

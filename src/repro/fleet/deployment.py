@@ -27,8 +27,10 @@ operations the paper's scale-out story needs:
   accounting never resets.
 * **outage draining** — :meth:`FleetDeployment.on_gateway_outage` /
   :meth:`FleetDeployment.on_gateway_restored` are the hooks the fault
-  injector's ``GatewayRestart`` event drives: clients are migrated off
-  a gateway before its restart window and re-homed afterwards.
+  injector's ``GatewayRestart`` event drives.  Each updates the set of
+  down gateways and migrates every client the balancer's placement
+  rule (:meth:`~repro.fleet.balancer.Balancer.moves`) moves: off a
+  gateway before its restart window, back home after it.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from repro.core.scenarios import (
 from repro.costs.model import default_cost_model
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.x25519 import X25519PrivateKey
+from repro.faults.injector import FaultInjector
 from repro.ids.snort_rules import parse_rules
 from repro.netsim.addresses import IPv4Network
 from repro.netsim.host import Host, class_a_host, class_b_host
@@ -102,6 +105,8 @@ class FleetDeployment(EndBoxDeployment):
         self._tm_migrations = registry.counter("fleet.balancer.migrations")
         #: gateway indices currently in an outage window (being drained).
         self.down_gateways: Set[int] = set()
+        #: each client's home gateway: the balancer's pick at build time
+        self.homes: List[int] = list(self.assignment)
 
     # ------------------------------------------------------------------
     # fleet introspection
@@ -137,11 +142,12 @@ class FleetDeployment(EndBoxDeployment):
         The source gateway exports (and retires) the client's session
         record; the target adopts it so the client's config version —
         and with it the grace accounting — carries over.  EndBox clients
-        go through the §III-C restart path: the enclave is destroyed, a
-        fresh one is created from the same measured image on the same
-        platform and the sealed credentials are unsealed (no new remote
-        attestation).  The client then re-handshakes with the target via
-        dead-peer detection.  Counted in ``fleet.balancer.migrations``.
+        go through the §III-C restart path: the enclave is destroyed and
+        :meth:`~repro.core.endbox_client.EndBoxClient.restart_enclave`
+        re-creates it from sealed state (no new remote attestation).  The
+        client then re-handshakes with the target via dead-peer
+        detection, and the target adopts the record at that handshake.
+        Counted in ``fleet.balancer.migrations``.
         """
         if not 0 <= client_index < len(self.clients):
             raise FleetError(f"no client #{client_index} in this fleet")
@@ -149,8 +155,6 @@ class FleetDeployment(EndBoxDeployment):
             raise FleetError(f"no gateway #{to_gateway} in this fleet")
         if self.assignment[client_index] == to_gateway:
             return
-        from repro.core.provisioning import restore_client
-
         client = self.clients[client_index]
         source = self.gateways[self.assignment[client_index]]
         target = self.gateways[to_gateway]
@@ -161,14 +165,8 @@ class FleetDeployment(EndBoxDeployment):
             target.resume_session(record)
         client.suspend()
         if self.setup.startswith("endbox"):
-            platform = self.platforms[client_index]
-            storage = self.storages[client_index]
-            image = client.endbox.enclave.image
-            mode = client.endbox.enclave.mode
             client.endbox.enclave.destroy()
-            endbox = EndBoxEnclave.create(image, platform, mode=mode)
-            restore_client(endbox, storage)
-            client.rebuild_enclave(endbox)
+            client.restart_enclave(self.platforms[client_index], self.storages[client_index])
         client.retarget(self.gateway_hosts[to_gateway].address)
         client.resume()
         self.assignment[client_index] = to_gateway
@@ -178,54 +176,36 @@ class FleetDeployment(EndBoxDeployment):
     # outage draining (driven by faults.GatewayRestart)
     # ------------------------------------------------------------------
     def on_gateway_outage(self, gateway: int) -> None:
-        """Drain a gateway about to restart: migrate its clients away.
-
-        Each affected client is re-assigned through the balancer's
-        fallback policy (the hash ring walks past the down gateway's
-        arcs) and migrated with its session record; each re-assignment
-        counts into ``fleet.balancer.remaps``.
-        """
+        """Drain a gateway about to restart: mark it down, then migrate
+        every client the placement rule moves (see :meth:`_place`)."""
         if not 0 <= gateway < self.n_gateways:
             raise FleetError(f"no gateway #{gateway} in this fleet")
         self.down_gateways.add(gateway)
-        if len(self.down_gateways) >= self.n_gateways:
-            return  # nowhere to drain to; clients ride out the outage
-        for client_index, assigned in enumerate(self.assignment):
-            if assigned == gateway:
-                fallback = self.balancer.fallback(
-                    f"client-{client_index}", self.down_gateways
-                )
-                self._tm_remaps.inc()
-                self.migrate_client(client_index, fallback)
+        self._place()
 
     def on_gateway_restored(self, gateway: int) -> None:
-        """Re-home clients onto a restarted gateway.
-
-        Every client whose balancer pick is an up gateway other than its
-        current assignment migrates back — this returns the fleet to the
-        canonical (ring-derived) assignment after a rolling restart.
-        """
+        """Re-home clients once a restarted gateway is back: mark it up,
+        then migrate every client the placement rule moves."""
         self.down_gateways.discard(gateway)
-        for client_index in range(len(self.assignment)):
-            home = self.balancer.pick(f"client-{client_index}")
-            if home in self.down_gateways:
-                continue
-            if home != self.assignment[client_index]:
-                self._tm_remaps.inc()
-                self.migrate_client(client_index, home)
+        self._place()
+
+    def _place(self) -> None:
+        """Migrate every client :meth:`Balancer.moves` moves, one remap each:
+        home while home is up, else the fallback around ``down_gateways``.
+        With overlapping outages a restore also moves a client whose home
+        is still down onto its nearest live gateway."""
+        for client_index, to_gateway in self.balancer.moves(
+            self.homes, self.assignment, self.down_gateways
+        ):
+            self._tm_remaps.inc()
+            self.migrate_client(client_index, to_gateway)
 
     # ------------------------------------------------------------------
     # fault-plan arming
     # ------------------------------------------------------------------
     def arm_faults(self, plan=None, registry=None):
-        """Arm a fault plan (default: the spec's) against this world.
-
-        Returns the armed :class:`~repro.faults.injector.FaultInjector`.
-        Imported lazily to keep ``repro.fleet`` importable without
-        ``repro.faults`` (mirrors ``run_chaos_rollout``).
-        """
-        from repro.faults import FaultInjector
-
+        """Arm a fault plan (default: the spec's) against this world;
+        returns the armed :class:`~repro.faults.injector.FaultInjector`."""
         if plan is None:
             plan = self.spec.fault_plan if self.spec is not None else None
         if plan is None:

@@ -3,21 +3,20 @@
 This is the scenario the sharded runner (:mod:`repro.sim.parallel`)
 exists for.  Each client shard models its clients as one
 :class:`ClientSwarmSource`; every gateway of a multi-gateway fleet lives
-on shard 0 behind a :class:`FleetDispatcher` that replays, per packet,
-exactly the decisions the packet-granularity
-:class:`~repro.fleet.deployment.FleetDeployment` makes per session:
+on shard 0 behind a :class:`FleetDispatcher`:
 
-* **balancing** — the packet's home gateway comes from the same
+* **balancing** — each client's home gateway comes from the same
   :mod:`repro.fleet.balancer` policy (hash ring by default) keyed by the
   stable ``"client-<gid>"`` identity;
-* **rolling restarts** — gateway down-windows come from a declarative
+* **rolling restarts** — gateway outages come from a declarative
   :class:`~repro.faults.FaultPlan` of
-  :class:`~repro.faults.GatewayRestart` events; a packet whose home
-  gateway is inside its outage window fails over along the ring
-  (``fleet.balancer.remaps``) and its client migrates once with a
-  sealed-state session resume (``fleet.balancer.migrations`` /
-  ``fleet.gateway.sessions_resumed``), exactly the counters the
-  packet-granularity migration path emits;
+  :class:`~repro.faults.GatewayRestart` events.  At each drain and
+  restore instant the dispatcher applies ``Balancer.moves``, the rule
+  the packet-level ``FleetDeployment`` migrates by (its oracle in
+  ``repro.experiments.fleet_rollout``), counting one remap and one
+  migration per move; packets that arrive while every gateway is down
+  are dropped.  The handshake that adopts a migrated record is not
+  modeled;
 * **grace rollouts (§III-E)** — one fleet-wide config announcement with
   a grace deadline; per-client adoption times are a deterministic
   function of the global client id, a configurable sliver of stragglers
@@ -38,8 +37,9 @@ byte-identical trace digest.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.faults.plan import FaultPlan, GatewayRestart
 from repro.fleet.balancer import make_balancer
@@ -79,7 +79,6 @@ GATEWAY_STEPS_NAME = _names.register(
 )
 REMAPS_NAME = "fleet.balancer.remaps"
 MIGRATIONS_NAME = "fleet.balancer.migrations"
-SESSIONS_RESUMED_NAME = "fleet.gateway.sessions_resumed"
 STALE_REJECTED_NAME = "fleet.gateway.stale_rejected"
 STALE_ADMITTED_NAME = "fleet.gateway.stale_admitted"
 
@@ -264,12 +263,12 @@ class FleetSwarmParams:
 
 
 class FleetDispatcher:
-    """Shard-0 fleet: every gateway's per-packet admission + balancing.
+    """Shard-0 fleet: the restarts' migrations + per-packet admission.
 
-    Binds one batched ingress per client shard; each injected batch is
-    walked packet-by-packet in the fabric's canonical order, so the
-    per-client state here (current gateway after migrations) evolves
-    identically in serial, inline and fork runs.
+    The migrations are decided once, at construction.  One batched
+    ingress per client shard is walked packet by packet in the fabric's
+    canonical order, checking only the §III-E grace deadline and whether
+    any gateway is up, so serial, inline and fork runs count identically.
     """
 
     def __init__(
@@ -283,103 +282,92 @@ class FleetDispatcher:
         self.params = params
         self.balancer = make_balancer(params.balancer, params.n_gateways)
         #: home gateway per global client id (the ring's steady state)
-        self.assignment: List[int] = [
+        self.homes: List[int] = [
             self.balancer.pick(f"client-{gid}") for gid in range(params.n_clients)
         ]
-        #: gateway currently holding each client's session
-        self.current: List[int] = list(self.assignment)
-        self.per_gateway_delivered: List[int] = [0] * params.n_gateways
-        self._fallback_memo: Dict[Tuple[int, FrozenSet[int]], int] = {}
-        #: gateway -> sorted outage windows [(start, end)], from the plan
-        self._outages: Dict[int, List[Tuple[float, float]]] = {}
-        for event in params.fault_plan or ():
-            self._outages.setdefault(event.gateway, []).append(
-                (event.at, event.at + event.outage_s)
-            )
-        for windows in self._outages.values():
-            windows.sort()
         registry = Registry.current()
         self._tm_delivered = registry.counter(DELIVERED_NAME)
         self._tm_delivered_bytes = registry.counter(DELIVERED_BYTES_NAME)
         self._tm_window_bytes = registry.counter(WINDOW_BYTES_NAME)
         self._tm_steps = registry.counter(GATEWAY_STEPS_NAME)
-        self._tm_remaps = registry.counter(REMAPS_NAME)
-        self._tm_migrations = registry.counter(MIGRATIONS_NAME)
-        self._tm_resumed = registry.counter(SESSIONS_RESUMED_NAME)
         self._tm_stale_rejected = registry.counter(STALE_REJECTED_NAME)
         # the tripwire is created eagerly so a 0 shows up in every digest
         self._tm_stale_admitted = registry.counter(STALE_ADMITTED_NAME)
+        moves, self._dark = self._place_restarts()
+        registry.counter(REMAPS_NAME).inc(moves)
+        registry.counter(MIGRATIONS_NAME).inc(moves)
         for shard in sorted(set(plan.client_shards)):
             clients = plan.clients_on(shard)
             if not clients:
                 continue
-            fabric.bind_ingress(_channel(shard), self._binder(clients[0]))
+            # the batch callback translates shard-local to global ids
+            fabric.bind_ingress(_channel(shard), functools.partial(self._on_batch, clients[0]))
 
-    def _binder(self, base: int):
-        """Batch callback translating shard-local to global client ids."""
+    def _place_restarts(self) -> Tuple[int, List[Tuple[float, float]]]:
+        """Apply the placement rule at each drain and restore instant up to
+        the horizon.
 
-        def receive(frames) -> None:
-            self._on_batch(base, frames)
-
-        return receive
-
-    def _down_at(self, t: float) -> FrozenSet[int]:
-        """Gateways inside an outage window at simulated time ``t``."""
-        down = [
-            gateway
-            for gateway, windows in self._outages.items()
-            if any(start <= t < end for start, end in windows)
-        ]
-        return frozenset(down)
-
-    def _failover(self, gid: int, down: FrozenSet[int]) -> int:
-        """Ring failover target for ``gid`` while ``down`` is out (memoized)."""
-        key = (gid, down)
-        target = self._fallback_memo.get(key)
-        if target is None:
-            target = self.balancer.fallback(f"client-{gid}", down)
-            self._fallback_memo[key] = target
-        return target
+        Returns the moves and the ``[start, end)`` windows with every
+        gateway down.  Instants run in the fault injector's order: by time,
+        then drains (in plan order) before restores (in drain order).
+        """
+        params = self.params
+        events = sorted(params.fault_plan or (), key=lambda event: event.at)
+        instants = [(event.at, False, event.gateway) for event in events]
+        instants += [(event.at + event.outage_s, True, event.gateway) for event in events]
+        instants.sort(key=lambda instant: instant[:2])
+        current = list(self.homes)
+        down: Set[int] = set()
+        moves = 0
+        dark: List[Tuple[float, float]] = []
+        dark_since: Optional[float] = None
+        for at, restore, gateway in instants:
+            if at > params.horizon_s:
+                break
+            if restore:
+                down.discard(gateway)
+            else:
+                down.add(gateway)
+            for client, place in self.balancer.moves(self.homes, current, down):
+                current[client] = place
+                moves += 1
+            if len(down) == params.n_gateways:
+                if dark_since is None:
+                    dark_since = at
+            elif dark_since is not None:
+                dark.append((dark_since, at))
+                dark_since = None
+        if dark_since is not None:
+            dark.append((dark_since, float("inf")))
+        return moves, dark
 
     def _on_batch(self, base: int, frames) -> None:
         params = self.params
         deadline = params.grace_deadline_s
         warmup = params.warmup_s
         steps = params.gateway_steps
+        dark = self._dark
         delivered = 0
         total_bytes = 0
         window_bytes = 0
         work = 0
         stale_rejected = 0
         stale_admitted = 0
-        remaps = 0
-        migrations = 0
         for deliver_at, _emit_index, payload in frames:
             local, nbytes = payload
-            gid = base + local
+            if dark and any(start <= deliver_at < end for start, end in dark):
+                continue  # every gateway is down: nowhere to land
             # §III-E currency check: stale only once the deadline passed
             current_version = True
             if deliver_at >= deadline:
-                adopt_at = params.adopt_at_s(gid)
+                adopt_at = params.adopt_at_s(base + local)
                 current_version = adopt_at is not None and deliver_at >= adopt_at
             if not current_version:
                 stale_rejected += 1
                 continue
-            down = self._down_at(deliver_at) if self._outages else frozenset()
-            home = self.assignment[gid]
-            target = self._failover(gid, down) if home in down else home
-            if target in down:
-                continue  # overlapping outages left nowhere to land; drop
-            if target != self.current[gid]:
-                # the client migrates: sealed-state export/resume, counted
-                # with the same telemetry the packet-granularity path emits
-                remaps += 1
-                migrations += 1
-                self.current[gid] = target
             work += steps
             delivered += 1
             total_bytes += nbytes
-            self.per_gateway_delivered[target] += 1
             if deliver_at >= warmup:
                 window_bytes += nbytes
             if not current_version:  # pragma: no cover - tripwire
@@ -393,10 +381,6 @@ class FleetDispatcher:
             self._tm_stale_rejected.inc(stale_rejected)
         if stale_admitted:  # pragma: no cover - tripwire
             self._tm_stale_admitted.inc(stale_admitted)
-        if remaps:
-            self._tm_remaps.inc(remaps)
-            self._tm_migrations.inc(migrations)
-            self._tm_resumed.inc(migrations)
 
 
 def make_fleet_builder(params: FleetSwarmParams):

@@ -7,7 +7,7 @@ forms.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Union
+from typing import Dict, Union
 
 AddressLike = Union["IPv4Address", str, int]
 
@@ -137,9 +137,3 @@ class IPv4Network:
         if not 0 <= index < size:
             raise ValueError(f"host index {index} outside /{self.prefix_len}")
         return IPv4Address(self.network.value + index)
-
-    def hosts(self) -> Iterator[IPv4Address]:
-        """Hosts."""
-        size = 1 << (32 - self.prefix_len)
-        for index in range(1, max(2, size - 1)):
-            yield IPv4Address(self.network.value + index)

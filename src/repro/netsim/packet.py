@@ -504,14 +504,11 @@ class WireFrame:
     into frames already in flight, exactly like a byte snapshot).
 
     ``len(frame)`` equals the serialized length, so transmission delay,
-    MTU checks and interface byte counters are unchanged.
+    MTU checks and interface byte counters are unchanged.  Only
+    :func:`fast_wire_frame` builds frames.
     """
 
     __slots__ = ("packet", "_length")
-
-    def __init__(self, packet: IPv4Packet, length: int) -> None:
-        self.packet = packet
-        self._length = length
 
     def __len__(self) -> int:
         return self._length

@@ -86,7 +86,3 @@ class StarTopology:
             if host is not via_host:
                 first_nic = host.stack.interfaces[0]
                 host.stack.add_route(subnet, first_nic)
-
-    def host(self, name: str) -> Host:
-        """Look up an attached host by name."""
-        return self.hosts[name]

@@ -215,8 +215,3 @@ class EnclaveGateway:
         if not (self.exitless_ocalls and self.enclave.mode is EnclaveMode.HARDWARE):
             self._charge_transition(0)  # re-entry
         return result
-
-    @property
-    def transitions(self) -> int:
-        """Total boundary crossings (ecalls + ocalls)."""
-        return self.ecalls.value + self.ocalls.value

@@ -15,6 +15,7 @@ sequence number, never by object identity.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
@@ -59,11 +60,6 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "triggered" if self.triggered else "pending"
         return f"<Event {self.name or hex(id(self))} {state}>"
-
-    @property
-    def ok(self) -> bool:
-        """True when triggered successfully (no exception)."""
-        return self.triggered and self.exception is None
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register ``callback`` to run when the event triggers.
@@ -143,10 +139,6 @@ class Process(Event):
         # path: the heap entry carries the process itself).
         sim._schedule_kickoff(self)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self.triggered:
@@ -179,14 +171,28 @@ class Process(Event):
             self.succeed(None)
             return
         except BaseException as error:  # noqa: BLE001 - propagate to waiters
-            self.fail(error)
+            self._die(error)
             return
         if not isinstance(target, Event):
             self.generator.close()
-            self.fail(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
+            self._die(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
             return
         self._waiting_on = target
         target.add_callback(self._on_wait_complete)
+
+    def _die(self, error: BaseException) -> None:
+        """Fail the process event.  With nothing waiting on it the death
+        would go unseen, so :meth:`Simulator.run` raises a
+        :class:`SimulationError` naming the process, chained from
+        ``error``, at the current simulated time."""
+        unobserved = self._callbacks is None
+        self.fail(error)
+        if unobserved:
+            self.sim.schedule(0.0, functools.partial(_raise_death, self.name, error))
+
+
+def _raise_death(name: str, error: BaseException) -> None:
+    raise SimulationError(f"process {name!r} died with nothing waiting on it: {error!r}") from error
 
 
 class Interrupt(Exception):

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 class SeededRng:
@@ -40,42 +37,10 @@ class SeededRng:
         """Uniform float in [a, b]."""
         return self._random.uniform(a, b)
 
-    def expovariate(self, rate: float) -> float:
-        """Exponentially distributed float with the given rate."""
-        return self._random.expovariate(rate)
-
     def lognormvariate(self, mu: float, sigma: float) -> float:
         """Log-normally distributed float."""
         return self._random.lognormvariate(mu, sigma)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normally distributed float."""
-        return self._random.gauss(mu, sigma)
-
-    def randint(self, a: int, b: int) -> int:
-        """Uniform integer in [a, b]."""
-        return self._random.randint(a, b)
-
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._random.random()
-
-    def choice(self, seq: Sequence[T]) -> T:
-        """Uniformly chosen element of the sequence."""
-        return self._random.choice(seq)
-
-    def sample(self, seq: Sequence[T], k: int) -> List[T]:
-        """k distinct elements chosen uniformly."""
-        return self._random.sample(seq, k)
-
-    def shuffle(self, seq: list) -> None:
-        """Shuffle the list in place."""
-        self._random.shuffle(seq)
-
-    def randbytes(self, n: int) -> bytes:
-        """n pseudo-random bytes."""
-        return bytes(self._random.getrandbits(8) for _ in range(n))
-
-    def jitter(self, value: float, fraction: float) -> float:
-        """``value`` perturbed uniformly by up to ``+-fraction``."""
-        return value * (1.0 + self._random.uniform(-fraction, fraction))

@@ -138,10 +138,6 @@ class CpuCores:
             return 0.0
         return min(1.0, self._window_busy / (elapsed * self.effective_cores))
 
-    @property
-    def runnable(self) -> int:
-        return self._resource.in_use + self._resource.queue_length
-
 
 #: Convenience alias used throughout the code base.
 CPU = CpuCores

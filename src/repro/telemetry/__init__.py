@@ -44,7 +44,6 @@ from repro.telemetry.names import (
     info,
     is_registered,
     register,
-    registered_names,
 )
 from repro.telemetry.registry import (
     Counter,
@@ -71,7 +70,6 @@ __all__ = [
     "merge_snapshots",
     "merged_trace_digest",
     "register",
-    "registered_names",
     "session",
     "summary",
     "to_csv",

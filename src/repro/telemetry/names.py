@@ -106,11 +106,6 @@ def is_registered(name: str) -> bool:
     return name in _NAMES
 
 
-def registered_names() -> Tuple[str, ...]:
-    """All registered names, sorted."""
-    return tuple(sorted(_NAMES))
-
-
 # ----------------------------------------------------------------------
 # core instrumentation names
 # ----------------------------------------------------------------------

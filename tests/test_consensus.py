@@ -5,7 +5,7 @@ import pytest
 from repro.consensus import EttmConfigManager, PaxosNode, PaxosTimeout
 from repro.netsim import StarTopology
 from repro.netsim.host import class_a_host
-from repro.sim import Simulator
+from repro.sim import SimulationError, Simulator
 
 
 def make_fleet(n, rtt_timeout=0.05):
@@ -28,8 +28,13 @@ def run_proposal(sim, node, instance, value, until=30.0):
         box["value"] = yield sim.process(node.propose(instance, value))
 
     proc = sim.process(proposer())
-    sim.run(until=sim.now + until)
-    if proc.exception:
+    try:
+        sim.run(until=sim.now + until)
+    except SimulationError as error:
+        # nothing waits on the proposer, so its death fails the run,
+        # chained from the error it died of
+        if proc.exception is None or error.__cause__ is not proc.exception:
+            raise
         raise proc.exception
     assert proc.triggered, "proposal did not terminate"
     return box["value"]

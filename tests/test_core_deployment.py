@@ -150,6 +150,41 @@ def test_packet_dropped_during_hot_swap_is_counted_once(ecall_batching):
     assert busy == pytest.approx(_drops_during_hot_swap(False))
 
 
+@pytest.mark.parametrize("ecall_batching", [False, True])
+def test_worker_fails_closed_on_destroyed_enclave(ecall_batching):
+    """With its enclave destroyed, the client drops and counts every
+    packet, up- and downlink, and its worker keeps serving (a dying
+    worker would fail the run)."""
+    world = DeploymentSpec(
+        clients=1,
+        setup="endbox_sgx",
+        use_case="NOP",
+        with_config_server=False,
+        ecall_batching=ecall_batching,
+        seed="destroyed",
+    ).build()
+    world.connect_all()
+    client = world.clients[0]
+    uplink = UdpSink(world.internal, 5700)
+    downlink = UdpSink(client.host, 5701)
+    to_internal = client.host.stack.udp_socket()
+    to_client = world.internal.stack.udp_socket()
+    client.endbox.enclave.destroy()
+    expected = 0
+    for send in (
+        lambda: to_internal.sendto(b"up", world.internal.address, 5700),
+        lambda: to_client.sendto(b"down", client.tunnel_ip, 5701),
+    ):
+        for burst in (1, 3):
+            for _ in range(burst):
+                send()
+            world.sim.run(until=world.sim.now + 0.05)
+            expected += burst
+            assert client.packets_dropped_enclave_error == expected
+    assert uplink.packets == downlink.packets == 0
+    assert client.packets_dropped_by_click == 0
+
+
 def test_client_to_client_flagging_skips_second_click():
     world = DeploymentSpec(clients=2, setup="endbox_sgx", use_case="IDPS").build()
     world.connect_all()

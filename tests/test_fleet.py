@@ -14,6 +14,7 @@ from repro.fleet import (
     make_balancer,
 )
 from repro.fleet import spec as spec_module
+from repro.fleet.balancer import BalancerError
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +101,36 @@ def test_hash_ring_fallback_skips_down_gateways():
         target = ring.fallback(key, {home})
         assert target != home
         assert 0 <= target < 3
+
+
+@pytest.mark.parametrize("policy", BALANCER_POLICIES)
+def test_moves_is_the_placement_rule(policy):
+    balancer = make_balancer(policy, 3)
+    homes = [balancer.pick(f"client-{index}") for index in range(12)]
+    # all up: nobody away from home moves anywhere but home
+    assert balancer.moves(homes, homes, set()) == []
+    away = [(home + 1) % 3 for home in homes]
+    assert balancer.moves(homes, away, set()) == list(enumerate(homes))
+    # one down: exactly its clients move, to the fallback around it
+    down = {homes[0]}
+    moved = balancer.moves(homes, homes, down)
+    assert [client for client, _ in moved] == [
+        index for index, home in enumerate(homes) if home in down
+    ]
+    for client, place in moved:
+        assert place == balancer.fallback(f"client-{client}", down)
+        assert place not in down
+    # every gateway down: no client moves
+    assert balancer.moves(homes, away, {0, 1, 2}) == []
+
+
+def test_base_fallback_walks_forward_from_home():
+    balancer = make_balancer("round_robin", 4)
+    home = balancer.pick("client-0")
+    assert balancer.fallback("client-0", {home}) == (home + 1) % 4
+    assert balancer.fallback("client-0", {home, (home + 1) % 4}) == (home + 2) % 4
+    with pytest.raises(BalancerError):
+        balancer.fallback("client-0", {0, 1, 2, 3})
 
 
 def test_round_robin_balancer_is_flow_sticky():

@@ -200,9 +200,13 @@ def test_yielding_non_event_fails_process():
         yield 42
 
     proc = sim.process(bad())
-    sim.run()
+    # nothing waits on "bad", so its death fails the run
+    with pytest.raises(SimulationError, match="'bad' died") as excinfo:
+        sim.run()
     assert proc.triggered
     assert isinstance(proc.exception, SimulationError)
+    assert excinfo.value.__cause__ is proc.exception
+    assert "yielded non-event" in str(proc.exception)
 
 
 def test_callback_on_already_triggered_event_runs():
@@ -329,3 +333,36 @@ def test_schedule_external_rejects_past_timestamps():
 
 def iter_timeout(sim, delay):
     yield sim.timeout(delay)
+
+
+def test_unobserved_process_death_fails_the_run():
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(1.0)
+        raise KeyError("lost")
+
+    sim.process(worker(), name="worker")
+    with pytest.raises(SimulationError, match="'worker' died") as excinfo:
+        sim.run()
+    assert isinstance(excinfo.value.__cause__, KeyError)
+    assert sim.now == 1.0
+
+
+def test_waited_on_process_hands_its_exception_to_the_waiter():
+    sim = Simulator()
+    caught = []
+
+    def child():
+        yield sim.timeout(1.0)
+        raise KeyError("lost")
+
+    def parent():
+        try:
+            yield sim.process(child(), name="child")
+        except KeyError as error:
+            caught.append(error)
+
+    sim.process(parent(), name="parent")
+    sim.run()  # nothing died unobserved: the parent handled it
+    assert len(caught) == 1

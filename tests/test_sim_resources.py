@@ -119,8 +119,13 @@ def test_cpu_rejects_negative_duration():
         yield sim.process(cpu.execute(-1.0))
 
     proc = sim.process(job())
-    sim.run()
+    # the child's error reaches its waiter "job", which dies of it with
+    # nothing waiting on it: the run fails
+    with pytest.raises(SimulationError, match="'job' died") as excinfo:
+        sim.run()
     assert isinstance(proc.exception, SimulationError)
+    assert excinfo.value.__cause__ is proc.exception
+    assert "negative" in str(proc.exception)
 
 
 def test_fifo_store_put_then_get():
