@@ -21,9 +21,12 @@ lint:
 # wrappers or counter reads fails here), a figure-10 byte-identity
 # smoke, the telemetry differential smoke (recording on vs off must not
 # change a single packet byte), the shard-determinism smoke (2-shard
-# merged digest == serial digest), the fleet rolling-restart smoke and
-# the fleet oracle (the swarm and the packet-level fleet must count the
-# same migrations on five restart plans).
+# merged digest == serial digest), the fleet rolling-restart smoke, the
+# fleet oracle (the swarm and the packet-level fleet must count the
+# same migrations on four restart plans) and the two migration tests (a
+# migrated client keeps its enclave's configuration version past a
+# grace deadline; a rollout then a rolling restart refuses no handshake
+# and refetches no configuration).
 check:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src/ benchmarks/ examples/ --sarif-out lint.sarif --budget 5
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
@@ -33,7 +36,7 @@ check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_telemetry.py -q -k "identical_with_telemetry"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py -q -k "deterministic or byte_identical"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_sim_parallel.py -q -k "digest_matches_serial"
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py -q -k "rolling_restart_smoke or fleets_agree"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py tests/test_fleet.py -q -k "rolling_restart_smoke or fleets_agree or keeps_enclave_version or refuses_no_handshake"
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

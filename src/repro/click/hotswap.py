@@ -10,6 +10,8 @@ the TUN fd), cutting the swap to 0.74 ms (§V-F).
 The manager models both variants.  Durations are *simulated* seconds,
 computed from the cost model and charged to the ledger; the swap itself
 is real (a new Router replaces the old one, with state transfer).
+:func:`rebuild_router` and :func:`hotswap_duration` are the swap and its
+price, shared with the OpenVPN+Click gateway's per-session vanilla swap.
 """
 
 from __future__ import annotations
@@ -33,6 +35,27 @@ class SwapTimings:
     @property
     def total_s(self) -> float:
         return self.fetch_s + self.decrypt_s + self.hotswap_s
+
+
+def rebuild_router(router: Router, config_text: str, cost_model, ledger, context) -> Router:
+    """Build ``config_text``'s graph; every element whose name and type
+    match one of ``router``'s adopts that predecessor's state."""
+    new_router = Router(config_text, cost_model, ledger, context)
+    for name, element in new_router.elements.items():
+        old = router.elements.get(name)
+        if old is not None and type(old) is type(element):
+            element.take_state(old)
+    return new_router
+
+
+def hotswap_duration(cost_model, config_text: str, in_memory: bool) -> float:
+    """Simulated seconds one hot-swap to ``config_text`` takes: parse and
+    instantiate, plus the device setup vanilla Click (``in_memory=False``)
+    repeats on every swap."""
+    swap_s = cost_model.click_hotswap_fixed + len(config_text) * cost_model.click_parse_per_byte
+    if not in_memory:
+        swap_s += cost_model.click_device_setup
+    return swap_s
 
 
 class HotSwapManager:
@@ -78,20 +101,12 @@ class HotSwapManager:
         is replaced, so a rejected configuration leaves the running one
         untouched.
         """
-        model = self.cost_model
         with self.router.telemetry.span("click.hotswap.swap"):
             self._validate(new_config)
-            new_router = Router(new_config, model, self.ledger, self.context)
-            # state transfer: same-named elements adopt their predecessor's state
-            for name, element in new_router.elements.items():
-                old = self.router.elements.get(name)
-                if old is not None and type(old) is type(element):
-                    element.take_state(old)
-            parse_cost = model.click_hotswap_fixed + len(new_config) * model.click_parse_per_byte
-            device_cost = 0.0
-            if not self.in_memory:
-                device_cost = model.click_device_setup
-            hotswap_s = parse_cost + device_cost
+            new_router = rebuild_router(
+                self.router, new_config, self.cost_model, self.ledger, self.context
+            )
+            hotswap_s = hotswap_duration(self.cost_model, new_config, self.in_memory)
             if self.ledger is not None:
                 self.ledger.add(hotswap_s)
             self.router = new_router

@@ -27,7 +27,6 @@ from repro.core.endbox_client import EndBoxClient
 from repro.core.endbox_server import EndBoxServer
 from repro.core.config_update import ConfigBundle, ConfigFileServer, ConfigPublisher, UpdateTimings
 from repro.core.provisioning import provision_client
-from repro.core.scenarios import EndBoxDeployment
 
 __all__ = [
     "CertificateAuthority",
@@ -35,7 +34,6 @@ __all__ = [
     "ConfigFileServer",
     "ConfigPublisher",
     "EndBoxClient",
-    "EndBoxDeployment",
     "EndBoxEnclave",
     "EndBoxServer",
     "EnrollmentError",

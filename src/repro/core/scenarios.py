@@ -20,27 +20,19 @@ two deployment scenarios:
   channel encryption optional (``isp_no_encryption`` applies the §IV-A
   traffic-protection optimisation).
 
-This module keeps the :class:`EndBoxDeployment` result type (the fleet
-deployment subclasses it) and the use-case configuration table.
+This module keeps the use-case configuration table, the
+:class:`ClientConnectError` that ``connect_all`` raises, and the chaos
+rollout scenario; the built world is a
+:class:`~repro.fleet.deployment.FleetDeployment`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.click import configs as click_configs
-from repro.core.ca import CertificateAuthority
-from repro.core.config_update import ConfigFileServer, ConfigPublisher
-from repro.core.enclave_app import EndBoxEnclave
-from repro.costs.model import CostModel
 from repro.ids.community_rules import ruleset_text
-from repro.netsim.host import Host
-from repro.netsim.topology import StarTopology
-from repro.sgx.attestation import IntelAttestationService, SgxPlatform
-from repro.sgx.sealing import SealedStorage
-from repro.sim import Simulator
-from repro.vpn.openvpn import OpenVpnClient, OpenVpnServer
 
 MANAGED_NET = "10.0.0.0/16"
 TUNNEL_NET = "10.8.0.0/24"
@@ -86,65 +78,6 @@ class ClientConnectError(RuntimeError):
             f"{len(self.failed)} client(s) not connected by t={deadline:g}s: "
             + ", ".join(self.failed)
         )
-
-
-@dataclass
-class EndBoxDeployment:
-    """Everything an experiment needs, in one place."""
-
-    sim: Simulator
-    topo: StarTopology
-    model: CostModel
-    setup: str
-    use_case: str
-    scenario: str
-    ias: IntelAttestationService
-    ca: CertificateAuthority
-    server_host: Host
-    server: OpenVpnServer
-    config_server: Optional[ConfigFileServer]
-    publisher: ConfigPublisher
-    clients: List[OpenVpnClient] = field(default_factory=list)
-    client_hosts: List[Host] = field(default_factory=list)
-    internal_hosts: List[Host] = field(default_factory=list)
-    enclaves: List[EndBoxEnclave] = field(default_factory=list)
-    storages: List[SealedStorage] = field(default_factory=list)
-    #: per-client SGX platforms (index-aligned with ``clients``); needed
-    #: by fault injection to rebuild an enclave after a client crash
-    platforms: List[SgxPlatform] = field(default_factory=list)
-    #: the deadline ``connect_all`` waits for, taken from the spec's
-    #: ``connect_timeout_s``
-    connect_timeout_s: float = 10.0
-
-    def connect_all(self, until: Optional[float] = None) -> None:
-        """Start every client and wait for all tunnels to establish.
-
-        The deadline defaults to the deployment's spec-derived
-        ``connect_timeout_s``; pass ``until`` to override it.  Raises
-        :class:`ClientConnectError` naming *every* client that failed,
-        chained from the first connection exception when one was
-        recorded.
-        """
-        deadline = self.connect_timeout_s if until is None else until
-        for client in self.clients:
-            client.start()
-        self.sim.run(until=deadline)
-        failed: List[str] = []
-        first_exc: Optional[BaseException] = None
-        for client in self.clients:
-            if not client.connected_event.triggered:
-                failed.append(client.host.name)
-            elif client.connected_event.exception is not None:
-                failed.append(client.host.name)
-                if first_exc is None:
-                    first_exc = client.connected_event.exception
-        if failed:
-            raise ClientConnectError(failed, deadline) from first_exc
-
-    @property
-    def internal(self) -> Host:
-        """The first internal service host."""
-        return self.internal_hosts[0]
 
 
 @dataclass

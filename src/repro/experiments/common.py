@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.scenarios import EndBoxDeployment
+from repro.fleet.deployment import FleetDeployment
 from repro.netsim.traffic import UdpSink, UdpTrafficSource
 
 #: display names matching the paper's legends
@@ -28,7 +28,7 @@ SETUP_LABELS = {
 
 
 def measure_max_throughput(
-    world: EndBoxDeployment,
+    world: FleetDeployment,
     packet_bytes: int,
     offered_bps: float,
     duration: float = 0.08,
@@ -55,7 +55,7 @@ def measure_max_throughput(
 
 
 def measure_aggregate_throughput(
-    world: EndBoxDeployment,
+    world: FleetDeployment,
     n_clients: int,
     per_client_bps: float,
     packet_bytes: int = 1500,

@@ -12,12 +12,13 @@ names: migrations during the restarts, stale rejections after the
 deadline, and the ``stale_admitted`` tripwire at 0.
 
 Its oracle, :func:`compare_fleets`, runs the same spec and plan through
-the packet-level fleet, whose restarts drive the real sealed-state
-migration path; both fleets place clients by ``Balancer.moves``.
+the packet-level fleet, whose restarts drive the real migration path
+(close the session, retarget, re-handshake); both fleets place clients
+by ``HashRing.moves``.
 
 The whole scenario is described by one declarative
-:class:`~repro.fleet.DeploymentSpec` (clients, gateways, balancer
-policy, fault plan); :func:`swarm_params_from_spec` translates it to the
+:class:`~repro.fleet.DeploymentSpec` (clients, gateways, fault plan);
+:func:`swarm_params_from_spec` translates it to the
 flow-level model's parameters so the spec stays the single source of
 truth for both the packet-granularity and the swarm arm.
 """
@@ -71,7 +72,6 @@ def fleet_rollout_spec(n_clients: int = 10_000, gateways: int = 4) -> Deployment
         setup="endbox_sgx",
         clients=n_clients,
         gateways=gateways,
-        balancer="hash_ring",
         fault_plan=rolling_restart_plan(gateways),
         seed="fleet-rollout",
     )
@@ -82,7 +82,7 @@ ORACLE_CLIENTS = 16
 
 
 def swarm_params_from_spec(spec: DeploymentSpec, **overrides) -> FleetSwarmParams:
-    """Flow-level parameters for ``spec``'s fleet (size, policy, plan).
+    """Flow-level parameters for ``spec``'s fleet (size, plan).
 
     ``overrides`` tune the swarm-only knobs (rates, horizon, rollout
     timeline) that have no packet-granularity counterpart in the spec.
@@ -90,7 +90,6 @@ def swarm_params_from_spec(spec: DeploymentSpec, **overrides) -> FleetSwarmParam
     params = FleetSwarmParams(
         n_clients=spec.clients,
         n_gateways=spec.gateways,
-        balancer=spec.balancer,
         fault_plan=spec.fault_plan,
     )
     return replace(params, **overrides) if overrides else params
@@ -163,7 +162,6 @@ def run_fleet_rollout(
         metadata={
             "n_clients": params.n_clients,
             "n_gateways": params.n_gateways,
-            "balancer": params.balancer,
             "n_shards": n_shards,
             "fault_plan": (params.fault_plan or FaultPlan("empty")).to_dict(),
             "digest": reference,

@@ -92,7 +92,7 @@ class FaultInjector:
     — arming a plan that references a missing target raises
     :class:`FaultInjectionError` up front, not mid-run.  Use
     :meth:`from_deployment` to wire a full
-    :class:`~repro.core.scenarios.EndBoxDeployment` in one call.
+    :class:`~repro.fleet.deployment.FleetDeployment` in one call.
     """
 
     def __init__(
@@ -134,8 +134,8 @@ class FaultInjector:
     def from_deployment(cls, deployment, registry: Optional[Registry] = None) -> "FaultInjector":
         """Wire an injector to every target a deployment exposes.
 
-        Fleet deployments additionally wire their gateway list and the
-        drain hooks (``on_gateway_outage``/``on_gateway_restored``), so
+        The gateway list and the drain hooks
+        (``on_gateway_outage``/``on_gateway_restored``) are wired too, so
         ``GatewayRestart`` events migrate clients instead of dropping
         them.
         """
@@ -148,8 +148,8 @@ class FaultInjector:
             platforms=deployment.platforms,
             storages=deployment.storages,
             registry=registry,
-            gateways=getattr(deployment, "gateways", ()),
-            fleet=deployment if hasattr(deployment, "on_gateway_outage") else None,
+            gateways=deployment.gateways,
+            fleet=deployment,
         )
 
     # ------------------------------------------------------------------
@@ -290,9 +290,10 @@ class FaultInjector:
 
         When a fleet coordinator is wired its drain hook runs *before*
         the gateway goes down — a planned restart migrates the clients
-        away first (sessions travel as exported records) — and its
-        restore hook runs after the gateway is back.  Without a fleet
-        this degrades to a plain server restart of that gateway.
+        away first (each re-handshakes with its fallback gateway, keeping
+        its enclave and configuration version) — and its restore hook
+        runs after the gateway is back.  Without a fleet this degrades to
+        a plain server restart of that gateway.
         """
         gateway = self.gateways[event.gateway]
         if self.fleet is not None:

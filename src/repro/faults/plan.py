@@ -143,10 +143,10 @@ class ServerRestart(FaultEvent):
 class GatewayRestart(FaultEvent):
     """Rolling-restart step for one fleet gateway (``repro.fleet``).
 
-    The fleet drains the gateway first (clients migrate away with their
-    session records), the gateway loses its session tables and stays
-    down for ``outage_s``, then comes back and the fleet re-homes the
-    drained clients.  Against a single-gateway world, ``gateway=0``
+    The fleet drains the gateway first (clients migrate away and
+    re-handshake elsewhere), the gateway loses its session tables and
+    stays down for ``outage_s``, then comes back and the fleet re-homes
+    the drained clients.  Against a single-gateway world, ``gateway=0``
     behaves like :class:`ServerRestart` with no clients to drain to.
     """
 

@@ -7,33 +7,30 @@ demonstrates for shielded Click instances:
 
 * :class:`~repro.fleet.spec.DeploymentSpec` — the plain-data, JSON-
   round-trippable description of a whole world (topology, gateway
-  count, balancer policy, use-case pipeline, client population, fault
-  plan, telemetry scoping), in the same design language as
+  count, use-case pipeline, client population, fault plan, telemetry
+  scoping), in the same design language as
   :class:`~repro.faults.plan.FaultPlan`, built with ``spec.build()``.
-* :class:`~repro.fleet.balancer.HashRing` /
-  :class:`~repro.fleet.balancer.RoundRobinBalancer` — consistent-hash
-  (and RoundRobinSwitch-driven) client→gateway assignment.
-* :class:`~repro.fleet.deployment.FleetDeployment` — the built world: a
-  superset of :class:`~repro.core.scenarios.EndBoxDeployment` with N
-  gateways, fleet-wide config rollouts (per-version grace deadlines
-  hold across every gateway) and sealed-state client migration.
+* :class:`~repro.fleet.balancer.HashRing` — consistent-hash
+  client→gateway assignment, ring failover around down gateways, and
+  the placement rule both fleets migrate by.
+* :class:`~repro.fleet.deployment.FleetDeployment` — the built world:
+  N gateways, fleet-wide config rollouts (per-version grace deadlines
+  hold across every gateway) and client migration, which is an OpenVPN
+  failover: the client re-handshakes with its new gateway and keeps its
+  enclave and configuration version.
 * :mod:`repro.fleet.swarm` — the flow-level client swarms and fleet
   dispatcher of the 10k-client rolling-restart scenario, the one
   scenario on the sharded runner.
 """
 
-from repro.fleet.balancer import Balancer, HashRing, RoundRobinBalancer, make_balancer
+from repro.fleet.balancer import HashRing
 from repro.fleet.deployment import FleetDeployment, build_fleet
-from repro.fleet.spec import BALANCER_POLICIES, DeploymentSpec, DeploymentSpecError
+from repro.fleet.spec import DeploymentSpec, DeploymentSpecError
 
 __all__ = [
-    "BALANCER_POLICIES",
-    "Balancer",
     "DeploymentSpec",
     "DeploymentSpecError",
     "FleetDeployment",
     "HashRing",
-    "RoundRobinBalancer",
     "build_fleet",
-    "make_balancer",
 ]

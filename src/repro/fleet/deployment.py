@@ -1,4 +1,4 @@
-"""The fleet builder: N gateways behind a balancer, from one spec.
+"""The fleet builder: N gateways behind a hash ring, from one spec.
 
 :func:`build_fleet` assembles the world a
 :class:`~repro.fleet.spec.DeploymentSpec` describes.  With
@@ -8,10 +8,10 @@ single-gateway worlds are byte-identical to the historical ones.  With
 ``gateways=N`` it builds N
 VPN gateways (``vpn-gw-0`` … ``vpn-gw-(N-1)``), each with its own
 tunnel subnet ``10.8.<g>.0/24``, and assigns every client a home
-gateway through the spec's balancer policy.
+gateway on the :class:`~repro.fleet.balancer.HashRing`.
 
-The returned :class:`FleetDeployment` is a superset of
-:class:`~repro.core.scenarios.EndBoxDeployment` and adds the fleet
+The returned :class:`FleetDeployment` is the one world type every
+experiment, example and benchmark runs on, and carries the fleet
 operations the paper's scale-out story needs:
 
 * **fleet-wide rollouts** — :meth:`FleetDeployment.announce_config`
@@ -19,18 +19,17 @@ operations the paper's scale-out story needs:
   per-version grace deadlines (§III-E) hold across the whole fleet; the
   deployment object duck-types as the ``vpn_server`` argument of
   :meth:`~repro.core.config_update.ConfigPublisher.publish`.
-* **sealed-state migration** — :meth:`FleetDeployment.migrate_client`
-  moves a client to another gateway through the §III-C restart path
-  (enclave destroyed, re-created from the measured image, credentials
-  unsealed — no new remote attestation) while the source gateway's
-  session record travels ahead to the target so version/grace
-  accounting never resets.
+* **client migration** — :meth:`FleetDeployment.migrate_client` is an
+  OpenVPN failover: the source gateway closes the client's session and
+  the client re-handshakes with the target, keeping its enclave, its
+  Click state and its configuration version, which the target admits
+  and grace-checks like any other handshake.
 * **outage draining** — :meth:`FleetDeployment.on_gateway_outage` /
   :meth:`FleetDeployment.on_gateway_restored` are the hooks the fault
   injector's ``GatewayRestart`` event drives.  Each updates the set of
-  down gateways and migrates every client the balancer's placement
-  rule (:meth:`~repro.fleet.balancer.Balancer.moves`) moves: off a
-  gateway before its restart window, back home after it.
+  down gateways and migrates every client the ring's placement rule
+  (:meth:`~repro.fleet.balancer.HashRing.moves`) moves: off a gateway
+  before its restart window, back home after it.
 """
 
 from __future__ import annotations
@@ -38,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
+from repro.click.hotswap import hotswap_duration, rebuild_router
 from repro.click.router import Router
 from repro.core.ca import CertificateAuthority
 from repro.core.config_update import ConfigFileServer, ConfigPublisher
@@ -48,10 +48,10 @@ from repro.core.provisioning import provision_client
 from repro.core.scenarios import (
     MANAGED_NET,
     TUNNEL_NET,
-    EndBoxDeployment,
+    ClientConnectError,
     use_case_configs,
 )
-from repro.costs.model import default_cost_model
+from repro.costs.model import CostModel, default_cost_model
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.x25519 import X25519PrivateKey
 from repro.faults.injector import FaultInjector
@@ -67,7 +67,7 @@ from repro.sim import Simulator
 from repro.vpn.channel import ProtectionMode
 from repro.vpn.openvpn import OpenVpnClient, OpenVpnServer
 
-from repro.fleet.balancer import Balancer, make_balancer
+from repro.fleet.balancer import HashRing
 from repro.fleet.spec import DeploymentSpec
 
 
@@ -76,24 +76,48 @@ class FleetError(RuntimeError):
 
 
 @dataclass
-class FleetDeployment(EndBoxDeployment):
-    """A built world with N gateways; superset of ``EndBoxDeployment``.
+class FleetDeployment:
+    """Everything an experiment needs, in one place: a built world with
+    N gateways.
 
-    The inherited ``server_host``/``server`` fields alias gateway 0, so
-    every single-gateway experiment keeps working unchanged; fleet-aware
-    code uses ``gateways``/``gateway_hosts``/``assignment`` instead.
+    ``server_host``/``server`` alias gateway 0, so every single-gateway
+    experiment reads them directly; fleet-aware code uses
+    ``gateways``/``gateway_hosts``/``assignment`` instead.
     """
 
+    sim: Simulator
+    topo: StarTopology
+    model: CostModel
+    setup: str
+    use_case: str
+    scenario: str
+    ias: IntelAttestationService
+    ca: CertificateAuthority
+    server_host: Host
+    server: OpenVpnServer
+    config_server: Optional[ConfigFileServer]
+    publisher: ConfigPublisher
     #: the spec this world was built from (round-trips through JSON).
-    spec: Optional[DeploymentSpec] = None
+    spec: DeploymentSpec
+    #: the client→gateway hash ring.
+    balancer: HashRing
+    clients: List[OpenVpnClient] = field(default_factory=list)
+    client_hosts: List[Host] = field(default_factory=list)
+    internal_hosts: List[Host] = field(default_factory=list)
+    enclaves: List[EndBoxEnclave] = field(default_factory=list)
+    storages: List[SealedStorage] = field(default_factory=list)
+    #: per-client SGX platforms (index-aligned with ``clients``); needed
+    #: by fault injection to rebuild an enclave after a client crash
+    platforms: List[SgxPlatform] = field(default_factory=list)
+    #: the deadline ``connect_all`` waits for, taken from the spec's
+    #: ``connect_timeout_s``
+    connect_timeout_s: float = 10.0
     #: gateway hosts, index-aligned with ``gateways``.
     gateway_hosts: List[Host] = field(default_factory=list)
     #: the VPN gateways; ``gateways[0] is server``.
     gateways: List[OpenVpnServer] = field(default_factory=list)
     #: per-gateway tunnel subnets (CIDR strings).
     tunnel_networks: List[str] = field(default_factory=list)
-    #: the client→gateway balancer built from ``spec.balancer``.
-    balancer: Optional[Balancer] = None
     #: current home gateway index per client (index-aligned with
     #: ``clients``); mutated by migrations.
     assignment: List[int] = field(default_factory=list)
@@ -105,8 +129,38 @@ class FleetDeployment(EndBoxDeployment):
         self._tm_migrations = registry.counter("fleet.balancer.migrations")
         #: gateway indices currently in an outage window (being drained).
         self.down_gateways: Set[int] = set()
-        #: each client's home gateway: the balancer's pick at build time
+        #: each client's home gateway: the ring's pick at build time
         self.homes: List[int] = list(self.assignment)
+
+    def connect_all(self, until: Optional[float] = None) -> None:
+        """Start every client and wait for all tunnels to establish.
+
+        The deadline defaults to the deployment's spec-derived
+        ``connect_timeout_s``; pass ``until`` to override it.  Raises
+        :class:`~repro.core.scenarios.ClientConnectError` naming *every*
+        client that failed, chained from the first connection exception
+        when one was recorded.
+        """
+        deadline = self.connect_timeout_s if until is None else until
+        for client in self.clients:
+            client.start()
+        self.sim.run(until=deadline)
+        failed: List[str] = []
+        first_exc: Optional[BaseException] = None
+        for client in self.clients:
+            if not client.connected_event.triggered:
+                failed.append(client.host.name)
+            elif client.connected_event.exception is not None:
+                failed.append(client.host.name)
+                if first_exc is None:
+                    first_exc = client.connected_event.exception
+        if failed:
+            raise ClientConnectError(failed, deadline) from first_exc
+
+    @property
+    def internal(self) -> Host:
+        """The first internal service host."""
+        return self.internal_hosts[0]
 
     # ------------------------------------------------------------------
     # fleet introspection
@@ -134,20 +188,19 @@ class FleetDeployment(EndBoxDeployment):
             gateway.announce_config(version, grace_period_s)
 
     # ------------------------------------------------------------------
-    # sealed-state client migration
+    # client migration
     # ------------------------------------------------------------------
     def migrate_client(self, client_index: int, to_gateway: int) -> None:
-        """Move a client to ``to_gateway`` via sealed-state resumption.
+        """Move a client to ``to_gateway``, the way OpenVPN fails over.
 
-        The source gateway exports (and retires) the client's session
-        record; the target adopts it so the client's config version —
-        and with it the grace accounting — carries over.  EndBox clients
-        go through the §III-C restart path: the enclave is destroyed and
-        :meth:`~repro.core.endbox_client.EndBoxClient.restart_enclave`
-        re-creates it from sealed state (no new remote attestation).  The
-        client then re-handshakes with the target via dead-peer
-        detection, and the target adopts the record at that handshake.
-        Counted in ``fleet.balancer.migrations``.
+        The current gateway closes the client's sessions and the client
+        is retargeted, so its next dead-peer-detection tick re-handshakes
+        with the target.  The client keeps its process, its enclave, its
+        Click state and its configuration version: the target admits it
+        on the version that enclave reports, under the same fleet-wide
+        grace deadlines (§III-E).  Until that handshake, at most one ping
+        interval later, the target refuses datagrams sealed under the
+        old keys.  Counted in ``fleet.balancer.migrations``.
         """
         if not 0 <= client_index < len(self.clients):
             raise FleetError(f"no client #{client_index} in this fleet")
@@ -155,20 +208,11 @@ class FleetDeployment(EndBoxDeployment):
             raise FleetError(f"no gateway #{to_gateway} in this fleet")
         if self.assignment[client_index] == to_gateway:
             return
-        client = self.clients[client_index]
-        source = self.gateways[self.assignment[client_index]]
-        target = self.gateways[to_gateway]
         # sessions are keyed by the client's *physical* (pre-tunnel)
         # address — host.address would report the tunnel IP here
         outer_addr = self.client_hosts[client_index].stack.interfaces[0].address
-        for record in source.export_sessions(outer_addr=outer_addr):
-            target.resume_session(record)
-        client.suspend()
-        if self.setup.startswith("endbox"):
-            client.endbox.enclave.destroy()
-            client.restart_enclave(self.platforms[client_index], self.storages[client_index])
-        client.retarget(self.gateway_hosts[to_gateway].address)
-        client.resume()
+        self.gateways[self.assignment[client_index]].close_sessions(outer_addr)
+        self.clients[client_index].retarget(self.gateway_hosts[to_gateway].address)
         self.assignment[client_index] = to_gateway
         self._tm_migrations.inc()
 
@@ -190,7 +234,7 @@ class FleetDeployment(EndBoxDeployment):
         self._place()
 
     def _place(self) -> None:
-        """Migrate every client :meth:`Balancer.moves` moves, one remap each:
+        """Migrate every client :meth:`HashRing.moves` moves, one remap each:
         home while home is up, else the fallback around ``down_gateways``.
         With overlapping outages a restore also moves a client whose home
         is still down onto its nearest live gateway."""
@@ -207,7 +251,7 @@ class FleetDeployment(EndBoxDeployment):
         """Arm a fault plan (default: the spec's) against this world;
         returns the armed :class:`~repro.faults.injector.FaultInjector`."""
         if plan is None:
-            plan = self.spec.fault_plan if self.spec is not None else None
+            plan = self.spec.fault_plan
         if plan is None:
             raise FleetError("no fault plan: none passed and the spec embeds none")
         return FaultInjector.from_deployment(self, registry=registry).arm(plan)
@@ -235,8 +279,8 @@ def build_fleet(spec: DeploymentSpec, cost_model=None) -> FleetDeployment:
     if spec.scenario == "isp" and spec.isp_no_encryption:
         mode = ProtectionMode.MAC_ONLY
 
-    # --- balancer + static assignment ----------------------------------
-    balancer = make_balancer(spec.balancer, spec.gateways)
+    # --- hash ring + static assignment ---------------------------------
+    balancer = HashRing(spec.gateways)
     assignment = [balancer.pick(f"client-{index}") for index in range(spec.clients)]
 
     # --- gateways -------------------------------------------------------
@@ -472,22 +516,14 @@ class _ClickAttachedServer(OpenVpnServer):
         are dropped (Fig 11 / Table II's vanilla baseline, including the
         FromDevice/ToDevice file-descriptor setup EndBox avoids).
         """
-        swap_s = (
-            self.model.click_hotswap_fixed
-            + len(new_config) * self.model.click_parse_per_byte
-            + self.model.click_device_setup
-        )
+        swap_s = hotswap_duration(self.model, new_config, in_memory=False)
         self._click_config = new_config
         for session in self.sessions_by_peer.values():
             if session.middlebox is not None:
                 router, ledger = session.middlebox
-                new_router = Router(
-                    new_config, self.model, ledger, dict(router.context)
+                new_router = rebuild_router(
+                    router, new_config, self.model, ledger, dict(router.context)
                 )
-                for name, element in new_router.elements.items():
-                    old = router.elements.get(name)
-                    if old is not None and type(old) is type(element):
-                        element.take_state(old)
                 session.middlebox = (new_router, ledger)
         self._swap_until = self.sim.now + swap_s
         return swap_s

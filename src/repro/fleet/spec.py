@@ -1,15 +1,14 @@
 """The declarative deployment specification.
 
 A :class:`DeploymentSpec` describes a whole simulated world as plain
-data — topology scenario, gateway count, balancer policy, use-case
-pipeline, client population, optional fault plan and telemetry scoping
-— in the same design language as :class:`~repro.faults.plan.FaultPlan`:
-a frozen, validated dataclass that round-trips through
-``to_dict``/``from_dict`` (and JSON) and carries no object references.
+data — topology scenario, gateway count, use-case pipeline, client
+population, optional fault plan and telemetry scoping — in the same
+design language as :class:`~repro.faults.plan.FaultPlan`: a frozen,
+validated dataclass that round-trips through ``to_dict``/``from_dict``
+(and JSON) and carries no object references.
 
 ``spec.build()`` assembles the world and returns a
-:class:`~repro.fleet.deployment.FleetDeployment` (a superset of
-:class:`~repro.core.scenarios.EndBoxDeployment`).  Determinism contract:
+:class:`~repro.fleet.deployment.FleetDeployment`.  Determinism contract:
 the same spec always builds the byte-identical world.
 
 Only the (non-serialisable) cost model stays outside the spec; pass it
@@ -25,9 +24,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.faults.plan import FaultPlan, FaultPlanError
-
-#: the supported client→gateway balancer policies.
-BALANCER_POLICIES = ("hash_ring", "round_robin")
 
 #: the evaluation setups (mirrors ``repro.core.scenarios.SETUPS``;
 #: duplicated as data to keep this module import-light and cycle-free).
@@ -53,7 +49,7 @@ class DeploymentSpec:
     * world shape — ``setup``, ``use_case``, ``scenario``, ``clients``,
       ``internal_hosts``, ``with_config_server``, ``protect_internal``;
     * fleet shape — ``gateways`` (N VPN gateways, each with its own
-      tunnel subnet) and ``balancer`` (client→gateway policy);
+      tunnel subnet, clients placed on them by the hash ring);
     * client pipeline — ``single_ecall_optimization``, ``c2c_flagging``,
       ``ecall_batching``, ``isp_no_encryption``;
     * timing/cost — ``ping_interval``, ``charge_cpu``,
@@ -70,7 +66,6 @@ class DeploymentSpec:
     scenario: str = "enterprise"
     clients: int = 1
     gateways: int = 1
-    balancer: str = "hash_ring"
     internal_hosts: int = 1
     protect_internal: bool = True
     isp_no_encryption: bool = False
@@ -104,10 +99,6 @@ class DeploymentSpec:
         if self.gateways > 250:
             raise DeploymentSpecError(
                 f"at most 250 gateways fit the 10.8.<g>.0/24 tunnel plan, got {self.gateways}"
-            )
-        if self.balancer not in BALANCER_POLICIES:
-            raise DeploymentSpecError(
-                f"unknown balancer policy {self.balancer!r}; expected one of {BALANCER_POLICIES}"
             )
         if self.internal_hosts < 0:
             raise DeploymentSpecError(f"internal_hosts must be >= 0, got {self.internal_hosts}")

@@ -6,17 +6,16 @@ exists for.  Each client shard models its clients as one
 on shard 0 behind a :class:`FleetDispatcher`:
 
 * **balancing** — each client's home gateway comes from the same
-  :mod:`repro.fleet.balancer` policy (hash ring by default) keyed by the
-  stable ``"client-<gid>"`` identity;
+  :class:`~repro.fleet.balancer.HashRing` the packet-level fleet uses,
+  keyed by the stable ``"client-<gid>"`` identity;
 * **rolling restarts** — gateway outages come from a declarative
   :class:`~repro.faults.FaultPlan` of
   :class:`~repro.faults.GatewayRestart` events.  At each drain and
-  restore instant the dispatcher applies ``Balancer.moves``, the rule
+  restore instant the dispatcher applies ``HashRing.moves``, the rule
   the packet-level ``FleetDeployment`` migrates by (its oracle in
   ``repro.experiments.fleet_rollout``), counting one remap and one
   migration per move; packets that arrive while every gateway is down
-  are dropped.  The handshake that adopts a migrated record is not
-  modeled;
+  are dropped.  The migrated client's re-handshake is not modeled;
 * **grace rollouts (§III-E)** — one fleet-wide config announcement with
   a grace deadline; per-client adoption times are a deterministic
   function of the global client id, a configurable sliver of stragglers
@@ -42,8 +41,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from repro.faults.plan import FaultPlan, GatewayRestart
-from repro.fleet.balancer import make_balancer
-from repro.fleet.spec import BALANCER_POLICIES
+from repro.fleet.balancer import HashRing
 from repro.sim import SimulationError, Simulator
 from repro.sim.parallel import (
     CrossShardFabric,
@@ -186,7 +184,6 @@ class FleetSwarmParams:
 
     n_clients: int = 10_000
     n_gateways: int = 4
-    balancer: str = "hash_ring"
     per_client_bps: float = 2e6
     packet_bytes: int = 1500
     client_steps: int = 3  # encrypt, encapsulate, send
@@ -208,10 +205,6 @@ class FleetSwarmParams:
             raise SimulationError(f"fleet swarm needs clients, got {self.n_clients}")
         if self.n_gateways < 1:
             raise SimulationError(f"fleet swarm needs gateways, got {self.n_gateways}")
-        if self.balancer not in BALANCER_POLICIES:
-            raise SimulationError(
-                f"unknown balancer policy {self.balancer!r}; expected one of {BALANCER_POLICIES}"
-            )
         for name in ("per_client_bps", "lookahead_s", "horizon_s", "grace_s"):
             if getattr(self, name) <= 0:
                 raise SimulationError(f"{name} must be positive, got {getattr(self, name)}")
@@ -280,7 +273,7 @@ class FleetDispatcher:
     ) -> None:
         self.sim = sim
         self.params = params
-        self.balancer = make_balancer(params.balancer, params.n_gateways)
+        self.balancer = HashRing(params.n_gateways)
         #: home gateway per global client id (the ring's steady state)
         self.homes: List[int] = [
             self.balancer.pick(f"client-{gid}") for gid in range(params.n_clients)

@@ -145,17 +145,16 @@ register("netsim.link.frames_lost", "counter", "frames", "frames lost in flight"
 register("netsim.link.bytes_delivered", "counter", "bytes", "payload bytes delivered")
 register("netsim.link.queue_depth", "histogram", "frames", "queue occupancy sampled at enqueue")
 
-# multi-gateway fleet (repro.fleet): balancer decisions and gateway-side
-# session continuity.  "picks" counts balancer lookups, "remaps" counts
-# assignment changes forced by ring membership / gateway health, and
-# "migrations" counts executed sealed-state client migrations; on the
-# gateway side "sessions_resumed" counts migrated sessions adopted from
-# an exported record and "stale_rejected" counts stale-version traffic
-# refused after its grace deadline.
+# multi-gateway fleet (repro.fleet): hash-ring decisions and gateway-side
+# grace enforcement.  "picks" counts ring lookups, "remaps" counts
+# assignment changes forced by gateway health, and "migrations" counts
+# executed client migrations (close, retarget, re-handshake); on the
+# gateway side "stale_rejected" counts stale-version traffic refused
+# after its grace deadline.  Help strings enter telemetry artifacts and
+# trace digests, so rewording one changes every digest it appears in.
 register("fleet.balancer.picks", "counter", "lookups", "client->gateway balancer lookups")
 register("fleet.balancer.remaps", "counter", "clients", "client->gateway assignment changes")
 register("fleet.balancer.migrations", "counter", "clients", "sealed-state client migrations executed")
-register("fleet.gateway.sessions_resumed", "counter", "sessions", "migrated sessions resumed from an exported record")
 register("fleet.gateway.stale_rejected", "counter", "packets", "stale-version traffic rejected after the grace deadline")
 register("fleet.gateway.stale_admitted", "counter", "packets", "stale-version traffic admitted after the grace deadline (tripwire; must stay 0)")
 

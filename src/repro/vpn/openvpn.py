@@ -232,13 +232,7 @@ class OpenVpnServer:
         _registry = Registry.current()
         self._tm_ctrl_packets = _registry.counter("vpn.control.packets_sent")
         self._tm_ctrl_bytes = _registry.counter("vpn.control.bytes_sent")
-        self._tm_sessions_resumed = _registry.counter("fleet.gateway.sessions_resumed")
         self._tm_stale_rejected = _registry.counter("fleet.gateway.stale_rejected")
-        #: exported session records awaiting adoption (fleet migration),
-        #: keyed by the client certificate subject; consumed at the
-        #: migrated client's next handshake
-        self._resumed_sessions: Dict[str, dict] = {}
-        self.sessions_resumed = 0
         # EndBox configuration enforcement state (§III-E)
         self.current_config_version = 1
         self.grace_deadline: Optional[float] = None
@@ -374,53 +368,21 @@ class OpenVpnServer:
         self.restarts += 1
 
     # ------------------------------------------------------------------
-    # fleet migration: session export / resumption
+    # fleet migration
     # ------------------------------------------------------------------
-    def export_session(self, session: VpnSession) -> dict:
-        """Retire *session* and return its plain-data migration record.
+    def close_sessions(self, outer_addr: IPv4Address) -> None:
+        """Close every session of the peer at ``outer_addr`` (a client
+        migrating to another gateway of the fleet).
 
-        The per-session worker is killed and both lookup tables drop the
-        session — the gateway will not accept further traffic for it.
-        The record carries only management-plane state (certificate
-        subject, config version, establishment flag): channel keys are
-        deliberately *not* exported, because the migrated client
-        re-handshakes with the target gateway and derives fresh secrets.
+        Each session's worker is interrupted and both lookup tables drop
+        the session, so the gateway refuses the peer's traffic until it
+        handshakes again.
         """
-        session.worker.interrupt("migrated")
-        self.sessions_by_peer.pop((session.outer_addr, session.outer_port), None)
-        self.sessions_by_tunnel_ip.pop(session.tunnel_ip, None)
-        return {
-            "subject": session.certificate.subject,
-            "client_version": session.client_version,
-            "established": session.established,
-        }
-
-    def export_sessions(self, outer_addr=None) -> List[dict]:
-        """Export (and retire) sessions, oldest first.
-
-        With ``outer_addr`` only that peer address's sessions are
-        exported — the form fleet migration uses to move one client.
-        """
-        if outer_addr is not None:
-            outer_addr = IPv4Address(outer_addr)
-        records = []
-        for session in sorted(
-            self.sessions_by_peer.values(), key=lambda s: s.session_id
-        ):
-            if outer_addr is not None and session.outer_addr != outer_addr:
-                continue
-            records.append(self.export_session(session))
-        return records
-
-    def resume_session(self, record: dict) -> None:
-        """Accept a migrated client's exported record.
-
-        The record is adopted at the client's next handshake: its config
-        version carries over (so the fleet-wide grace accounting never
-        resets mid-migration) and the adoption is counted into
-        ``fleet.gateway.sessions_resumed``.
-        """
-        self._resumed_sessions[str(record["subject"])] = dict(record)
+        for peer, session in list(self.sessions_by_peer.items()):
+            if peer[0] == outer_addr:
+                session.worker.interrupt("migrated")
+                del self.sessions_by_peer[peer]
+                self.sessions_by_tunnel_ip.pop(session.tunnel_ip, None)
 
     # ------------------------------------------------------------------
     # dispatch loops (cheap demux; CPU work happens in session workers)
@@ -501,14 +463,6 @@ class OpenVpnServer:
         )
         self._next_session += 1
         session.client_version = client_version
-        record = self._resumed_sessions.pop(client_cert.subject, None)
-        if record is not None:
-            # a migrated client resumes: its exported config version
-            # carries over so grace accounting stays continuous even if
-            # the client restarted at version 1 on the way here
-            session.client_version = max(client_version, int(record["client_version"]))
-            self.sessions_resumed += 1
-            self._tm_sessions_resumed.inc()
         self.sessions_by_peer[(src, src_port)] = session
         self.sessions_by_tunnel_ip[tunnel_ip] = session
         self.handshakes_completed += 1
@@ -739,8 +693,11 @@ class OpenVpnClient:
     # ------------------------------------------------------------------
     def _rx_dispatch(self):
         while True:
-            payload, _src, _port, _ = yield self.sock.recv()
-            if self.suspended:
+            payload, src, _port, _ = yield self.sock.recv()
+            # like OpenVPN without --float, only the current server is
+            # heard: a datagram still in flight from the gateway a
+            # migration left must not pass for the new one's liveness
+            if self.suspended or src != self.server_addr:
                 continue
             try:
                 packet = VpnPacket.parse(payload)

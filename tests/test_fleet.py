@@ -4,17 +4,14 @@ import math
 
 import pytest
 
-from repro.core.scenarios import SETUPS, ClientConnectError
+from repro.core.scenarios import SETUPS, ClientConnectError, use_case_configs
+from repro.experiments.fleet_rollout import rolling_restart_plan
 from repro.faults import FaultPlan, GatewayRestart, trace_digest
-from repro.fleet import (
-    BALANCER_POLICIES,
-    DeploymentSpec,
-    DeploymentSpecError,
-    HashRing,
-    make_balancer,
-)
+from repro.fleet import DeploymentSpec, DeploymentSpecError, HashRing
 from repro.fleet import spec as spec_module
 from repro.fleet.balancer import BalancerError
+from repro.netsim.traffic import UdpSink, UdpTrafficSource
+from repro.vpn.protocol import OP_PING, VpnPacket
 
 
 # ----------------------------------------------------------------------
@@ -23,7 +20,6 @@ from repro.fleet.balancer import BalancerError
 def test_spec_defaults_validate():
     spec = DeploymentSpec()
     assert spec.gateways == 1
-    assert spec.balancer in BALANCER_POLICIES
 
 
 def test_spec_rejects_bad_fields():
@@ -35,8 +31,6 @@ def test_spec_rejects_bad_fields():
         DeploymentSpec(gateways=0)
     with pytest.raises(DeploymentSpecError):
         DeploymentSpec(gateways=251)
-    with pytest.raises(DeploymentSpecError):
-        DeploymentSpec(balancer="coin_flip")
     with pytest.raises(DeploymentSpecError):
         DeploymentSpec(seed="")
 
@@ -79,7 +73,7 @@ def test_spec_json_round_trip_builds_identical_world():
 
 
 # ----------------------------------------------------------------------
-# balancers
+# the hash ring
 # ----------------------------------------------------------------------
 def test_hash_ring_growth_remaps_bounded():
     # consistent hashing's contract: growing the fleet N -> N+1 moves at
@@ -101,44 +95,28 @@ def test_hash_ring_fallback_skips_down_gateways():
         target = ring.fallback(key, {home})
         assert target != home
         assert 0 <= target < 3
+    with pytest.raises(BalancerError):
+        ring.fallback("client-0", {0, 1, 2})
 
 
-@pytest.mark.parametrize("policy", BALANCER_POLICIES)
-def test_moves_is_the_placement_rule(policy):
-    balancer = make_balancer(policy, 3)
-    homes = [balancer.pick(f"client-{index}") for index in range(12)]
+def test_moves_is_the_placement_rule():
+    ring = HashRing(3)
+    homes = [ring.pick(f"client-{index}") for index in range(12)]
     # all up: nobody away from home moves anywhere but home
-    assert balancer.moves(homes, homes, set()) == []
+    assert ring.moves(homes, homes, set()) == []
     away = [(home + 1) % 3 for home in homes]
-    assert balancer.moves(homes, away, set()) == list(enumerate(homes))
+    assert ring.moves(homes, away, set()) == list(enumerate(homes))
     # one down: exactly its clients move, to the fallback around it
     down = {homes[0]}
-    moved = balancer.moves(homes, homes, down)
+    moved = ring.moves(homes, homes, down)
     assert [client for client, _ in moved] == [
         index for index, home in enumerate(homes) if home in down
     ]
     for client, place in moved:
-        assert place == balancer.fallback(f"client-{client}", down)
+        assert place == ring.fallback(f"client-{client}", down)
         assert place not in down
     # every gateway down: no client moves
-    assert balancer.moves(homes, away, {0, 1, 2}) == []
-
-
-def test_base_fallback_walks_forward_from_home():
-    balancer = make_balancer("round_robin", 4)
-    home = balancer.pick("client-0")
-    assert balancer.fallback("client-0", {home}) == (home + 1) % 4
-    assert balancer.fallback("client-0", {home, (home + 1) % 4}) == (home + 2) % 4
-    with pytest.raises(BalancerError):
-        balancer.fallback("client-0", {0, 1, 2, 3})
-
-
-def test_round_robin_balancer_is_flow_sticky():
-    balancer = make_balancer("round_robin", 3)
-    first = [balancer.pick(f"client-{index}") for index in range(6)]
-    again = [balancer.pick(f"client-{index}") for index in range(6)]
-    assert first == again  # known flows stick
-    assert set(first) == {0, 1, 2}  # fresh flows rotate over the fleet
+    assert ring.moves(homes, away, {0, 1, 2}) == []
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +124,25 @@ def test_round_robin_balancer_is_flow_sticky():
 # ----------------------------------------------------------------------
 def _counters(world):
     return world.sim.telemetry.snapshot().get("counters", {})
+
+
+def _sessions_of(world, client_index):
+    """The gateway index of every session client ``client_index`` holds,
+    fleet-wide (sessions are keyed by the client's physical address)."""
+    outer = world.client_hosts[client_index].stack.interfaces[0].address
+    return [
+        index
+        for index, gateway in enumerate(world.gateways)
+        for addr, _port in gateway.sessions_by_peer
+        if addr == outer
+    ]
+
+
+def _publish_firewall(world, grace_period_s):
+    """Roll version 2, the FW use case, out to every gateway."""
+    config, rules = use_case_configs("FW", server_side=False)
+    bundle = world.publisher.build_bundle(2, config, rules, encrypt=True)
+    world.publisher.publish(bundle, world.config_server, world, grace_period_s)
 
 
 def test_single_gateway_spec_matches_legacy_shape():
@@ -176,19 +173,108 @@ def test_fleet_announce_config_reaches_every_gateway():
 
 
 def test_migrate_client_resumes_session_on_target_gateway():
+    # a migration is an OpenVPN failover: the source closes the session
+    # and the client, enclave and all, re-handshakes with the target at
+    # its next dead-peer-detection tick
     world = DeploymentSpec(clients=2, gateways=2, ping_interval=0.2, seed="mig").build()
     world.connect_all()
+    client = world.clients[0]
+    endbox = client.endbox
     source = world.assignment[0]
     target = 1 - source
     world.migrate_client(0, target)
+    assert _sessions_of(world, 0) == []
+    # a datagram still in flight from the source must not pass for the
+    # target's liveness and put the re-handshake off
+    outer = world.client_hosts[0].stack.interfaces[0].address
+    stray = VpnPacket(OP_PING, 0, 0, b"").serialize()
+    world.gateways[source].sock.sendto(stray, outer, client.sock.port)
+    world.sim.run(until=world.sim.now + 2 * world.spec.ping_interval)
+    assert _sessions_of(world, 0) == [target]
     world.sim.run(until=world.sim.now + 5.0)
-    counters = _counters(world)
     assert world.assignment[0] == target
-    assert world.gateways[target].sessions_resumed == 1
-    assert counters.get("fleet.balancer.migrations") == 1
-    assert counters.get("fleet.gateway.sessions_resumed") == 1
-    # the migrated client's tunnel works against its new gateway
-    assert world.clients[0].connected_event.triggered
+    assert _sessions_of(world, 0) == [target]
+    assert client.endbox is endbox
+    assert client.reconnects == 1
+    assert _counters(world).get("fleet.balancer.migrations") == 1
+
+
+def test_migration_keeps_enclave_version_past_grace_deadline():
+    # §III-E across a migration: version 2, the firewall (it denies port
+    # 445), reaches the client; the config server goes down and the
+    # client migrates.  Past the grace deadline its traffic to port 445
+    # must still meet that firewall, on the target gateway.
+    world = DeploymentSpec(clients=1, gateways=2, ping_interval=0.2, seed="bypass").build()
+    world.connect_all()
+    client = world.clients[0]
+    endbox = client.endbox
+    target = 1 - world.assignment[0]
+    announced = world.sim.now
+    _publish_firewall(world, grace_period_s=2.0)
+    world.sim.run(until=announced + 0.4)
+    assert client.config_version == 2
+    world.config_server.set_down(True)
+    world.migrate_client(0, target)
+    world.sim.run(until=announced + 2.5)
+    sinks, sources = [], []
+    for port in (445, 4242):
+        sinks.append(UdpSink(world.internal, port=port))
+        sources.append(
+            UdpTrafficSource(
+                client.host, world.internal.address, port, rate_bps=4e5, packet_bytes=400
+            )
+        )
+        sources[-1].start()
+    world.sim.run(until=announced + 4.0)
+    for traffic in sources:
+        traffic.stop()
+    blocked, allowed = sinks
+    assert blocked.packets == 0
+    assert allowed.packets > 0
+    assert client.endbox is endbox
+    assert client.config_version == 2
+    assert _sessions_of(world, 0) == [target]
+    [session] = world.gateways[target].sessions_by_peer.values()
+    assert session.client_version == 2
+    assert world.gateways[target].stale_admitted_after_grace == 0
+
+
+def test_rollout_then_rolling_restart_refuses_no_handshake():
+    # a version-2 rollout reaches every client and its grace runs out;
+    # then every gateway restarts in turn (4 ms windows).  The migrated
+    # clients re-handshake on the version their enclaves run, so no
+    # gateway refuses them and no client fetches its configuration again.
+    spec = DeploymentSpec(
+        use_case="FW", clients=8, gateways=4, ping_interval=0.2, seed="rollout-roll"
+    )
+    world = spec.build()
+    world.connect_all()
+    announced = world.sim.now
+    _publish_firewall(world, grace_period_s=0.5)
+    world.sim.run(until=announced + 1.0)
+    assert [client.config_version for client in world.clients] == [2] * 8
+    fetched = [len(client.update_timings) for client in world.clients]
+    sink = UdpSink(world.internal, port=4242)
+    sources = [
+        UdpTrafficSource(host, world.internal.address, 4242, rate_bps=4e5, packet_bytes=400)
+        for host in world.client_hosts
+    ]
+    for traffic in sources:
+        traffic.start()
+    plan = rolling_restart_plan(4)
+    world.arm_faults(plan)
+    plan_s = max(event.at + event.outage_s for event in plan)
+    world.sim.run(until=world.sim.now + plan_s + 3.0)
+    for traffic in sources:
+        traffic.stop()
+    assert _counters(world).get("fleet.balancer.migrations") == 16
+    assert [gateway.admissions_denied for gateway in world.gateways] == [0] * 4
+    assert [len(client.update_timings) for client in world.clients] == fetched
+    assert [client.config_version for client in world.clients] == [2] * 8
+    assert world.assignment == world.homes
+    for index in range(8):
+        assert _sessions_of(world, index) == [world.homes[index]]
+    assert sink.packets > 0
 
 
 def test_rolling_gateway_restart_drains_and_rehomes():
@@ -212,6 +298,8 @@ def test_rolling_gateway_restart_drains_and_rehomes():
     assert world.assignment == home
     assert counters.get("fleet.balancer.remaps", 0) > 0
     assert counters.get("fleet.balancer.migrations", 0) > 0
-    assert counters.get("fleet.gateway.sessions_resumed", 0) > 0
+    # ...and holds exactly one session fleet-wide, on that home
+    for index in range(len(world.clients)):
+        assert _sessions_of(world, index) == [home[index]]
     for gateway in world.gateways:
         assert gateway.stale_admitted_after_grace == 0

@@ -49,8 +49,6 @@ def test_params_validation():
     with pytest.raises(SimulationError):
         FleetSwarmParams(n_clients=0)
     with pytest.raises(SimulationError):
-        FleetSwarmParams(balancer="coin_flip")
-    with pytest.raises(SimulationError):
         # non-GatewayRestart events don't belong in the flow-level model
         FleetSwarmParams(fault_plan=FaultPlan("x", [LinkLoss(at=0.0, link="l", rate=0.5)]))
     with pytest.raises(SimulationError):
@@ -112,21 +110,14 @@ def test_fleet_rollout_experiment_passes_acceptance():
     ) in text
 
 
-def _spec(clients, gateways, plan, balancer="hash_ring"):
-    return replace(
-        fleet_rollout_spec(n_clients=clients, gateways=gateways),
-        fault_plan=plan,
-        balancer=balancer,
-    )
+def _spec(clients, gateways, plan):
+    return replace(fleet_rollout_spec(n_clients=clients, gateways=gateways), fault_plan=plan)
 
 
 #: plan name -> (spec, migrations both fleets must count)
 ORACLE_PLANS = {
     # the headline rolling plan: 4 ms windows, 8 ms apart
     "rolling": (_spec(16, 4, rolling_restart_plan(4)), 32),
-    # the same through RoundRobinSwitch, whose failover is the base
-    # Balancer.fallback walk
-    "rolling_round_robin": (_spec(16, 4, rolling_restart_plan(4), "round_robin"), 32),
     # two gateways down together for 12 ms: a restore moves the clients
     # whose home is still down onto the gateway just restored
     "pair_together": (

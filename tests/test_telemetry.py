@@ -61,7 +61,6 @@ def test_fleet_names_registered_with_metadata():
         "fleet.balancer.picks": "lookups",
         "fleet.balancer.remaps": "clients",
         "fleet.balancer.migrations": "clients",
-        "fleet.gateway.sessions_resumed": "sessions",
         "fleet.gateway.stale_rejected": "packets",
         "fleet.gateway.stale_admitted": "packets",
     }
