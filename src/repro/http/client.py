@@ -40,8 +40,9 @@ class HttpClient:
         """Process generator: fetch one resource; returns HttpResponse."""
         port = port or (443 if self.tls is not None else 80)
         started = self.sim.now
-        conn = yield self.sim.process(self.host.stack.tcp.connect(server, port))
+        conn = None
         try:
+            conn = yield self.sim.process(self.host.stack.tcp.connect(server, port))
             if self.tls is not None:
                 stream = yield from self.tls.client_handshake(conn, server_name=server_name)
             else:
@@ -57,7 +58,8 @@ class HttpClient:
         except (TcpError, TlsAlert) as exc:
             raise HttpError(str(exc)) from exc
         finally:
-            conn.close()
+            if conn is not None:
+                conn.close()
         return HttpResponse(status=status, body=body, elapsed_s=self.sim.now - started)
 
     # ------------------------------------------------------------------

@@ -4,13 +4,18 @@ Each direction serialises one frame at a time (transmission delay =
 frame bits / bandwidth) and then applies propagation latency.  Frames are
 queued FIFO per direction with a bounded queue; overflow drops the frame,
 which is how the simulator expresses congestion loss.
+
+A direction is a :class:`_Serializer`, driven by heap callbacks: a frame
+that finds the wire idle starts at once, its transmit end schedules the
+delivery, and the next waiting frame starts one heap entry later.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Optional
 
-from repro.sim import FifoStore, Simulator
+from repro.sim import Simulator
 from repro.telemetry.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,14 +62,15 @@ class Link:
         #: deterministic per-link RNG so lossy runs stay reproducible
         self.loss_rate = loss_rate
         #: administrative partition (failure injection): while down, every
-        #: frame reaching the head of the queue is lost
+        #: frame that finishes its transmission is lost
         self.down = False
         self._loss_rng = None
         if loss_rate:
             self._loss_rng = _loss_rng_for(name)
         self.endpoint_a: Optional["Interface"] = None
         self.endpoint_b: Optional["Interface"] = None
-        self._queues = {}
+        self._a_to_b: Optional[_Serializer] = None
+        self._b_to_a: Optional[_Serializer] = None
         self.frames_sent = 0
         self.frames_dropped = 0
         self.frames_lost = 0
@@ -105,36 +111,11 @@ class Link:
             self.endpoint_a = interface
         elif self.endpoint_b is None:
             self.endpoint_b = interface
-            self._start_pumps()
+            self._a_to_b = _Serializer(self, self.endpoint_b)
+            self._b_to_a = _Serializer(self, self.endpoint_a)
         else:
             raise RuntimeError(f"{self.name}: link already has two endpoints")
         interface.link = self
-
-    def _start_pumps(self) -> None:
-        for sender, receiver in (
-            (self.endpoint_a, self.endpoint_b),
-            (self.endpoint_b, self.endpoint_a),
-        ):
-            queue = FifoStore(self.sim, name=f"{self.name}.q")
-            self._queues[id(sender)] = queue
-            self.sim.process(self._pump(queue, receiver), name=f"{self.name}.pump")
-
-    def _pump(self, queue: FifoStore, receiver: "Interface"):
-        while True:
-            frame = yield queue.get()
-            wire_bytes = len(frame) + ETHERNET_OVERHEAD
-            yield self.sim.timeout(wire_bytes * 8 / self.bandwidth_bps)
-            if self.down:
-                self.frames_lost += 1
-                self._tm_lost.inc()
-                continue
-            if self._loss_rng is not None and self._loss_rng.random() < self.loss_rate:
-                self.frames_lost += 1
-                self._tm_lost.inc()
-                continue
-            self.sim.schedule(self.latency_s, lambda f=frame: receiver.deliver(f))
-            self.bytes_delivered += len(frame)
-            self._tm_bytes.inc(len(frame))
 
     def transmit(self, sender: "Interface", frame: bytes) -> bool:
         """Enqueue ``frame`` for transmission from ``sender``'s side.
@@ -148,14 +129,56 @@ class Link:
             self.frames_dropped += 1
             self._tm_dropped.inc()
             return False
-        queue = self._queues[id(sender)]
-        if len(queue) >= self.queue_frames:
+        direction = self._a_to_b if sender is self.endpoint_a else self._b_to_a
+        waiting = direction.waiting
+        if len(waiting) >= self.queue_frames:
             self.frames_dropped += 1
             self._tm_dropped.inc()
             return False
         self.frames_sent += 1
         self._tm_sent.inc()
         if self._tm_occupancy is not None:
-            self._tm_occupancy.observe(len(queue))
-        queue.put(frame)
+            self._tm_occupancy.observe(len(waiting))
+        if direction.busy:
+            waiting.append(frame)
+        else:
+            direction.busy = True
+            direction.start(frame)
         return True
+
+
+class _Serializer:
+    """One direction of a link: the wire and the frames waiting for it."""
+
+    __slots__ = ("link", "receiver", "waiting", "busy")
+
+    def __init__(self, link: Link, receiver: "Interface") -> None:
+        self.link = link
+        self.receiver = receiver
+        self.waiting: Deque[bytes] = deque()
+        #: a frame is on the wire, or about to start (one entry away)
+        self.busy = False
+
+    def start(self, frame: bytes) -> None:
+        """Put ``frame`` on the wire; its transmit end follows."""
+        link = self.link
+        wire_bytes = len(frame) + ETHERNET_OVERHEAD
+        link.sim.schedule(wire_bytes * 8 / link.bandwidth_bps, self.transmit_end, frame)
+
+    def transmit_end(self, frame: bytes) -> None:
+        """The last bit left: lose or deliver ``frame``, start the next."""
+        link = self.link
+        if link.down or (
+            link._loss_rng is not None and link._loss_rng.random() < link.loss_rate
+        ):
+            link.frames_lost += 1
+            link._tm_lost.inc()
+        else:
+            link.sim.schedule(link.latency_s, self.receiver.deliver, frame)
+            link.bytes_delivered += len(frame)
+            link._tm_bytes.inc(len(frame))
+        if self.waiting:
+            # popped now, as the queue's length counts against queue_frames
+            link.sim.schedule(0.0, self.start, self.waiting.popleft())
+        else:
+            self.busy = False

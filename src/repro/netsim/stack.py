@@ -34,9 +34,13 @@ from repro.netsim.packet import (
     new_udp,
     parse_ipv4,
 )
+from repro.netsim.tun import TunDevice
 from repro.sim import FifoStore, Simulator
 
 PacketHook = Callable[[IPv4Packet], Optional[IPv4Packet]]
+
+#: a socket's receive handler: ``(payload, src_addr, src_port, packet)``
+DatagramHandler = Callable[[bytes, IPv4Address, int, IPv4Packet], None]
 
 
 class StackError(RuntimeError):
@@ -44,13 +48,19 @@ class StackError(RuntimeError):
 
 
 class UdpSocket:
-    """A blocking-receive UDP socket bound to (address, port)."""
+    """A UDP socket bound to (address, port).
+
+    A process reads it with the blocking :meth:`recv`; a daemon instead
+    registers a handler with :meth:`on_receive`, which runs for each
+    datagram as it arrives.
+    """
 
     def __init__(self, stack: "NetworkStack", address: IPv4Address, port: int) -> None:
         self.stack = stack
         self.address = address
         self.port = port
         self._inbox = FifoStore(stack.sim, name=f"udp:{port}.inbox")
+        self._handler: Optional[DatagramHandler] = None
         self.closed = False
 
     def sendto(self, payload: bytes, dst: IPv4Address, dst_port: int, tos: int = 0) -> bool:
@@ -66,6 +76,11 @@ class UdpSocket:
         )
         return self.stack.send_packet(packet)
 
+    def on_receive(self, handler: DatagramHandler) -> None:
+        """Call ``handler(payload, src_addr, src_port, packet)`` for each
+        datagram when it arrives, instead of queueing it for :meth:`recv`."""
+        self._handler = handler
+
     def recv(self):
         """Event yielding ``(payload, src_addr, src_port, packet)``."""
         return self._inbox.get()
@@ -80,7 +95,11 @@ class UdpSocket:
         self.stack._unbind_udp(self)
 
     def _deliver(self, packet: IPv4Packet, datagram: UdpDatagram) -> None:
-        if not self.closed:
+        if self.closed:
+            return
+        if self._handler is not None:
+            self._handler(datagram.payload, packet.src, datagram.src_port, packet)
+        else:
             self._inbox.put((datagram.payload, packet.src, datagram.src_port, packet))
 
 
@@ -243,8 +262,6 @@ class NetworkStack:
         if egress is None:
             self.packets_dropped += 1
             return False
-        from repro.netsim.tun import TunDevice
-
         if isinstance(egress, TunDevice):
             self.packets_sent += 1
             egress.enqueue_outbound(packet)

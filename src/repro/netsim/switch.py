@@ -80,4 +80,4 @@ class Switch:
                 self.packets_denied += 1
                 return
         self.packets_forwarded += 1
-        self.sim.schedule(self.forwarding_delay, lambda: egress.send(frame))
+        self.sim.schedule(self.forwarding_delay, egress.send, frame)

@@ -1,20 +1,21 @@
 """TUN devices: user-space packet taps, as used by OpenVPN.
 
-A TUN device looks like a routed interface to the stack: packets routed to
-the VPN subnet land in its outbound queue, where the user-space VPN
-process reads them (``read()``).  Packets the VPN decapsulates are written
-back (``write()``) and re-enter the stack as if received from the wire —
-exactly the Linux ``/dev/net/tun`` contract.
+A TUN device looks like a routed interface to the stack: each packet
+routed to the VPN subnet is handed to the read handler the user-space VPN
+process registered (:meth:`TunDevice.on_read`), as an event loop calls a
+read handler when the device becomes readable.  Packets the VPN
+decapsulates are written back (``write()``) and re-enter the stack as if
+received from the wire — exactly the Linux ``/dev/net/tun`` contract.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.addresses import IPv4Address
 from repro.netsim.interface import Interface
 from repro.netsim.packet import IPv4Packet
-from repro.sim import FifoStore, Simulator
+from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.stack import NetworkStack
@@ -27,54 +28,38 @@ TUN_MTU = 65535
 class TunDevice(Interface):
     """A TUN interface owned by a user-space process."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        address: Optional[IPv4Address] = None,
-        queue_packets: int = 1024,
-    ) -> None:
+    def __init__(self, sim: Simulator, name: str, address: Optional[IPv4Address] = None) -> None:
         super().__init__(name, address)
         self.sim = sim
         self.mtu = TUN_MTU
-        self._outbound = FifoStore(sim, name=f"{name}.out")
-        self.queue_packets = queue_packets
         self.stack: Optional["NetworkStack"] = None
+        self._reader: Optional[Callable[[IPv4Packet], None]] = None
+        #: packets over the MTU, or routed here with no reader registered
         self.packets_dropped = 0
 
     def attach(self, stack: "NetworkStack") -> None:
         """Attach to the owning stack."""
         self.stack = stack
 
+    def on_read(self, handler: Callable[[IPv4Packet], None]) -> None:
+        """Register the owner's read handler: ``handler(packet)`` runs for
+        every packet the stack routes into the tunnel, when it is routed."""
+        self._reader = handler
+
     # ------------------------------------------------------------------
     # stack side
     # ------------------------------------------------------------------
     def enqueue_outbound(self, packet: IPv4Packet) -> bool:
         """Called by the stack when it routes a packet into the tunnel."""
-        if len(packet) > self.mtu:
+        if len(packet) > self.mtu or self._reader is None:
             self.packets_dropped += 1
             return False
-        if len(self._outbound) >= self.queue_packets:
-            self.packets_dropped += 1
-            return False
-        self._outbound.put(packet)
+        self._reader(packet)
         return True
 
     # ------------------------------------------------------------------
     # user-space side
     # ------------------------------------------------------------------
-    def read(self):
-        """Event yielding the next outbound :class:`IPv4Packet`."""
-        return self._outbound.get()
-
-    def try_read(self) -> Optional[IPv4Packet]:
-        """Non-blocking read; returns None when empty."""
-        return self._outbound.try_get()
-
-    def pending(self) -> int:
-        """Number of queued items."""
-        return len(self._outbound)
-
     def write(self, packet: IPv4Packet) -> None:
         """Inject a decapsulated packet back into the host stack."""
         if self.stack is None:

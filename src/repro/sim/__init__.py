@@ -2,7 +2,7 @@
 
 This package provides the substrate every other subsystem runs on: a
 deterministic event loop (:class:`~repro.sim.engine.Simulator`),
-generator-based processes, CPU-core resources with optional context-switch
+generator-based processes, CPU-core pools with optional context-switch
 penalties, and seeded randomness helpers.
 
 The engine is deliberately small and dependency-free.  Processes are plain
@@ -11,7 +11,10 @@ Python generators that ``yield`` *commands*:
 * ``yield sim.timeout(dt)`` — sleep for ``dt`` simulated seconds,
 * ``yield event`` — wait until the event is triggered,
 * ``yield sim.process(gen)`` — wait for a child process to finish,
-* ``yield resource.request(...)`` — wait for a resource grant.
+* ``yield from cpu.execute(dt)`` — occupy a core for ``dt`` seconds.
+
+Hand-offs that take no CPU time are plain heap callbacks instead:
+``sim.schedule(dt, callback, arg)`` runs ``callback(arg)`` after ``dt``.
 
 Example
 -------
@@ -29,7 +32,7 @@ Example
 """
 
 from repro.sim.engine import Event, Process, SimulationError, Simulator, Timeout
-from repro.sim.resources import CPU, CpuCores, FifoStore, Resource
+from repro.sim.resources import CPU, CpuCores, FifoStore
 from repro.sim.randomness import SeededRng
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "Event",
     "FifoStore",
     "Process",
-    "Resource",
     "SeededRng",
     "ShardContext",
     "ShardPlan",

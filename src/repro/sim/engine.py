@@ -2,9 +2,10 @@
 
 The design follows the classic process-interaction style (as popularised by
 SimPy) but is trimmed to exactly what the EndBox reproduction needs, which
-keeps the hot path fast: a binary heap of ``(time, seq, event)`` entries and
-generator-based processes that are resumed when the event they wait on
-fires.
+keeps the hot path fast: a binary heap of ``(time, seq, kind, payload)``
+entries, whose payload is a callback (with its one argument) or an event,
+and generator-based processes that are resumed when the event they wait
+on fires.
 
 Determinism
 -----------
@@ -34,6 +35,9 @@ class SimulationError(RuntimeError):
 #: deliveries deterministic regardless of what the local heap already
 #: contains (see :mod:`repro.sim.parallel`).
 _EXTERNAL_SEQ_START = -(1 << 62)
+
+#: :meth:`Simulator.schedule`'s "no argument" marker (None is a valid one)
+_NO_ARG = object()
 
 
 class Event:
@@ -297,14 +301,25 @@ class Simulator:
     # scheduling primitives
     # ------------------------------------------------------------------
     # heap entry kinds: 0 = bare callback, 1 = (event, value) trigger,
-    # 2 = process kickoff, 3 = (callback, event) deferred wake-up.  Kinds
-    # 2/3 avoid allocating a closure per entry on the hot path.
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` after ``delay`` simulated seconds."""
+    # 2 = process kickoff, 3 = (callback, arg) call, which is also the
+    # deferred wake-up of an event's waiter.  Kinds 2/3 avoid allocating
+    # a closure per entry on the hot path.
+    def schedule(self, delay: float, callback: Callable[..., None], arg: Any = _NO_ARG) -> None:
+        """Run ``callback()``, or ``callback(arg)`` when ``arg`` is given,
+        after ``delay`` simulated seconds.
+
+        The argument rides in the heap entry, so a per-packet hand-off
+        (a frame to its receiver, a CPU job to its pool) needs no closure.
+        Every entry is scheduled through this method or the private
+        helpers below, never pushed onto ``_heap`` directly.
+        """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, 0, callback))
+        if arg is _NO_ARG:
+            heapq.heappush(self._heap, (self.now + delay, self._seq, 0, callback))
+        else:
+            heapq.heappush(self._heap, (self.now + delay, self._seq, 3, (callback, arg)))
 
     def schedule_external(self, when: float, callback: Callable[[], None]) -> None:
         """Inject ``callback`` at absolute time ``when`` from *outside* the run.
@@ -342,7 +357,7 @@ class Simulator:
         """Run callbacks of a just-triggered event, immediately and inline.
 
         Inline dispatch (rather than re-queueing) keeps zero-delay chains
-        (resource grant -> process resume -> next request) cheap; ordering
+        (job end -> process resume -> next charge) cheap; ordering
         within a timestep is still deterministic because callbacks are
         stored FIFO.
         """
@@ -403,8 +418,8 @@ class Simulator:
             elif kind == 2:
                 payload._resume(None, None)
             else:
-                callback, event = payload
-                callback(event)
+                callback, arg = payload
+                callback(arg)
         finally:
             _set_current(previous)
         return True
@@ -440,8 +455,8 @@ class Simulator:
                 elif kind == 2:
                     payload._resume(None, None)
                 else:
-                    callback, event = payload
-                    callback(event)
+                    callback, arg = payload
+                    callback(arg)
                 executed += 1
                 if executed >= max_events and heap:
                     # a silent return here would leave a hung shard

@@ -1,4 +1,4 @@
-"""Shared resources: generic counting resource, CPU cores, FIFO stores.
+"""Shared resources: CPU cores and FIFO stores.
 
 The CPU model is the part that matters for reproducing the paper's
 throughput and scalability results: every host has a fixed number of
@@ -15,47 +15,6 @@ from collections import deque
 from typing import Any, Deque, Generator, Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
-
-
-class Resource:
-    """Counting resource with FIFO grant order.
-
-    ``request()`` returns an event that fires when a slot is granted;
-    ``release()`` frees a slot.  Prefer the :meth:`acquire` generator for
-    use inside processes.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = "resource") -> None:
-        if capacity < 1:
-            raise SimulationError("resource capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    def request(self) -> Event:
-        """Request a slot; returns an event that fires when granted."""
-        event = self.sim.event(self.name)
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            event.succeed(self)
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Release a previously granted slot."""
-        if self._waiters:
-            self._waiters.popleft().succeed(self)
-        else:
-            if self.in_use <= 0:
-                raise SimulationError(f"{self.name}: release without request")
-            self.in_use -= 1
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
 
 class CpuCores:
@@ -93,32 +52,77 @@ class CpuCores:
         self.ht_factor = ht_factor
         self.name = name
         self.context_switch_cost = context_switch_cost
-        effective = max(1, round(cores * ht_factor))
-        self._resource = Resource(sim, effective, name=f"{name}.cores")
-        self.effective_cores = effective
+        self.effective_cores = max(1, round(cores * ht_factor))
+        #: cores held by a job, from its grant to its end
+        self.in_use = 0
+        self._waiting: Deque[_Job] = deque()
         self.busy_time = 0.0
         self._window_start = 0.0
         self._window_busy = 0.0
 
     # ------------------------------------------------------------------
     def execute(self, duration: float) -> Generator:
-        """Process generator: occupy one core for ``duration`` seconds."""
+        """Process generator: occupy one core for ``duration`` seconds.
+
+        The caller waits on one event.  A free core is granted by a
+        callback scheduled at the current time, and the work ends with a
+        callback ``charged`` seconds after the grant; jobs that find every
+        core busy wait in FIFO order.  A process interrupted at any point
+        gives back its core or its place in the queue; a callback still
+        on the heap for it then runs as a no-op.
+        """
         if duration < 0:
             raise SimulationError(f"negative CPU duration {duration!r}")
-        oversubscribed = (
-            self._resource.in_use + self._resource.queue_length >= self.effective_cores
-        )
-        yield self._resource.request()
+        charged = duration
+        if self.context_switch_cost and self.in_use + len(self._waiting) >= self.effective_cores:
+            charged += self.context_switch_cost
+        job = _Job(self.sim, charged)
+        if self.in_use < self.effective_cores:
+            self.in_use += 1
+            job.holding = True
+            self.sim.schedule(0.0, self._grant, job)
+        else:
+            self._waiting.append(job)
         try:
-            charged = duration
-            if oversubscribed and self.context_switch_cost:
-                charged += self.context_switch_cost
-            if charged > 0:
-                yield self.sim.timeout(charged)
-            self.busy_time += charged
-            self._window_busy += charged
+            yield job
         finally:
-            self._resource.release()
+            if not job.triggered:
+                self._cancel(job)
+
+    def _grant(self, job: "_Job") -> None:
+        """``job`` holds a core: its work ends ``charged`` seconds on.  The
+        grant entry left on the heap by an interrupted job does nothing."""
+        if not job.holding:
+            return
+        if job.charged > 0:
+            self.sim.schedule(job.charged, self._end, job)
+        else:
+            self._end(job)
+
+    def _end(self, job: "_Job") -> None:
+        """The work is done: account it, hand the core on, wake the caller."""
+        if not job.holding:
+            return  # interrupted; the core was given back then
+        job.holding = False
+        self.busy_time += job.charged
+        self._window_busy += job.charged
+        self._release()
+        job.succeed()
+
+    def _release(self) -> None:
+        if self._waiting:
+            job = self._waiting.popleft()
+            job.holding = True
+            self._grant(job)
+        else:
+            self.in_use -= 1
+
+    def _cancel(self, job: "_Job") -> None:
+        if job.holding:
+            job.holding = False
+            self._release()
+        else:
+            self._waiting.remove(job)
 
     # ------------------------------------------------------------------
     # utilisation reporting
@@ -143,6 +147,18 @@ class CpuCores:
 CPU = CpuCores
 
 
+class _Job(Event):
+    """One :meth:`CpuCores.execute` call: fires when its work has run."""
+
+    __slots__ = ("charged", "holding")
+
+    def __init__(self, sim: Simulator, charged: float) -> None:
+        super().__init__(sim)
+        self.charged = charged
+        #: True from the grant until the end or an interrupt
+        self.holding = False
+
+
 class FifoStore:
     """Unbounded (or bounded) FIFO channel between processes.
 
@@ -162,7 +178,7 @@ class FifoStore:
         # always discard.  One shared triggered instance is semantically
         # identical (waiters see a deferred wake-up with value None,
         # exactly as before) and removes the dominant allocation in the
-        # dispatch loops.
+        # daemons' dispatch handlers.
         self._put_done = sim.event(f"{name}.put")
         self._put_done.triggered = True
 

@@ -271,9 +271,9 @@ class OpenVpnServer:
             self.tun = self.host.add_tun(
                 self.server_tunnel_ip, self.tunnel_network, name=f"{self.host.name}.tun0"
             )
+        self.tun.on_read(self._on_tun_packet)
         self.sock = self.host.stack.udp_socket(self.port)
-        self.sim.process(self._rx_dispatch(), name="vpn-server-rx")
-        self.sim.process(self._tx_dispatch(), name="vpn-server-tx")
+        self.sock.on_receive(self._on_datagram)
         self.sim.process(self._ping_loop(), name="vpn-server-ping")
 
     def _charge(self, seconds: float):
@@ -385,37 +385,37 @@ class OpenVpnServer:
                 self.sessions_by_tunnel_ip.pop(session.tunnel_ip, None)
 
     # ------------------------------------------------------------------
-    # dispatch loops (cheap demux; CPU work happens in session workers)
+    # dispatch handlers (cheap demux; CPU work happens in session workers)
     # ------------------------------------------------------------------
-    def _rx_dispatch(self):
-        while True:
-            payload, src, src_port, _ = yield self.sock.recv()
-            if self.down:
-                self.packets_dropped_down += 1
-                continue
-            try:
-                packet = VpnPacket.parse(payload)
-            except ProtocolError:
-                continue
-            if packet.opcode == OP_CONTROL_HELLO:
-                self.sim.process(self._handle_hello(packet, src, src_port))
-                continue
-            session = self.sessions_by_peer.get((src, src_port))
-            if session is None:
-                self.packets_rejected += 1
-                continue
-            session.inbox.put(("rx", packet))
+    def _on_datagram(
+        self, payload: bytes, src: IPv4Address, src_port: int, _ip: IPv4Packet
+    ) -> None:
+        """The socket's receive handler."""
+        if self.down:
+            self.packets_dropped_down += 1
+            return
+        try:
+            packet = VpnPacket.parse(payload)
+        except ProtocolError:
+            return
+        if packet.opcode == OP_CONTROL_HELLO:
+            self.sim.process(self._handle_hello(packet, src, src_port))
+            return
+        session = self.sessions_by_peer.get((src, src_port))
+        if session is None:
+            self.packets_rejected += 1
+            return
+        session.inbox.put(("rx", packet))
 
-    def _tx_dispatch(self):
-        while True:
-            inner = yield self.tun.read()
-            if self.down:
-                self.packets_dropped_down += 1
-                continue
-            session = self.sessions_by_tunnel_ip.get(inner.dst)
-            if session is None or not session.established:
-                continue
-            session.inbox.put(("tx", inner))
+    def _on_tun_packet(self, inner: IPv4Packet) -> None:
+        """The TUN device's read handler."""
+        if self.down:
+            self.packets_dropped_down += 1
+            return
+        session = self.sessions_by_tunnel_ip.get(inner.dst)
+        if session is None or not session.established:
+            return
+        session.inbox.put(("tx", inner))
 
     def _ping_loop(self):
         while True:
@@ -662,6 +662,8 @@ class OpenVpnClient:
         #: fault-injection state: a "crashed" client stops reading its
         #: sockets/TUN and skips keepalive/DPD until resumed
         self.suspended = False
+        #: datagrams a crashed client's work in flight did not send
+        self.packets_dropped_suspended = 0
         self.crashes = 0
         self.on_server_announcement: Optional[Callable[[PingMessage], None]] = None
         self._started = False
@@ -681,7 +683,7 @@ class OpenVpnClient:
             raise VpnError("client already started")
         self._started = True
         self.sock = self.host.stack.udp_socket()
-        self.sim.process(self._rx_dispatch(), name=f"{self.host.name}.vpn-rx")
+        self.sock.on_receive(self._on_datagram)
         self.sim.process(self._connect_loop(), name=f"{self.host.name}.vpn-connect")
 
     def _charge(self, seconds: float):
@@ -689,25 +691,26 @@ class OpenVpnClient:
             yield from self.host.execute(seconds)
 
     # ------------------------------------------------------------------
-    # dispatch: one recv loop feeding control + worker queues
+    # dispatch: one receive handler feeding control + worker queues
     # ------------------------------------------------------------------
-    def _rx_dispatch(self):
-        while True:
-            payload, src, _port, _ = yield self.sock.recv()
-            # like OpenVPN without --float, only the current server is
-            # heard: a datagram still in flight from the gateway a
-            # migration left must not pass for the new one's liveness
-            if self.suspended or src != self.server_addr:
-                continue
-            try:
-                packet = VpnPacket.parse(payload)
-            except ProtocolError:
-                continue
-            self.last_server_rx = self.sim.now
-            if packet.opcode in (OP_CONTROL_REPLY, OP_REJECT, OP_SESSION_CONFIG):
-                self._control_inbox.put(packet)
-            elif packet.opcode in (OP_DATA, OP_PING):
-                self._work_inbox.put(("rx", packet, self.channel_epoch))
+    def _on_datagram(
+        self, payload: bytes, src: IPv4Address, _port: int, _ip: IPv4Packet
+    ) -> None:
+        """The socket's receive handler."""
+        # like OpenVPN without --float, only the current server is
+        # heard: a datagram still in flight from the gateway a
+        # migration left must not pass for the new one's liveness
+        if self.suspended or src != self.server_addr:
+            return
+        try:
+            packet = VpnPacket.parse(payload)
+        except ProtocolError:
+            return
+        self.last_server_rx = self.sim.now
+        if packet.opcode in (OP_CONTROL_REPLY, OP_REJECT, OP_SESSION_CONFIG):
+            self._control_inbox.put(packet)
+        elif packet.opcode in (OP_DATA, OP_PING):
+            self._work_inbox.put(("rx", packet, self.channel_epoch))
 
     def _await_control(self, opcodes, timeout: float):
         """Event-driven wait for a control packet, raced against a timeout.
@@ -762,7 +765,7 @@ class OpenVpnClient:
             wire = VpnPacket(OP_CONTROL_HELLO, 0, 0, hello).serialize()
             self._tm_ctrl_packets.inc()
             self._tm_ctrl_bytes.inc(len(wire))
-            self.sock.sendto(wire, self.server_addr, self.server_port)
+            self._send(wire)
             reply = yield from self._await_control((OP_CONTROL_REPLY, OP_REJECT), timeout=1.0)
             if reply is not None:
                 break
@@ -809,6 +812,7 @@ class OpenVpnClient:
         physical = self.host.stack.route_for(self.server_addr)
         self._physical_route = physical
         self.tun = self.host.add_tun(self.tunnel_ip, subnet, name=f"{self.host.name}.tun0")
+        self.tun.on_read(self._on_tun_packet)
         if physical is not None:
             self.host.stack.add_route(f"{self.server_addr}/32", physical)
         for route in self.tunnel_routes:
@@ -816,7 +820,6 @@ class OpenVpnClient:
         self.host.stack.set_preferred_source(self.tunnel_ip)
         self.on_connected(settings)
         self.last_server_rx = self.sim.now
-        self.sim.process(self._tun_dispatch(), name=f"{self.host.name}.vpn-tun")
         self.sim.process(self._worker(), name=f"{self.host.name}.vpn-worker")
         self.sim.process(self._ping_loop(), name=f"{self.host.name}.vpn-ping")
         self.sim.process(self._dpd_loop(), name=f"{self.host.name}.vpn-dpd")
@@ -908,7 +911,7 @@ class OpenVpnClient:
         self.sock = self.host.stack.udp_socket(
             address=self.host.stack.source_address_for(self.server_addr)
         )
-        self.sim.process(self._rx_dispatch(), name=f"{self.host.name}.vpn-rx")
+        self.sock.on_receive(self._on_datagram)
         if rehandshake:
             self.last_server_rx = self.sim.now - 2.0 * self.dpd_timeout
 
@@ -952,12 +955,11 @@ class OpenVpnClient:
     # ------------------------------------------------------------------
     # data paths (single worker = single-threaded OpenVPN)
     # ------------------------------------------------------------------
-    def _tun_dispatch(self):
-        while True:
-            inner = yield self.tun.read()
-            if self.suspended:
-                continue
-            self._work_inbox.put(("tx", inner, self.channel_epoch))
+    def _on_tun_packet(self, inner: IPv4Packet) -> None:
+        """The TUN device's read handler."""
+        if self.suspended:
+            return
+        self._work_inbox.put(("tx", inner, self.channel_epoch))
 
     def _worker(self):
         # after waking for one work item, take the contiguous run of
@@ -1021,7 +1023,16 @@ class OpenVpnClient:
         inner_bytes = inner.serialize()
         self.inner_bytes_sent += len(inner_bytes)
         for wire in self.tunnel.seal(inner_bytes):
-            self.sock.sendto(wire, self.server_addr, self.server_port)
+            self._send(wire)
+
+    def _send(self, wire: bytes) -> None:
+        """Send one datagram to the server.  A client that crashed while
+        its worker was mid-charge sends nothing: its socket is closed, so
+        the datagram is dropped and counted."""
+        if self.suspended:
+            self.packets_dropped_suspended += 1
+            return
+        self.sock.sendto(wire, self.server_addr, self.server_port)
 
     def _handle_data(self, packet: VpnPacket):
         plaintext = self.tunnel.open(packet)
@@ -1067,7 +1078,7 @@ class OpenVpnClient:
         ).serialize()
         self._tm_ctrl_packets.inc()
         self._tm_ctrl_bytes.inc(len(wire))
-        self.sock.sendto(wire, self.server_addr, self.server_port)
+        self._send(wire)
 
     def _ping_loop(self):
         while True:

@@ -301,6 +301,20 @@ def test_chaos_rollout_converges_with_zero_stale_admissions():
     assert result.packets_delivered > 0
 
 
+def test_chaos_rollout_with_cpu_charges_converges():
+    # the CPU cost model every figure and bench world uses: the client
+    # crash and the server restart interrupt workers mid-charge, a
+    # crashed client's work in flight sends nothing, and config fetches
+    # time out during the file server's outage
+    result = run_chaos_rollout(charge_cpu=True)
+    assert result.converged, f"clients ended on {result.final_versions}"
+    assert result.final_versions == [3, 3, 3]
+    assert result.stale_admitted_after_grace == 0
+    assert result.client_crashes == [0, 1, 0]
+    assert result.config_fetch_retries > 0
+    assert result.packets_delivered > 0
+
+
 def test_chaos_rollout_is_deterministic():
     first = run_chaos_rollout()
     second = run_chaos_rollout()

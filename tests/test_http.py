@@ -66,6 +66,23 @@ def test_http_404(web):
     assert response.status == 404
 
 
+def test_http_connect_timeout_raises_http_error(web):
+    sim, client_host, server_host, _server = web
+    # nobody answers on the server's side: the TCP connect times out
+    server_host.stack.interfaces[0].link.set_down(True)
+    errors = []
+
+    def fetch():
+        try:
+            yield sim.process(HttpClient(client_host).get(server_host.address, "/index.html"))
+        except HttpError as exc:
+            errors.append(str(exc))
+
+    sim.process(fetch())
+    sim.run(until=30.0)
+    assert len(errors) == 1 and "timed out" in errors[0]
+
+
 def test_https_end_to_end():
     sim = Simulator()
     topo = StarTopology(sim)

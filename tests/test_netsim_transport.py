@@ -1,11 +1,85 @@
-"""End-to-end tests across the simulated network: UDP, ICMP, TCP, TUN."""
+"""End-to-end tests across the simulated network: links, UDP, ICMP, TCP, TUN."""
 
 import pytest
 
 from repro.netsim import IPv4Network, IPv4Packet, StarTopology, UdpDatagram
 from repro.netsim.host import Host, class_a_host, class_b_host
+from repro.netsim.interface import Interface
+from repro.netsim.link import ETHERNET_OVERHEAD, Link
 from repro.netsim.tcp import TcpError
 from repro.sim import Simulator
+
+
+def _wired(sim, **link_kwargs):
+    """A link between two bare interfaces; returns (link, a, b, arrivals at b)."""
+    link = Link(sim, **link_kwargs)
+    arrived = []
+    a = Interface("a")
+    b = Interface("b", on_receive=lambda frame, itf: arrived.append((sim.now, frame)))
+    link.attach(a)
+    link.attach(b)
+    return link, a, b, arrived
+
+
+def test_link_serializes_back_to_back_frames():
+    sim = Simulator()
+    link, a, b, arrived = _wired(sim, bandwidth_bps=1e6, latency_s=1e-3)
+    frames = [bytes([index]) * 100 for index in range(4)]
+    start = 0.5
+    for frame in frames:
+        sim.schedule(start, a.send, frame)
+    back = []
+    a.set_receiver(lambda frame, itf: back.append(sim.now))
+    sim.schedule(start, b.send, b"r" * 100)  # the other direction has its own wire
+    sim.run()
+    wire = (100 + ETHERNET_OVERHEAD) * 8 / 1e6
+    assert [frame for _when, frame in arrived] == frames
+    assert [when for when, _frame in arrived] == pytest.approx(
+        [start + k * wire + 1e-3 for k in range(1, 5)]
+    )
+    assert back == pytest.approx([start + wire + 1e-3])
+    assert link.frames_sent == 5 and link.bytes_delivered == 500
+
+
+def test_link_drops_frame_that_finds_the_queue_full():
+    sim = Simulator()
+    link, a, _b, arrived = _wired(sim, queue_frames=2)
+    accepted = []
+
+    def burst():
+        # the first frame goes on the wire at once, two wait, the fourth
+        # finds queue_frames frames waiting
+        accepted.extend(a.send(bytes([index]) * 64) for index in range(4))
+
+    sim.schedule(0.1, burst)
+    sim.run()
+    assert accepted == [True, True, True, False]
+    assert link.frames_dropped == 1
+    assert [frame[0] for _when, frame in arrived] == [0, 1, 2]
+
+
+def test_link_partition_loses_frames_at_transmit_end_without_drawing_loss_rng():
+    def pattern(partition):
+        sim = Simulator()
+        link, a, _b, arrived = _wired(sim, bandwidth_bps=1e6, loss_rate=0.5, name="lossy")
+        if partition:
+            # up when sent, down when the frame finishes: lost at transmit end
+            a.send(b"p" * 100)
+            sim.schedule(1e-4, link.set_down, True)
+            sim.schedule(1.0, a.send, b"q" * 100)
+            sim.schedule(2.0, link.set_down, False)
+        for index in range(32):
+            sim.schedule(3.0 + index * 1e-3, a.send, bytes([index]) * 100)
+        sim.run()
+        return link.frames_lost, [frame[0] for when, frame in arrived if when > 3.0]
+
+    lost, delivered = pattern(partition=True)
+    unpartitioned_lost, unpartitioned = pattern(partition=False)
+    assert lost == unpartitioned_lost + 2
+    # the partition drew nothing from the loss stream: after it heals,
+    # the same frames are lost as on a link that was never partitioned
+    assert delivered == unpartitioned
+    assert 0 < len(delivered) < 32
 
 
 @pytest.fixture()
@@ -180,16 +254,24 @@ def test_tun_read_write_roundtrip():
     host = Host(sim, "h")
     tun = host.add_tun("10.8.0.2", IPv4Network("10.8.0.0/24"))
     seen = []
-
-    def app():
-        # a packet routed into 10.8.0.0/24 shows up on the tun device
-        host.stack.send_packet(IPv4Packet(src="10.8.0.2", dst="10.8.0.99", l4=b"data"))
-        packet = yield tun.read()
-        seen.append(str(packet.dst))
-
-    sim.process(app())
-    sim.run(until=1.0)
+    tun.on_read(lambda packet: seen.append(str(packet.dst)))
+    # a packet routed into 10.8.0.0/24 reaches the tun device's reader
+    host.stack.send_packet(IPv4Packet(src="10.8.0.2", dst="10.8.0.99", l4=b"data"))
     assert seen == ["10.8.0.99"]
+    # a packet written to the device enters the stack as if received
+    sock = host.stack.udp_socket(5000, address="10.8.0.2")
+    got = []
+    sock.on_receive(lambda payload, src, src_port, packet: got.append((payload, src_port)))
+    tun.write(IPv4Packet(src="10.8.0.99", dst="10.8.0.2", l4=UdpDatagram(7, 5000, b"back")))
+    assert got == [(b"back", 7)]
+
+
+def test_tun_without_reader_drops_and_counts():
+    sim = Simulator()
+    host = Host(sim, "h")
+    tun = host.add_tun("10.8.0.2", IPv4Network("10.8.0.0/24"))
+    host.stack.send_packet(IPv4Packet(src="10.8.0.2", dst="10.8.0.99", l4=b"data"))
+    assert tun.packets_dropped == 1
 
 
 def test_forwarding_host_routes_between_subnets():
@@ -205,10 +287,7 @@ def test_forwarding_host_routes_between_subnets():
     gw_tun = gateway.add_tun("10.99.0.1", IPv4Network("10.99.0.0/24"))
     topo.route_subnet("10.99.0.0/24", gateway)
     arrived = []
-
-    def gw_app():
-        packet = yield gw_tun.read()
-        arrived.append((str(packet.src), str(packet.dst), packet.ttl))
+    gw_tun.on_read(lambda packet: arrived.append((str(packet.src), str(packet.dst), packet.ttl)))
 
     def sender():
         yield sim.timeout(0.001)
@@ -216,7 +295,6 @@ def test_forwarding_host_routes_between_subnets():
             IPv4Packet(src=client.address, dst="10.99.0.50", l4=UdpDatagram(1, 2, b"z"))
         )
 
-    sim.process(gw_app())
     sim.process(sender())
     sim.run(until=1.0)
     assert arrived and arrived[0][1] == "10.99.0.50"

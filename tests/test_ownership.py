@@ -23,10 +23,11 @@ import pytest
 
 from repro.analysis import analyze_paths, analyze_source, inline_rules
 from repro.analysis.baseline import Baseline
+from repro.analysis.callgraph import CallGraph
 from repro.analysis.checkers.ownership import OwnershipChecker
 from repro.analysis.engine import Analyzer
 from repro.analysis.findings import Severity
-from repro.analysis.ownergraph import OWNERSHIP, OWNERSHIP_RULES
+from repro.analysis.ownergraph import OWNERSHIP, OWNERSHIP_RULES, OwnershipAnalysis
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -63,6 +64,29 @@ def test_every_ownership_waiver_is_exercised_on_the_tree():
             f"contains={entry.contains!r}"
         )
         assert entry.note  # a justification is mandatory
+
+
+def test_packet_path_callbacks_are_sim_driven_on_the_tree():
+    # a packet crosses the simulator by heap callbacks scheduled through
+    # Simulator.schedule and by handlers registered on sockets and TUN
+    # devices; the SS rules check only what the pass sees as sim-driven,
+    # so each hand-off must stay in that set
+    modules = [Analyzer.load_module(path) for path in Analyzer.collect_files([SRC])]
+    analysis = OwnershipAnalysis(CallGraph(modules))
+    reached = analysis.sim_driven()
+    driven = {fn.dotted for fn in analysis.functions if id(fn) in reached}
+    for name in (
+        "repro.netsim.link._Serializer.start",
+        "repro.netsim.link._Serializer.transmit_end",
+        "repro.netsim.interface.Interface.deliver",
+        "repro.vpn.openvpn.OpenVpnServer._on_datagram",
+        "repro.vpn.openvpn.OpenVpnServer._on_tun_packet",
+        "repro.vpn.openvpn.OpenVpnClient._on_datagram",
+        "repro.vpn.openvpn.OpenVpnClient._on_tun_packet",
+        "repro.sim.resources.CpuCores._grant",
+        "repro.sim.resources.CpuCores._end",
+    ):
+        assert name in driven, name
 
 
 # ----------------------------------------------------------------------

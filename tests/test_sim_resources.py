@@ -1,49 +1,8 @@
-"""Unit tests for resources: counting resource, CPU cores, FIFO store."""
+"""Unit tests for resources: CPU cores, FIFO store."""
 
 import pytest
 
-from repro.sim import CpuCores, FifoStore, Resource, Simulator, SimulationError
-
-
-def test_resource_grants_up_to_capacity_immediately():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    grants = []
-
-    def worker(name):
-        yield res.request()
-        grants.append((sim.now, name))
-        yield sim.timeout(1.0)
-        res.release()
-
-    for name in "abc":
-        sim.process(worker(name))
-    sim.run()
-    assert grants == [(0.0, "a"), (0.0, "b"), (1.0, "c")]
-
-
-def test_resource_release_without_request_raises():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_fifo_ordering():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def worker(name):
-        yield res.request()
-        order.append(name)
-        yield sim.timeout(1.0)
-        res.release()
-
-    for name in "abcd":
-        sim.process(worker(name))
-    sim.run()
-    assert order == ["a", "b", "c", "d"]
+from repro.sim import CpuCores, FifoStore, Simulator, SimulationError
 
 
 def test_cpu_executes_work_serially_on_one_core():
@@ -74,6 +33,89 @@ def test_cpu_parallelism_matches_effective_cores():
         sim.process(job())
     sim.run()
     assert done == [1.0, 1.0, 2.0, 2.0]
+
+
+def test_cpu_grants_queued_jobs_in_submission_order():
+    sim = Simulator()
+    cpu = CpuCores(sim, cores=1, ht_factor=1.0)
+    started = []
+
+    def job(name):
+        yield from cpu.execute(1.0)
+        started.append((sim.now - 1.0, name))
+
+    for name in "abcd":
+        sim.process(job(name))
+    sim.run()
+    assert started == [(0.0, "a"), (1.0, "b"), (2.0, "c"), (3.0, "d")]
+
+
+def test_cpu_queue_place_comes_back_when_a_waiter_is_interrupted():
+    sim = Simulator()
+    cpu = CpuCores(sim, cores=1, ht_factor=1.0)
+    done = []
+
+    def job(name, start):
+        yield sim.timeout(start)
+        yield from cpu.execute(1.0)
+        done.append((sim.now, name))
+
+    def crash(delay, victim):
+        yield sim.timeout(delay)
+        victim.interrupt("crash")
+
+    sim.process(job("holder", 0.0))
+    waiter = sim.process(job("waiter", 0.0))
+    sim.process(crash(0.5, waiter))
+    sim.process(job("later", 2.0))
+    sim.run()
+    assert done == [(1.0, "holder"), (3.0, "later")]
+    assert cpu.in_use == 0
+
+
+def test_cpu_core_comes_back_when_interrupted_at_its_grant():
+    sim = Simulator()
+    cpu = CpuCores(sim, cores=1, ht_factor=1.0)
+    done = []
+
+    def crash():
+        yield sim.timeout(1.0)
+        victim.interrupt("crash")  # runs after the grant, before its wake-up
+
+    def job(name, start):
+        yield sim.timeout(start)
+        yield from cpu.execute(1.0)
+        done.append((sim.now, name))
+
+    sim.process(crash())
+    victim = sim.process(job("victim", 1.0))
+    sim.process(job("later", 2.0))
+    sim.run()
+    assert done == [(3.0, "later")]
+    assert cpu.in_use == 0
+
+
+def test_cpu_core_comes_back_when_interrupted_mid_charge():
+    sim = Simulator()
+    cpu = CpuCores(sim, cores=1, ht_factor=1.0)
+    done = []
+
+    def job(name):
+        yield from cpu.execute(2.0)
+        done.append((sim.now, name))
+
+    def crash():
+        yield sim.timeout(0.5)
+        victim.interrupt("crash")
+
+    victim = sim.process(job("victim"))
+    sim.process(job("next"))
+    sim.process(crash())
+    sim.run()
+    # the queued job starts when the interrupted one gives its core back
+    assert done == [(2.5, "next")]
+    assert cpu.in_use == 0
+    assert cpu.busy_time == 2.0
 
 
 def test_cpu_ht_factor_increases_capacity():
