@@ -372,6 +372,13 @@ def build_fleet(spec: DeploymentSpec, cost_model=None) -> FleetDeployment:
 
     # --- clients ---------------------------------------------------------
     client_config, rules = use_case_configs(spec.use_case, server_side=False)
+    attestation_keys = []
+    if spec.setup.startswith("endbox"):
+        # one batch across the cores; nothing else draws from the IAS's
+        # DRBG, so each platform's key is the one it would get alone
+        attestation_keys = ias.provision_platforms(
+            f"platform-{index}" for index in range(spec.clients)
+        )
     for index in range(spec.clients):
         host = class_a_host(sim, f"client-{index}")
         topo.attach(host, address=f"10.0.1.{index + 1}")
@@ -381,7 +388,9 @@ def build_fleet(spec: DeploymentSpec, cost_model=None) -> FleetDeployment:
             enclave_mode = (
                 EnclaveMode.HARDWARE if spec.setup == "endbox_sgx" else EnclaveMode.SIMULATION
             )
-            platform = SgxPlatform(ias, name=f"platform-{index}")
+            platform = SgxPlatform(
+                ias, name=f"platform-{index}", attestation_key=attestation_keys[index]
+            )
             endbox = EndBoxEnclave.create(image, platform, mode=enclave_mode)
             storage = SealedStorage(platform.platform_id)
             provision_client(endbox, platform, ca, storage)

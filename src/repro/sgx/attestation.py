@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashes import sha256
-from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
+from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, generate_keypairs
 from repro.sgx.enclave import Enclave, EnclaveMode
 from repro.sgx.epc import EnclavePageCache
 
@@ -73,14 +73,29 @@ class IntelAttestationService:
         self.signing_key = RsaKeyPair(seed=self._drbg.generate(32))
         self._platform_keys: Dict[str, RsaPublicKey] = {}
         self._revoked: Set[str] = set()
+        #: numbers the platforms built without a name, so their ids (and
+        #: with them their keys) depend only on this service's history
+        self._unnamed_platforms = itertools.count(1)
         self.requests_served = 0
 
     # -- provisioning ---------------------------------------------------
     def provision_platform(self, platform_id: str) -> RsaKeyPair:
         """Fuse an attestation key for a new platform (manufacturing)."""
-        key = RsaKeyPair(seed=self._drbg.generate(32) + platform_id.encode())
-        self._platform_keys[platform_id] = key.public_key
-        return key
+        return self.provision_platforms([platform_id])[0]
+
+    def provision_platforms(self, platform_ids: Iterable[str]) -> List[RsaKeyPair]:
+        """Fuse attestation keys for several new platforms in one batch.
+
+        Seeds are drawn in order, exactly as one :meth:`provision_platform`
+        call per id would draw them, and the keys are searched in one
+        :func:`~repro.crypto.rsa.generate_keypairs` call across the cores.
+        """
+        platform_ids = list(platform_ids)
+        seeds = [self._drbg.generate(32) + platform_id.encode() for platform_id in platform_ids]
+        keys = generate_keypairs(seeds)
+        for platform_id, key in zip(platform_ids, keys):
+            self._platform_keys[platform_id] = key.public_key
+        return keys
 
     def revoke_platform(self, platform_id: str) -> None:
         """Blacklist a platform id."""
@@ -143,15 +158,23 @@ class SgxPlatform:
     ``create_report`` is only callable for enclaves actually running on
     this platform, so an adversary cannot mint reports for enclaves it
     does not run — the property remote attestation depends on.
+
+    ``attestation_key`` is a key ``ias`` already provisioned for ``name``
+    (:meth:`IntelAttestationService.provision_platforms`); without one,
+    the platform has ``ias`` provision its own.
     """
 
-    _ids = itertools.count(1)
-
-    def __init__(self, ias: IntelAttestationService, name: Optional[str] = None) -> None:
-        self.platform_id = name or f"sgx-platform-{next(self._ids)}"
+    def __init__(
+        self,
+        ias: IntelAttestationService,
+        name: Optional[str] = None,
+        attestation_key: Optional[RsaKeyPair] = None,
+    ) -> None:
+        self.platform_id = name or f"sgx-platform-{next(ias._unnamed_platforms)}"
         self.epc = EnclavePageCache()
         self.ias = ias
-        attestation_key = ias.provision_platform(self.platform_id)
+        if attestation_key is None:
+            attestation_key = ias.provision_platform(self.platform_id)
         self.quoting_enclave = QuotingEnclave(self, attestation_key)
         # keyed by object identity: enclave ids are per-EPC sequences,
         # so two enclaves on different platforms may share an id string

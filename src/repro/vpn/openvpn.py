@@ -182,7 +182,8 @@ class VpnSession:
         )
         self.established = False
         self.client_version = 0
-        self.last_ping_time = 0.0
+        #: a session that never hears a ping ages from its creation
+        self.last_ping_time = server.sim.now
         self.inner_bytes_in = 0  # decrypted payload bytes from the client
         self.inner_bytes_out = 0
         self.packets_dropped_policy = 0
@@ -257,6 +258,8 @@ class OpenVpnServer:
         self.oversubscription = 0.0
         self.packets_rejected = 0
         self.handshakes_completed = 0
+        #: sessions retired because their client went silent
+        self.sessions_retired = 0
         self._running = False
 
     # ------------------------------------------------------------------
@@ -380,9 +383,14 @@ class OpenVpnServer:
         """
         for peer, session in list(self.sessions_by_peer.items()):
             if peer[0] == outer_addr:
-                session.worker.interrupt("migrated")
-                del self.sessions_by_peer[peer]
-                self.sessions_by_tunnel_ip.pop(session.tunnel_ip, None)
+                self._drop_session(peer, session, "migrated")
+
+    def _drop_session(
+        self, peer: Tuple[IPv4Address, int], session: VpnSession, reason: str
+    ) -> None:
+        session.worker.interrupt(reason)
+        del self.sessions_by_peer[peer]
+        self.sessions_by_tunnel_ip.pop(session.tunnel_ip, None)
 
     # ------------------------------------------------------------------
     # dispatch handlers (cheap demux; CPU work happens in session workers)
@@ -418,12 +426,20 @@ class OpenVpnServer:
         session.inbox.put(("tx", inner))
 
     def _ping_loop(self):
+        """Keepalive: ping every established session, and retire one
+        whose client has not pinged for 12 intervals (OpenVPN's
+        server-side keepalive, twice the client's ping-restart), as a
+        crashed client's old port would otherwise be pinged for good."""
+        silent_limit = 12 * self.ping_interval
         while True:
             yield self.sim.timeout(self.ping_interval)
             if self.down:
                 continue
-            for session in list(self.sessions_by_peer.values()):
-                if session.established:
+            for peer, session in list(self.sessions_by_peer.items()):
+                if self.sim.now - session.last_ping_time >= silent_limit:
+                    self._drop_session(peer, session, "silent")
+                    self.sessions_retired += 1
+                elif session.established:
                     self._send_ping(session)
 
     # ------------------------------------------------------------------

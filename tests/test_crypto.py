@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import os
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,94 @@ def test_rsa_keys_pinned():
         keys = RsaKeyPair(bits=1024, seed=seed)
         assert keys.public_key.fingerprint() == fingerprint
         assert keys.sign(b"attest me") % (1 << 64) == signature_low_bits
+
+
+PINNED_SEEDS = [b"test-rsa", None, b"pin-a", b"pin-b"]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_generate_keypairs_matches_pins_and_serial_keys(monkeypatch, cores):
+    monkeypatch.setattr(rsa, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(rsa, "_KEYPAIR_CACHE", {})
+    batch = rsa.generate_keypairs(PINNED_SEEDS)
+    assert [keys.public_key.fingerprint() for keys in batch] == [
+        "41dc0304c928ab6f", "21eccecd8f78abda", "69d378ee263c04bc", "2ef81e63351e2882",
+    ]
+    assert batch[0].sign(b"attest me") % (1 << 64) == 6225525327643785058
+    monkeypatch.setattr(rsa, "_KEYPAIR_CACHE", {})
+    serial = [RsaKeyPair(bits=1024, seed=seed) for seed in PINNED_SEEDS]
+    assert [(k.n, k.d, k._p, k._q) for k in batch] == [(k.n, k.d, k._p, k._q) for k in serial]
+
+
+def record_searches(monkeypatch):
+    """Search in-process and record each seed the prime search runs for."""
+    monkeypatch.setattr(rsa, "_usable_cores", lambda: 1)
+    searched = []
+    search = rsa._key_material
+
+    def recorded(bits, seed):
+        searched.append(seed)
+        return search(bits, seed)
+
+    monkeypatch.setattr(rsa, "_key_material", recorded)
+    return searched
+
+
+def test_generate_keypairs_serves_duplicates_and_memo_hits_without_search(monkeypatch):
+    monkeypatch.setattr(rsa, "_KEYPAIR_CACHE", {})
+    held = RsaKeyPair(bits=64, seed=b"held")
+    searched = record_searches(monkeypatch)
+    keys = rsa.generate_keypairs([b"a", b"held", b"a", b"b"], bits=64)
+    assert searched == [b"a", b"b"]
+    assert keys[0].n == keys[2].n != keys[3].n
+    assert keys[1].n == held.n
+
+
+def test_generate_keypairs_larger_than_memo_searches_each_seed_once(monkeypatch):
+    monkeypatch.setattr(rsa, "_KEYPAIR_CACHE", {})
+    searched = record_searches(monkeypatch)
+    seeds = [b"big-%d" % index for index in range(rsa._KEYPAIR_CACHE_MAX + 8)]
+    keys = rsa.generate_keypairs(seeds, bits=64)
+    assert searched == seeds
+    assert len(rsa._KEYPAIR_CACHE) < len(seeds)  # the memo cleared itself on the way
+    monkeypatch.setattr(rsa, "_KEYPAIR_CACHE", {})
+    serial = [RsaKeyPair(bits=64, seed=seed) for seed in seeds]
+    assert [(k.n, k.d) for k in keys] == [(k.n, k.d) for k in serial]
+
+
+def test_generate_keypairs_failing_child_raises_and_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(rsa, "_KEYPAIR_CACHE", {})
+    monkeypatch.setattr(rsa, "_usable_cores", lambda: 3)
+    parent = os.getpid()
+    search = rsa._key_material
+
+    def fail_in_child(bits, seed):
+        if os.getpid() != parent:
+            raise MemoryError("child ran out")
+        return search(bits, seed)
+
+    monkeypatch.setattr(rsa, "_key_material", fail_in_child)
+    with pytest.raises(RuntimeError, match="exited with 1"):
+        rsa.generate_keypairs([b"x", b"y", b"z", b"w"], bits=64)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert rsa._KEYPAIR_CACHE == {}
+
+
+def test_generate_keypairs_forks_nothing_while_other_threads_run(monkeypatch):
+    monkeypatch.setattr(rsa, "_KEYPAIR_CACHE", {})
+    monkeypatch.setattr(rsa, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a thread running"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, daemon=True)
+    thread.start()
+    try:
+        keys = rsa.generate_keypairs([b"t-1", b"t-2"], bits=64)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert [k.n for k in keys] == [rsa._key_material(64, seed)[0] for seed in (b"t-1", b"t-2")]
 
 
 def test_rsa_crt_private_ops_match_plain_exponentiation(rsa_keys):

@@ -217,6 +217,46 @@ def test_client_crash_restores_from_sealed_state():
     assert sink.packets > 0
 
 
+def test_gateway_retires_the_session_a_crashed_client_left():
+    # the restarted client handshakes from a new source port; the old
+    # session hears no ping again and is retired after 12 ping intervals
+    world = DeploymentSpec(clients=1, setup="endbox_sgx", use_case="NOP", ping_interval=0.2).build()
+    world.connect_all()
+    world.arm_faults(FaultPlan("p", [ClientCrash(at=0.5, client=0, outage_s=1.0)]))
+    world.sim.run(until=world.sim.now + 30.0)
+    server = world.server
+    assert world.clients[0].crashes == 1
+    assert len(server.sessions_by_peer) == 1
+    assert len(server.sessions_by_tunnel_ip) == 1
+    assert server.sessions_retired == 1
+
+
+def test_gateway_never_retires_a_client_that_keeps_pinging():
+    world = DeploymentSpec(clients=1, setup="endbox_sgx", use_case="NOP", ping_interval=0.2).build()
+    world.connect_all()
+    (session,) = world.server.sessions_by_peer.values()
+    world.sim.run(until=world.sim.now + 30.0)
+    assert list(world.server.sessions_by_peer.values()) == [session]
+    assert world.server.sessions_retired == 0
+
+
+def test_half_open_session_ages_from_its_creation():
+    ping = 0.2
+    world = DeploymentSpec(clients=1, setup="endbox_sgx", use_case="NOP", ping_interval=ping).build()
+    sim, server, client = world.sim, world.server, world.clients[0]
+    sim.run(until=5.0)
+    client.start()
+    while not server.sessions_by_peer:
+        sim.step()
+    client.suspend()  # the handshake reply falls on a closed port: no ping ever comes
+    created = sim.now
+    sim.run(until=created + 12 * ping - 0.3)
+    assert len(server.sessions_by_peer) == 1
+    sim.run(until=created + 12 * ping + 0.3)
+    assert not server.sessions_by_peer and not server.sessions_by_tunnel_ip
+    assert server.sessions_retired == 1
+
+
 def test_config_outage_forces_fetch_retries_then_converges():
     from repro.click import configs as click_configs
 

@@ -1,9 +1,16 @@
 """SGX model tests: measurement, EPC, transitions, attestation, sealing."""
 
+import json
+import os
+import subprocess
+import sys
+import typing
 import warnings
+from pathlib import Path
 
 import pytest
 
+from repro.crypto import rsa
 from repro.crypto.rsa import RsaKeyPair
 from repro.sgx import (
     AttestationError,
@@ -210,6 +217,75 @@ def attestation_world():
     enclave = Enclave(make_image(), platform.epc)
     platform.load(enclave)
     return ias, platform, enclave
+
+
+def test_provision_platforms_matches_one_call_per_id(monkeypatch):
+    monkeypatch.setattr(rsa, "_usable_cores", lambda: 2)
+    ids = ["platform-0", "platform-1", "platform-2"]
+    monkeypatch.setattr(rsa, "_KEYPAIR_CACHE", {})
+    batch_ias = IntelAttestationService()
+    batch = batch_ias.provision_platforms(ids)
+    monkeypatch.setattr(rsa, "_KEYPAIR_CACHE", {})
+    serial_ias = IntelAttestationService()
+    serial = [serial_ias.provision_platform(platform_id) for platform_id in ids]
+    assert [(k.n, k.d) for k in batch] == [(k.n, k.d) for k in serial]
+    # each key is registered under its own id: its platform's quotes verify
+    platform = SgxPlatform(batch_ias, name=ids[1], attestation_key=batch[1])
+    enclave = Enclave(make_image(), platform.epc)
+    platform.load(enclave)
+    quote = platform.quoting_enclave.quote(platform.create_report(enclave, b"k" * 32))
+    assert batch_ias.verify_quote(quote).ok
+
+
+def test_unnamed_platforms_are_numbered_per_ias():
+    first = SgxPlatform(IntelAttestationService())
+    again = SgxPlatform(IntelAttestationService())
+    assert first.platform_id == again.platform_id == "sgx-platform-1"
+    assert first.quoting_enclave._key.n == again.quoting_enclave._key.n
+    assert SgxPlatform(first.ias).platform_id == "sgx-platform-2"
+    assert typing.get_type_hints(SgxPlatform.create_local_report)["return"]
+
+
+COLD_FLEET_BUILD = """
+import json, os, sys
+forks = []
+fork = os.fork
+def counted_fork():
+    pid = fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = counted_fork
+from repro.fleet import DeploymentSpec
+DeploymentSpec(setup="endbox_sgx", use_case="NOP", clients=16).build()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(json.dumps({
+    "forks": len(forks),
+    "cores": len(os.sched_getaffinity(0)),
+    "child_left": left,
+    "imported": sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)),
+}))
+"""
+
+
+def test_cold_fleet_build_forks_few_children_and_leaves_none():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_FLEET_BUILD],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["forks"] == min(16, result["cores"]) - 1
+    assert not result["child_left"]
+    assert result["imported"] == []
 
 
 def test_quote_verifies_at_ias(attestation_world):
