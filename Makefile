@@ -23,12 +23,14 @@ lint:
 # change a single packet byte), the shard-determinism smoke (2-shard
 # merged digest == serial digest), the fleet rolling-restart smoke, the
 # fleet oracle (the swarm and the packet-level fleet must count the
-# same migrations on four restart plans) and the two migration tests (a
-# migrated client keeps its enclave's configuration version past a
+# same migrations on four restart plans) and the three migration tests
+# (a migrated client keeps its enclave's configuration version past a
 # grace deadline; a rollout then a rolling restart refuses no handshake
-# and refetches no configuration), and the key-batch identity tests (a
-# batch of RSA keys searched across forked children is bit for bit the
-# serial one, and no child outlives it).
+# and refetches no configuration; a migrated client re-handshakes at
+# once, so the gateways refuse at most one datagram per migration), and
+# the key-batch identity tests (a batch of RSA keys searched across
+# forked children is bit for bit the serial one, and no child outlives
+# it).
 check:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src/ benchmarks/ examples/ --sarif-out lint.sarif --budget 5
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
@@ -38,7 +40,7 @@ check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_telemetry.py -q -k "identical_with_telemetry"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py -q -k "deterministic or byte_identical"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_sim_parallel.py -q -k "digest_matches_serial"
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py tests/test_fleet.py -q -k "rolling_restart_smoke or fleets_agree or keeps_enclave_version or refuses_no_handshake"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py tests/test_fleet.py -q -k "rolling_restart_smoke or fleets_agree or keeps_enclave_version or refuses_no_handshake or rehandshakes_at_once"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_crypto.py tests/test_sgx.py -q -k "keypairs or provision_platforms or cold_fleet_build"
 
 bench:

@@ -27,13 +27,7 @@ def main() -> None:
         '(msg:"DLP exfiltration marker"; content:"X-Secret-Project: tengu"; sid:777;)'
     )
     inspect_config = tls_inspection_config()
-    client.endbox.gateway.ecall(
-        "initialize",
-        inspect_config,
-        dlp_rule,
-        payload_bytes=len(inspect_config) + len(dlp_rule),
-        sim=world.sim,
-    )
+    client.endbox.gateway.ecall("initialize", inspect_config, dlp_rule, sim=world.sim)
     world.connect_all()
 
     https_server = HttpServer(

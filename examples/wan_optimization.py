@@ -45,12 +45,8 @@ def main() -> None:
     client.host.stack.interfaces[0].link.latency_s = 40e-3
     # in-enclave cache + compressor; the enclave injects cache hits back
     # into the local stack through the TUN device
-    client.endbox.gateway.ecall(
-        "initialize", CACHE_CONFIG, "", payload_bytes=len(CACHE_CONFIG), sim=world.sim
-    )
-    peer.endbox.gateway.ecall(
-        "initialize", DECOMP_CONFIG, "", payload_bytes=len(DECOMP_CONFIG), sim=world.sim
-    )
+    client.endbox.gateway.ecall("initialize", CACHE_CONFIG, "", sim=world.sim)
+    peer.endbox.gateway.ecall("initialize", DECOMP_CONFIG, "", sim=world.sim)
     world.connect_all(until=30.0)
     client.endbox.enclave.trusted_state["click_context"]["inject"] = client.tun.write
 

@@ -13,9 +13,7 @@ This package makes them machine-checked on every tree:
   randomness from :class:`~repro.sim.randomness.SeededRng`, never from
   ``time.time``/``datetime.now``/``os.urandom``/module-level ``random``.
 * **Gateway interface audit** (:mod:`~repro.analysis.checkers.interface`):
-  every ocall needs an Iago return-value validator and boundary
-  crossings that carry data must declare ``payload_bytes`` so Fig-8
-  cost accounting cannot silently erode.
+  every ocall needs an Iago return-value validator.
 * **Click-graph validation** (:mod:`~repro.analysis.checkers.clickgraph`):
   the shipped configurations must have valid port arities, no cycles,
   and no unreachable elements — checked offline here with the same

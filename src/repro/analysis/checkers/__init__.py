@@ -2,7 +2,7 @@
 
 * ``boundary`` — enclave-boundary isolation (EB1xx)
 * ``determinism`` — simulation determinism (DET4xx)
-* ``interface`` — gateway/Iago interface audit (IF2xx)
+* ``interface`` — gateway/Iago interface audit (IF201)
 * ``clickgraph`` — Click configuration graph validation (CG3xx)
 * ``taint`` — interprocedural secret-flow analysis (TF5xx)
 * ``ownership`` — whole-program shard-safety / state ownership (SS6xx)

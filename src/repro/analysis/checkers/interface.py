@@ -1,21 +1,13 @@
-"""Gateway interface audit (IF2xx).
+"""Gateway interface audit (IF201).
 
 §IV-B hardens all 90 ecalls/ocalls with sanity checks against Iago-style
-attacks, and Fig 8's cost accounting depends on every boundary crossing
-declaring how many bytes it copies.  Both properties erode silently —
-one forgotten validator, one uncharged buffer — so this pass audits
-every call site:
+attacks.  That property erodes silently — one forgotten validator — so
+this pass audits every ocall registration:
 
 * **IF201** — ``register_ocall`` without a return-value ``validator``:
   a lying untrusted handler would reach trusted code unchecked.  Attack
   simulations that *deliberately* register bait handlers opt out with
   ``unvalidated_ok=True``.
-* **IF202** — an ``ecall``/``ocall`` that passes arguments across the
-  boundary without declaring ``payload_bytes``: the copy cost of that
-  buffer never hits the :class:`~repro.sgx.gateway.CostLedger`.
-  Crossings that carry no payload (``gateway.ecall("generate_keypair")``)
-  are exempt; handle-passing crossings declare an explicit
-  ``payload_bytes=0``.
 """
 
 from __future__ import annotations
@@ -39,11 +31,10 @@ class InterfaceChecker(Checker):
     name = "interface"
     rules = {
         "IF201": "ocall registered without a return-value validator (Iago defence missing)",
-        "IF202": "boundary crossing carries arguments but declares no payload_bytes",
     }
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        """Interface-audit findings for every gateway call site."""
+        """Interface-audit findings for every ocall registration."""
         findings: List[Finding] = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
@@ -53,8 +44,6 @@ class InterfaceChecker(Checker):
                 continue
             if func.attr == "register_ocall":
                 findings.extend(self._audit_register(module, node))
-            elif func.attr in ("ecall", "ocall"):
-                findings.extend(self._audit_crossing(module, node, func.attr))
         return findings
 
     # ------------------------------------------------------------------
@@ -76,26 +65,5 @@ class InterfaceChecker(Checker):
                 "register_ocall without a validator: hostile ocall return values "
                 "would reach trusted code unchecked (pass validator=..., or "
                 "unvalidated_ok=True in attack simulations)",
-            )
-        ]
-
-    def _audit_crossing(self, module: ModuleInfo, node: ast.Call, kind: str) -> List[Finding]:
-        if any(isinstance(arg, ast.Starred) for arg in node.args):
-            return []  # e.g. hostile fuzzing loops replaying *args verbatim
-        keyword_names = {kw.arg for kw in node.keywords}
-        if "payload_bytes" in keyword_names or None in keyword_names:  # **kwargs
-            return []
-        carries_payload = len(node.args) > 1 or bool(keyword_names)
-        if not carries_payload:
-            return []
-        return [
-            self.finding(
-                "IF202",
-                Severity.WARNING,
-                module,
-                node,
-                f"{kind} passes arguments across the enclave boundary without "
-                "payload_bytes; the buffer copy is never charged to the cost "
-                "ledger (declare payload_bytes=0 for handle-only crossings)",
             )
         ]

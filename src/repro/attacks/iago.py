@@ -32,7 +32,7 @@ def _provisioned_enclave(seed: bytes):
     endbox = EndBoxEnclave.create(image, platform)
     provision_client(endbox, platform, ca)
     config = click_configs.nop_config()
-    endbox.gateway.ecall("initialize", config, "", sim=Simulator(), payload_bytes=len(config))
+    endbox.gateway.ecall("initialize", config, "", sim=Simulator())
     return endbox
 
 

@@ -50,9 +50,7 @@ def run_rollback_attacks(seed: str = "atk-rollback") -> List[AttackReport]:
     # 1. replay the old configuration
     # ------------------------------------------------------------------
     try:
-        client.endbox.gateway.ecall(
-            "apply_config", old_bundle.blob, payload_bytes=len(old_bundle.blob)
-        )
+        client.endbox.gateway.ecall("apply_config", old_bundle.blob)
         outcome = AttackOutcome.SUCCEEDED
         details = "enclave accepted a rollback"
     except ConfigError as exc:
@@ -74,9 +72,7 @@ def run_rollback_attacks(seed: str = "atk-rollback") -> List[AttackReport]:
     rogue_ca = CertificateAuthority(IntelAttestationService(seed=b"rogue-ias"), seed=b"rogue")
     rogue_bundle = ConfigPublisher(rogue_ca).build_bundle(99, click_configs.nop_config(), encrypt=False)
     try:
-        client.endbox.gateway.ecall(
-            "apply_config", rogue_bundle.blob, payload_bytes=len(rogue_bundle.blob)
-        )
+        client.endbox.gateway.ecall("apply_config", rogue_bundle.blob)
         outcome = AttackOutcome.SUCCEEDED
         details = "enclave accepted a foreign signature"
     except ConfigError as exc:

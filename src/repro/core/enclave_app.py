@@ -336,12 +336,7 @@ class EndBoxEnclave:
         enclave = Enclave(image, platform.epc, mode=mode, heap_bytes=heap_bytes)
         platform.load(enclave)
         model = image.initial_data["cost_model"]
-        gateway = EnclaveGateway(
-            enclave,
-            CostLedger(),
-            transition_cost=model.enclave_transition,
-            copy_cost_per_byte=0.0,  # boundary copies are charged in-handler
-        )
+        gateway = EnclaveGateway(enclave, CostLedger(), transition_cost=model.enclave_transition)
         gateway.set_ecall_validator("process_packet", _validate_process_packet)
         gateway.set_ecall_validator("apply_config", _validate_blob)
         gateway.set_ecall_validator("provision", _validate_provision)

@@ -47,6 +47,12 @@ UNOPTIMIZED_TRANSITIONS = 26
 #: most packets one batched enclave crossing carries
 ECALL_BATCH_LIMIT = 32
 
+#: bounded retry-with-backoff for the Fig 5 fetch (steps 5-9): the
+#: configuration file server may be down mid-rollout.  The first retry
+#: waits the backoff, and each later one twice the one before.
+CONFIG_FETCH_ATTEMPTS = 6
+CONFIG_FETCH_BACKOFF_S = 0.25
+
 
 class EndBoxClient(OpenVpnClient):
     """OpenVPN client + enclave-guarded middlebox functions."""
@@ -63,8 +69,6 @@ class EndBoxClient(OpenVpnClient):
         single_ecall_optimization: bool = True,
         c2c_flagging: bool = True,
         ecall_batching: bool = False,
-        config_fetch_attempts: int = 6,
-        config_fetch_backoff_s: float = 0.25,
         **vpn_kwargs,
     ) -> None:
         if ecall_batching and not single_ecall_optimization:
@@ -85,9 +89,7 @@ class EndBoxClient(OpenVpnClient):
         if credentials is None:
             raise ValueError("enclave is not provisioned (run provision_client first)")
         identity_key, certificate = credentials
-        endbox.gateway.ecall(
-            "set_cost_model", vpn_kwargs.get("cost_model"), keep_existing=True, payload_bytes=0
-        )
+        endbox.gateway.ecall("set_cost_model", vpn_kwargs.get("cost_model"), keep_existing=True)
         super().__init__(
             host,
             server_addr,
@@ -96,7 +98,7 @@ class EndBoxClient(OpenVpnClient):
             ca_public_key,
             **vpn_kwargs,
         )
-        endbox.gateway.ecall("set_cost_model", self.model, payload_bytes=0)
+        endbox.gateway.ecall("set_cost_model", self.model)
         self.single_ecall_optimization = single_ecall_optimization
         self.c2c_flagging = c2c_flagging
         self.config_server = config_server
@@ -109,17 +111,9 @@ class EndBoxClient(OpenVpnClient):
         self._swap_until = 0.0
         self.update_timings: list = []
         self.update_in_progress = False
-        # bounded retry-with-backoff for the Fig 5 fetch (steps 5-9):
-        # the configuration file server may be down mid-rollout
-        if config_fetch_attempts < 1:
-            raise ValueError("config_fetch_attempts must be at least 1")
-        self.config_fetch_attempts = config_fetch_attempts
-        self.config_fetch_backoff_s = config_fetch_backoff_s
         self.config_fetch_retries = 0
         self.config_fetch_failures = 0
-        self.endbox.gateway.ecall(
-            "initialize", click_config, ruleset_text, sim=self.sim, payload_bytes=len(click_config)
-        )
+        self.endbox.gateway.ecall("initialize", click_config, ruleset_text, sim=self.sim)
         self.management.on_tls_keys(self._register_tls_session)
         self.on_server_announcement = self._handle_announcement
 
@@ -157,12 +151,7 @@ class EndBoxClient(OpenVpnClient):
         gateway = self.endbox.gateway
         try:
             accepted, packet = gateway.ecall(
-                "process_packet",
-                packet,
-                direction,
-                self.mode.value,
-                self.c2c_flagging,
-                payload_bytes=len(packet),
+                "process_packet", packet, direction, self.mode.value, self.c2c_flagging
             )
         except EnclaveError:
             self.packets_dropped_enclave_error += 1
@@ -195,9 +184,7 @@ class EndBoxClient(OpenVpnClient):
         gateway = self.endbox.gateway
         calls = [(p, direction, self.mode.value, self.c2c_flagging) for p in packets]
         try:
-            results = gateway.ecall_batch(
-                "process_packet", calls, payload_bytes=sum(len(p) for p in packets)
-            )
+            results = gateway.ecall_batch("process_packet", calls)
         except EnclaveError:
             self.packets_dropped_enclave_error += len(packets)
             return [], len(packets) * self.model.partition_fixed
@@ -281,7 +268,7 @@ class EndBoxClient(OpenVpnClient):
     def _register_tls_session(self, session) -> None:
         # the session object is a handle; the key material it carries is
         # priced by the handshake itself, so no boundary copy is charged
-        self.endbox.gateway.ecall("register_tls_session", session, payload_bytes=0)
+        self.endbox.gateway.ecall("register_tls_session", session)
 
     # ------------------------------------------------------------------
     # configuration updates (Fig 5, client side)
@@ -314,8 +301,8 @@ class EndBoxClient(OpenVpnClient):
             http = HttpClient(self.host)
             fetch_started = self.sim.now
             response = None
-            backoff = self.config_fetch_backoff_s
-            for attempt in range(self.config_fetch_attempts):
+            backoff = CONFIG_FETCH_BACKOFF_S
+            for attempt in range(CONFIG_FETCH_ATTEMPTS):
                 if attempt:
                     self.config_fetch_retries += 1
                     yield self.sim.timeout(backoff)
@@ -338,9 +325,7 @@ class EndBoxClient(OpenVpnClient):
                 return
             fetch_s = self.sim.now - fetch_started
             try:
-                applied_version, swap = self.endbox.gateway.ecall(
-                    "apply_config", response.body, payload_bytes=len(response.body)
-                )
+                applied_version, swap = self.endbox.gateway.ecall("apply_config", response.body)
             except ConfigError:
                 return
             # decrypt + hotswap happen inside the enclave; the packet path
@@ -367,9 +352,7 @@ class EndBoxClient(OpenVpnClient):
         the normal path is the announcement-triggered
         :meth:`_fetch_and_apply`.
         """
-        applied_version, swap = self.endbox.gateway.ecall(
-            "apply_config", blob, payload_bytes=len(blob)
-        )
+        applied_version, swap = self.endbox.gateway.ecall("apply_config", blob)
         self._swap_until = self.sim.now + swap.decrypt_s + swap.hotswap_s
         yield from self._charge(self.endbox.gateway.ledger.drain() + swap.hotswap_s)
         self.config_version = applied_version
@@ -433,14 +416,8 @@ class EndBoxClient(OpenVpnClient):
         endbox = EndBoxEnclave.create(old.image, platform, mode=old.mode)
         restore_client(endbox, storage)
         self.endbox = endbox
-        endbox.gateway.ecall("set_cost_model", self.model, payload_bytes=0)
-        endbox.gateway.ecall(
-            "initialize",
-            self.click_config,
-            self.ruleset_text,
-            sim=self.sim,
-            payload_bytes=len(self.click_config),
-        )
+        endbox.gateway.ecall("set_cost_model", self.model)
+        endbox.gateway.ecall("initialize", self.click_config, self.ruleset_text, sim=self.sim)
         self.config_version = 1
         self._swap_until = 0.0
 
@@ -449,4 +426,4 @@ class EndBoxClient(OpenVpnClient):
     # ------------------------------------------------------------------
     def click_handler(self, element: str, handler: str) -> str:
         """Read a Click handler inside the enclave (diagnostics)."""
-        return self.endbox.gateway.ecall("read_handler", element, handler, payload_bytes=0)
+        return self.endbox.gateway.ecall("read_handler", element, handler)

@@ -27,16 +27,15 @@ from repro.vpn.openvpn import OpenVpnServer
 class EndBoxServer(OpenVpnServer):
     """VPN concentrator with EndBox admission and flag hygiene."""
 
-    def __init__(self, *args, require_attested_subject: bool = True, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.require_attested_subject = require_attested_subject
         self.admissions_denied = 0
         self.flags_stripped = 0
         self.host.stack.forward_hooks.append(self._strip_outside_flags)
 
     # ------------------------------------------------------------------
     def admit_session(self, certificate: Certificate, client_version: int) -> bool:
-        if self.require_attested_subject and not certificate.subject.startswith("endbox:"):
+        if not certificate.subject.startswith("endbox:"):
             self.admissions_denied += 1
             return False
         deadline = self.grace_deadline_for(client_version)

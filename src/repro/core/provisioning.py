@@ -37,20 +37,15 @@ def provision_client(
     quote = platform.quoting_enclave.quote(report)
     certificate, wrapped_key = ca.enroll(quote, public_key)  # steps 3-6
     certificate_bytes = certificate.serialize()
-    endbox.gateway.ecall(
-        "provision",
-        certificate_bytes,
-        wrapped_key,
-        payload_bytes=len(certificate_bytes) + len(wrapped_key),
-    )
+    endbox.gateway.ecall("provision", certificate_bytes, wrapped_key)
     if storage is not None:
         # the storage object is a handle to untrusted disk; sealed blobs
         # cross the boundary via its own interface, not this ecall
-        endbox.gateway.ecall("seal_state", storage, payload_bytes=0)  # step 7
+        endbox.gateway.ecall("seal_state", storage)  # step 7
     return certificate
 
 
 def restore_client(endbox: EndBoxEnclave, storage: SealedStorage) -> Certificate:
     """Restart path: unseal previously provisioned credentials."""
-    endbox.gateway.ecall("restore_state", storage, payload_bytes=0)
+    endbox.gateway.ecall("restore_state", storage)
     return endbox.gateway.ecall("get_certificate")

@@ -75,13 +75,7 @@ def _measure(config: str, sizes: Sequence[int], repeats: int, seed: str) -> Dict
         decrypt_config = (
             "from :: FromDevice(); tls :: TLSDecrypt(); to :: ToDevice(); from -> tls -> to;"
         )
-        client.endbox.gateway.ecall(
-            "initialize",
-            decrypt_config,
-            "",
-            sim=world.sim,
-            payload_bytes=len(decrypt_config),
-        )
+        client.endbox.gateway.ecall("initialize", decrypt_config, "", sim=world.sim)
     world.connect_all()
     # HTTPS server on the internal host
     server_tls = TlsLibrary(seed=b"server-tls")

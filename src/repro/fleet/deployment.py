@@ -194,13 +194,13 @@ class FleetDeployment:
         """Move a client to ``to_gateway``, the way OpenVPN fails over.
 
         The current gateway closes the client's sessions and the client
-        is retargeted, so its next dead-peer-detection tick re-handshakes
-        with the target.  The client keeps its process, its enclave, its
-        Click state and its configuration version: the target admits it
-        on the version that enclave reports, under the same fleet-wide
-        grace deadlines (§III-E).  Until that handshake, at most one ping
-        interval later, the target refuses datagrams sealed under the
-        old keys.  Counted in ``fleet.balancer.migrations``.
+        is retargeted, which starts its re-handshake with the target at
+        once.  The client keeps its process, its enclave, its Click state
+        and its configuration version: the target admits it on the
+        version that enclave reports, under the same fleet-wide grace
+        deadlines (§III-E).  Until that handshake's round trip completes,
+        the target refuses datagrams sealed under the old keys.  Counted
+        in ``fleet.balancer.migrations``.
         """
         if not 0 <= client_index < len(self.clients):
             raise FleetError(f"no client #{client_index} in this fleet")

@@ -5,9 +5,9 @@ The paper's two machine classes are modelled as host presets:
 * class A — SGX-capable 4-core Xeon v5, 32 GB RAM (clients, some servers),
 * class B — non-SGX 4-core Xeon v2, 16 GB RAM (ENDBOX/iperf servers).
 
-Both run with hyper-threading enabled and two 10 Gbps NICs.  CPU speed
-differences between the classes are expressed through the cost model's
-per-class scale factor rather than through core counts.
+Both run with hyper-threading enabled and two 10 Gbps NICs.  The two
+presets differ in name only: see :func:`class_b_host` for where the
+class-B speed difference lives.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ class Host:
         cores: int = 4,
         ht_factor: float = 1.3,
         context_switch_cost: float = 0.0,
-        cpu_scale: float = 1.0,
         forwarding: bool = False,
-        sgx_capable: bool = True,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -45,10 +43,6 @@ class Host:
             context_switch_cost=context_switch_cost,
             name=f"{name}.cpu",
         )
-        #: Multiplier on cost-model durations for this machine class
-        #: (class B Xeon v2 machines are ~15 % slower per cycle).
-        self.cpu_scale = cpu_scale
-        self.sgx_capable = sgx_capable
         self.stack = NetworkStack(sim, name, forwarding=forwarding)
 
     # ------------------------------------------------------------------
@@ -67,8 +61,8 @@ class Host:
         return tun
 
     def execute(self, seconds: float):
-        """Process generator: consume scaled CPU time on this host."""
-        return self.cpu.execute(seconds * self.cpu_scale)
+        """Process generator: consume CPU time on this host."""
+        return self.cpu.execute(seconds)
 
     @property
     def address(self) -> IPv4Address:
@@ -82,17 +76,16 @@ def class_a_host(sim: Simulator, name: str, **kwargs) -> Host:
     """An SGX-capable evaluation machine (Xeon v5, 4 cores, 32 GB)."""
     kwargs.setdefault("cores", 4)
     kwargs.setdefault("ht_factor", 1.3)
-    kwargs.setdefault("cpu_scale", 1.0)
-    kwargs.setdefault("sgx_capable", True)
     return Host(sim, name, **kwargs)
 
 
 def class_b_host(sim: Simulator, name: str, **kwargs) -> Host:
-    """A non-SGX server machine (Xeon v2, 4 cores, 16 GB)."""
+    """A non-SGX server machine (Xeon v2, 4 cores, 16 GB).
+
+    Class B machines are slower per cycle than class A, but no scale
+    factor models that: the server-side cost constants were fitted
+    against class B hosts, so the difference is already in them.
+    """
     kwargs.setdefault("cores", 4)
     kwargs.setdefault("ht_factor", 1.3)
-    # class differences are already folded into the calibrated cost
-    # constants (the server-side fits were made against class B hosts)
-    kwargs.setdefault("cpu_scale", 1.0)
-    kwargs.setdefault("sgx_capable", False)
     return Host(sim, name, **kwargs)

@@ -8,10 +8,12 @@ models that boundary:
   transition cost (hardware mode only) to a :class:`CostLedger`,
 * declared argument validators run *inside* the boundary; a failing
   validator raises :class:`InterfaceViolation` without executing the
-  handler — the defence the paper's "interface attacks" paragraph claims,
-* buffers crossing the boundary are *copied* (ecall inputs into the
-  enclave, return values out), and the copy cost is charged, which is
-  what makes small packets expensive in Fig 8.
+  handler — the defence the paper's "interface attacks" paragraph claims.
+
+Buffer copies across the boundary, which make small packets expensive
+in Fig 8, are priced by the one handler that moves packets:
+``ecall_process_packet`` in :mod:`repro.core.enclave_app` charges
+``2·memcpy(size)`` per packet.
 """
 
 from __future__ import annotations
@@ -59,10 +61,9 @@ class EnclaveGateway:
     """Untrusted <-> trusted call boundary for one enclave.
 
     Every transition is counted through :mod:`repro.telemetry`: the
-    public :attr:`ecalls` / :attr:`ocalls` / :attr:`exitless` counters
-    are *private instruments* — their ``.value`` reflects this gateway
-    alone — that mirror into the owning registry's shared
-    ``sgx.gateway.*`` totals.
+    public :attr:`ecalls` / :attr:`ocalls` counters are *private
+    instruments* — their ``.value`` reflects this gateway alone — that
+    mirror into the owning registry's shared ``sgx.gateway.*`` totals.
     """
 
     def __init__(
@@ -70,25 +71,14 @@ class EnclaveGateway:
         enclave: Enclave,
         ledger: Optional[CostLedger] = None,
         transition_cost: float = 0.0,
-        copy_cost_per_byte: float = 0.0,
-        exitless_ocalls: bool = False,
-        exitless_cost: float = 0.2e-6,
     ) -> None:
         self.enclave = enclave
         self.ledger = ledger or CostLedger()
         self.transition_cost = transition_cost
-        self.copy_cost_per_byte = copy_cost_per_byte
-        #: Eleos-style exitless services (§IV-B mentions that EndBox's
-        #: ocalls "could be omitted by using exitless enclave services"):
-        #: ocalls are serviced by an untrusted worker thread through a
-        #: shared-memory queue instead of EEXIT/EENTER transitions.
-        self.exitless_ocalls = exitless_ocalls
-        self.exitless_cost = exitless_cost
         registry = Registry.current()
         self.telemetry = registry
         self.ecalls = registry.counter("sgx.gateway.ecalls", private=True)
         self.ocalls = registry.counter("sgx.gateway.ocalls", private=True)
-        self.exitless = registry.counter("sgx.gateway.exitless", private=True)
         #: shared expected-EPC-fault counter; the cost-accounting ecalls
         #: (repro.core.enclave_app) add their charged fault counts here
         self.epc_faults = registry.counter("sgx.epc.page_faults")
@@ -139,40 +129,40 @@ class EnclaveGateway:
     # ------------------------------------------------------------------
     # crossings
     # ------------------------------------------------------------------
-    def _charge_transition(self, payload_bytes: int) -> None:
+    def _charge_transition(self) -> None:
+        """Charge one EENTER or EEXIT (hardware mode only)."""
         if self.enclave.mode is EnclaveMode.HARDWARE:
-            self.ledger.add(self.transition_cost + payload_bytes * self.copy_cost_per_byte)
+            self.ledger.add(self.transition_cost)
 
-    def ecall(self, name: str, *args: Any, payload_bytes: int = 0, **kwargs: Any) -> Any:
+    def ecall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Enter the enclave through entry point ``name``.
 
-        ``payload_bytes`` sizes the buffer copied across the boundary
-        (cost accounting); the actual Python arguments are passed through.
+        The arguments are passed through to the handler, which prices
+        any buffer it copies across the boundary.
         """
         validator = self._ecall_validators.get(name)
         if validator is not None and not validator(*args, **kwargs):
             raise InterfaceViolation(f"ecall {name!r}: argument sanity check failed")
         handler = self.enclave._enter(name)
         self.ecalls.inc()
-        self._charge_transition(payload_bytes)
+        self._charge_transition()
         try:
             return handler(self.enclave, self, *args, **kwargs)
         finally:
             self.enclave._leave()
-            self._charge_transition(0)  # the EEXIT side
+            self._charge_transition()  # the EEXIT side
 
-    def ecall_batch(self, name: str, calls, *, payload_bytes: int = 0, **kwargs: Any) -> list:
+    def ecall_batch(self, name: str, calls, **kwargs: Any) -> list:
         """Enter the enclave once and run ``name`` for every argument tuple.
 
         §IV-A batching taken one step further: a burst of ``len(calls)``
         requests crosses the boundary with a single EENTER/EEXIT pair,
-        so the ledger is charged one transition each way plus the copy
-        cost of the whole burst (``payload_bytes``).  Everything else is
-        unchanged from the scalar :meth:`ecall` — in particular, the
-        declared argument validator still runs for *every* item before
-        the enclave is entered (a hostile burst must not smuggle one bad
-        packet among good ones), and per-item handler costs (boundary
-        copies, EPC tax, crypto) are still charged per item.
+        so the ledger is charged one transition each way.  Everything
+        else is unchanged from the scalar :meth:`ecall` — in particular,
+        the declared argument validator still runs for *every* item
+        before the enclave is entered (a hostile burst must not smuggle
+        one bad packet among good ones), and per-item handler costs
+        (boundary copies, EPC tax, crypto) are still charged per item.
 
         Returns the list of per-item handler results, in order.
         """
@@ -183,15 +173,15 @@ class EnclaveGateway:
                     raise InterfaceViolation(f"ecall {name!r}: argument sanity check failed")
         handler = self.enclave._enter(name)
         self.ecalls.inc()
-        self._charge_transition(payload_bytes)
+        self._charge_transition()
         try:
             enclave = self.enclave
             return [handler(enclave, self, *args, **kwargs) for args in calls]
         finally:
             self.enclave._leave()
-            self._charge_transition(0)  # the EEXIT side
+            self._charge_transition()  # the EEXIT side
 
-    def ocall(self, name: str, *args: Any, payload_bytes: int = 0, **kwargs: Any) -> Any:
+    def ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Call out of the enclave into untrusted code.
 
         Return values are validated (Iago defence) before re-entering.
@@ -200,18 +190,10 @@ class EnclaveGateway:
         if handler is None:
             raise EnclaveError(f"undeclared ocall {name!r}")
         self.ocalls.inc()
-        if self.exitless_ocalls and self.enclave.mode is EnclaveMode.HARDWARE:
-            # shared-memory request to the untrusted worker: no EEXIT,
-            # just queueing/polling cost plus the boundary copy
-            self.exitless.inc()
-            self.ledger.add(self.exitless_cost + payload_bytes * self.copy_cost_per_byte)
-            result = handler(*args, **kwargs)
-        else:
-            self._charge_transition(payload_bytes)
-            result = handler(*args, **kwargs)
+        self._charge_transition()
+        result = handler(*args, **kwargs)
         validator = self._ocall_validators.get(name)
         if validator is not None and not validator(result):
             raise InterfaceViolation(f"ocall {name!r}: return value sanity check failed")
-        if not (self.exitless_ocalls and self.enclave.mode is EnclaveMode.HARDWARE):
-            self._charge_transition(0)  # re-entry
+        self._charge_transition()  # re-entry
         return result

@@ -12,7 +12,7 @@ quantum.  That penalty is what makes the paper's ``OpenVPN+Click`` curve
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Deque, Generator
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -160,57 +160,39 @@ class _Job(Event):
 
 
 class FifoStore:
-    """Unbounded (or bounded) FIFO channel between processes.
+    """Unbounded FIFO channel between processes.
 
-    ``put()`` never blocks unless a ``capacity`` was given; ``get()``
-    returns an event that fires with the next item.
+    ``put()`` never blocks; ``get()`` returns an event that fires with
+    the next item.
     """
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = "store") -> None:
+    def __init__(self, sim: Simulator, name: str = "store") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[Event] = deque()
-        # Event pool for non-blocking puts: every such put used to
-        # allocate a fresh already-triggered Event that callers almost
-        # always discard.  One shared triggered instance is semantically
-        # identical (waiters see a deferred wake-up with value None,
-        # exactly as before) and removes the dominant allocation in the
-        # daemons' dispatch handlers.
+        # Event pool for puts: every put used to allocate a fresh
+        # already-triggered Event that callers almost always discard.
+        # One shared triggered instance is semantically identical
+        # (waiters see a deferred wake-up with value None, exactly as
+        # before) and removes the dominant allocation in the daemons'
+        # dispatch handlers.
         self._put_done = sim.event(f"{name}.put")
         self._put_done.triggered = True
 
     def put(self, item: Any) -> Event:
-        """Insert an item (event fires immediately unless bounded-full)."""
+        """Insert an item; the returned event has already fired."""
         if self._getters:
             self._getters.popleft().succeed(item)
-            return self._put_done
-        if self.capacity is None or len(self._items) < self.capacity:
+        else:
             self._items.append(item)
-            return self._put_done
-        event = self.sim.event(self.name)
-        self._putters.append(event)
-        event.value = item  # parked; delivered on next get
-        return event
+        return self._put_done
 
     def get(self) -> Event:
         """Event yielding the next item."""
         event = self.sim.event(self.name)
         if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                putter = self._putters.popleft()
-                self._items.append(putter.value)
-                putter.value = None
-                putter.succeed(None)
-            event.succeed(item)
-        elif self._putters:
-            putter = self._putters.popleft()
-            item, putter.value = putter.value, None
-            putter.succeed(None)
-            event.succeed(item)
+            event.succeed(self._items.popleft())
         else:
             self._getters.append(event)
         return event
@@ -244,8 +226,6 @@ class FifoStore:
         same-kind run of items (batched dispatch) without reordering."""
         if self._items:
             return self._items[0]
-        if self._putters:
-            return self._putters[0].value
         return None
 
     def __len__(self) -> int:

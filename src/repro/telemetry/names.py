@@ -119,7 +119,6 @@ register("click.router.packets", "counter", "packets", "packets entering Router.
 # SGX enclave boundary + paging
 register("sgx.gateway.ecalls", "counter", "calls", "synchronous + batched ecall transitions")
 register("sgx.gateway.ocalls", "counter", "calls", "ocall transitions out of the enclave")
-register("sgx.gateway.exitless", "counter", "calls", "ecalls serviced exitlessly (no HW transition)")
 register("sgx.epc.pages_allocated", "counter", "pages", "EPC pages allocated")
 register("sgx.epc.pages_freed", "counter", "pages", "EPC pages freed")
 register("sgx.epc.page_faults", "counter", "faults", "expected EPC page faults charged by the cost model")
@@ -154,7 +153,7 @@ register("netsim.link.queue_depth", "histogram", "frames", "queue occupancy samp
 # trace digests, so rewording one changes every digest it appears in.
 register("fleet.balancer.picks", "counter", "lookups", "client->gateway balancer lookups")
 register("fleet.balancer.remaps", "counter", "clients", "client->gateway assignment changes")
-register("fleet.balancer.migrations", "counter", "clients", "sealed-state client migrations executed")
+register("fleet.balancer.migrations", "counter", "clients", "client migrations executed (each one re-handshake)")
 register("fleet.gateway.stale_rejected", "counter", "packets", "stale-version traffic rejected after the grace deadline")
 register("fleet.gateway.stale_admitted", "counter", "packets", "stale-version traffic admitted after the grace deadline (tripwire; must stay 0)")
 

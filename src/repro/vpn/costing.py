@@ -129,16 +129,3 @@ def server_click_attach_cost(model: CostModel, size: int, oversubscription: floa
 def standalone_click_cost(model: CostModel, size: int) -> float:
     """Per-packet cost of the standalone (no VPN) Click deployment."""
     return model.click_standalone_fixed + size * model.click_fetch_per_byte
-
-
-def enclave_boundary_cost(model: CostModel, size: int, hardware: bool, transitions: int = 2) -> float:
-    """Cost of moving a packet through the enclave boundary.
-
-    ``transitions`` is EENTER+EEXIT events per packet: 2 with EndBox's
-    single-ecall optimisation (§IV-A), ~26 without it.
-    """
-    cost = model.partition_fixed + 2 * model.memcpy(size)  # copy in + out
-    if hardware:
-        cost += transitions * model.enclave_transition
-        cost += size * model.epc_per_byte
-    return cost

@@ -44,7 +44,8 @@ from repro.netsim.addresses import IPv4Address, IPv4Network
 from repro.netsim.host import Host
 from repro.netsim.packet import IPv4Packet, parse_ipv4
 from repro.netsim.tun import TunDevice
-from repro.sim import FifoStore
+from repro.sim import FifoStore, Process
+from repro.sim.engine import Interrupt
 from repro.vpn.channel import ChannelError, DataChannel, ProtectionMode
 from repro.vpn.costing import (
     client_egress_cost,
@@ -687,7 +688,11 @@ class OpenVpnClient:
         self.dpd_timeout: float = 6.0 * ping_interval
         self.last_server_rx: float = 0.0
         self.reconnects = 0
-        self._reconnecting = False
+        #: the dead-peer-detection process, once connected
+        self._dpd: Optional[Process] = None
+        #: the process running the re-handshake in flight, if any: the
+        #: DPD loop, or the one a retarget started
+        self._handshake: Optional[Process] = None
         #: the physical (pre-tunnel) route toward the server, kept so a
         #: fleet migration can pin a host route for a *new* gateway
         self._physical_route = None
@@ -734,9 +739,10 @@ class OpenVpnClient:
         Blocks on the control :class:`FifoStore` instead of polling it,
         so a long outage costs two events per wait rather than one every
         5 ms (which used to flood the event queue and distort
-        event-count telemetry).  A getter that loses the race is
-        withdrawn via :meth:`FifoStore.cancel_get` so it cannot swallow
-        a later control packet.
+        event-count telemetry).  A getter that loses the race, or whose
+        handshake a retarget interrupts, is withdrawn via
+        :meth:`FifoStore.cancel_get` so it cannot swallow a later control
+        packet.
         """
         deadline = self.sim.now + timeout
         while True:
@@ -749,9 +755,12 @@ class OpenVpnClient:
             if remaining <= 0:
                 return None
             get_event = self._control_inbox.get()
-            yield self.sim.any_of([get_event, self.sim.timeout(remaining)])
+            try:
+                yield self.sim.any_of([get_event, self.sim.timeout(remaining)])
+            finally:
+                if not get_event.triggered:
+                    self._control_inbox.cancel_get(get_event)
             if not get_event.triggered:
-                self._control_inbox.cancel_get(get_event)
                 return None
             packet = get_event.value
             if packet.opcode in opcodes:
@@ -838,7 +847,7 @@ class OpenVpnClient:
         self.last_server_rx = self.sim.now
         self.sim.process(self._worker(), name=f"{self.host.name}.vpn-worker")
         self.sim.process(self._ping_loop(), name=f"{self.host.name}.vpn-ping")
-        self.sim.process(self._dpd_loop(), name=f"{self.host.name}.vpn-dpd")
+        self._dpd = self.sim.process(self._dpd_loop(), name=f"{self.host.name}.vpn-dpd")
         self.connected_event.succeed(self)
 
     # ------------------------------------------------------------------
@@ -851,34 +860,41 @@ class OpenVpnClient:
             if self.suspended:
                 continue
             silent_for = self.sim.now - self.last_server_rx
-            if silent_for < self.dpd_timeout or self._reconnecting:
+            if silent_for < self.dpd_timeout or self._handshake is not None:
                 continue
-            self._reconnecting = True
             self.reconnects += 1
+            self._handshake = self._dpd
             try:
-                settings = yield from self._do_key_exchange(
-                    b"reconnect-%d" % self.reconnects
-                )
-            except VpnError as exc:
-                self.on_reconnect_failed(exc)
-                continue  # retry at the next DPD tick
-            finally:
-                self._reconnecting = False
-            new_ip = IPv4Address(settings["tunnel_ip"])
-            if new_ip != self.tunnel_ip and self.tun is not None:
-                # same peer endpoint normally keeps its address; if the
-                # server handed out a new one, re-home the TUN device
-                self.tunnel_ip = new_ip
-                self.tun.address = new_ip
-                self.host.stack.set_preferred_source(new_ip)
-            self.last_server_rx = self.sim.now
-            self.on_reconnected(settings)
+                yield from self._rehandshake(self.reconnects)
+            except Interrupt:
+                continue  # a retarget took over with a handshake of its own
+
+    def _rehandshake(self, attempt: int):
+        """Process generator: re-handshake number ``attempt`` with the
+        current server, run by the process in ``_handshake``."""
+        try:
+            settings = yield from self._do_key_exchange(b"reconnect-%d" % attempt)
+        except VpnError as exc:
+            self.on_reconnect_failed(exc)
+            return  # the DPD loop retries at a later tick
+        finally:
+            if attempt == self.reconnects:  # not superseded by a retarget
+                self._handshake = None
+        new_ip = IPv4Address(settings["tunnel_ip"])
+        if new_ip != self.tunnel_ip and self.tun is not None:
+            # same peer endpoint normally keeps its address; if the
+            # server handed out a new one, re-home the TUN device
+            self.tunnel_ip = new_ip
+            self.tun.address = new_ip
+            self.host.stack.set_preferred_source(new_ip)
+        self.last_server_rx = self.sim.now
+        self.on_reconnected(settings)
 
     def on_reconnected(self, settings: dict) -> None:
-        """Hook: called after a successful DPD-triggered re-handshake."""
+        """Hook: called after a successful re-handshake."""
 
     def on_reconnect_failed(self, exc: VpnError) -> None:
-        """Hook: a DPD re-handshake attempt failed (will retry later).
+        """Hook: a re-handshake attempt failed (DPD retries later).
 
         EndBox uses this to recover from post-grace lockout: a rejected
         client fetches the latest configuration out-of-band and retries
@@ -908,14 +924,13 @@ class OpenVpnClient:
         if self.sock is not None:
             self.sock.close()
 
-    def resume(self, rehandshake: bool = True) -> None:
+    def resume(self) -> None:
         """Restart after :meth:`suspend`.
 
         The restarted process binds a fresh socket (new source port, as
-        a real restart would) and, with ``rehandshake`` (the default),
-        the last-activity clock is rewound so dead-peer detection
-        re-handshakes at its next tick — a restarted OpenVPN process
-        always renegotiates.
+        a real restart would) and the last-activity clock is rewound so
+        dead-peer detection re-handshakes at its next tick — a restarted
+        OpenVPN process always renegotiates.
         """
         if not self.suspended:
             return
@@ -928,21 +943,32 @@ class OpenVpnClient:
             address=self.host.stack.source_address_for(self.server_addr)
         )
         self.sock.on_receive(self._on_datagram)
-        if rehandshake:
-            self.last_server_rx = self.sim.now - 2.0 * self.dpd_timeout
+        self.last_server_rx = self.sim.now - 2.0 * self.dpd_timeout
 
     def retarget(self, server_addr) -> None:
-        """Point the client at a different gateway (fleet migration).
+        """Point the client at a different gateway (fleet migration) and
+        re-handshake with it at once.
 
         Pins a host route for the new gateway over the physical uplink
         (the installed tunnel routes would otherwise swallow the outer
-        datagrams) and rewinds dead-peer detection so the next tick
-        re-handshakes with the new endpoint.
+        datagrams).  A re-handshake still in flight is interrupted, as
+        its reply would come from a gateway the client no longer hears.
+        Before the first connection, or while crashed, no handshake
+        starts here: the initial one, or the restart's, reaches the new
+        gateway.
         """
         self.server_addr = IPv4Address(server_addr)
         if self._physical_route is not None:
             self.host.stack.add_route(f"{self.server_addr}/32", self._physical_route)
-        self.last_server_rx = self.sim.now - 2.0 * self.dpd_timeout
+        if self._handshake is not None:
+            self._handshake.interrupt("retarget")
+            self._handshake = None
+        if self._dpd is None or self.suspended:
+            return
+        self.reconnects += 1
+        self._handshake = self.sim.process(
+            self._rehandshake(self.reconnects), name=f"{self.host.name}.vpn-retarget"
+        )
 
     # ------------------------------------------------------------------
     # pipeline hooks (EndBox overrides these)

@@ -285,27 +285,6 @@ def test_if201_explicit_none_validator_still_flagged():
     assert rules_of(findings) == ["IF201"]
 
 
-def test_if202_crossing_with_payload_but_no_declaration():
-    findings = analyze_source(
-        "gateway.ecall('apply_config', blob)\n",
-        module="repro.core.endbox_client",
-        checkers=[InterfaceChecker()],
-    )
-    assert rules_of(findings) == ["IF202"]
-
-
-def test_if202_declared_or_payloadless_crossings_clean():
-    source = (
-        "gateway.ecall('apply_config', blob, payload_bytes=len(blob))\n"
-        "gateway.ecall('generate_keypair')\n"
-        "gateway.ocall('notify', session, payload_bytes=0)\n"
-    )
-    findings = analyze_source(
-        source, module="repro.core.endbox_client", checkers=[InterfaceChecker()]
-    )
-    assert findings == []
-
-
 # ----------------------------------------------------------------------
 # inline suppressions
 # ----------------------------------------------------------------------
@@ -554,7 +533,7 @@ def test_apply_config_ecall_raises_config_error_on_bad_graph():
     bad = "from :: FromDevice();\nx :: NoSuchElement();\nfrom -> x;\n"
     bundle = ConfigPublisher(ca).build_bundle(2, bad, "", True)
     with pytest.raises(ConfigError, match="rejected before swap"):
-        endbox.gateway.ecall("apply_config", bundle.blob, payload_bytes=len(bundle.blob))
+        endbox.gateway.ecall("apply_config", bundle.blob)
     # the running router is untouched and still at version 1
     assert endbox.enclave.trusted_state["config_version"] == 1
 

@@ -10,13 +10,15 @@ from repro.costs.calibration import (
     predicted_throughput_mbps,
     report,
 )
+from repro.core.endbox_client import UNOPTIMIZED_TRANSITIONS
+from repro.fleet import DeploymentSpec
+from repro.netsim import IPv4Packet, UdpDatagram
 from repro.vpn.channel import ProtectionMode
 from repro.vpn.costing import (
     client_egress_cost,
     client_ingress_completion_cost,
     client_ingress_cost,
     crypto_cost,
-    enclave_boundary_cost,
     ingress_fragment_cost,
     server_click_attach_cost,
     server_egress_cost,
@@ -85,12 +87,35 @@ def test_fragment_plus_completion_equals_single_packet_cost(model):
         assert split == pytest.approx(client_ingress_cost(model, size, ENC))
 
 
+def _endbox_client(setup, **spec_fields):
+    """The one client of an unconnected single-client NOP world."""
+    spec = DeploymentSpec(setup=setup, clients=1, seed="boundary-cost", **spec_fields)
+    return spec.build().clients[0]
+
+
 def test_enclave_boundary_cost_modes(model):
-    sim_cost = enclave_boundary_cost(model, 1500, hardware=False)
-    hw_cost = enclave_boundary_cost(model, 1500, hardware=True)
-    assert hw_cost - sim_cost == pytest.approx(2 * model.enclave_transition + 1500 * model.epc_per_byte)
-    unbatched = enclave_boundary_cost(model, 1500, hardware=True, transitions=26)
-    assert unbatched > hw_cost
+    # the real crossing: one process_packet ecall on a hardware enclave
+    # costs the EENTER/EEXIT pair and the EPC tax more than the same
+    # ecall on a simulation enclave, which pays the boundary copies alone
+    packet = IPv4Packet(src="10.8.0.2", dst="10.0.0.9", l4=UdpDatagram(40000, 5001, bytes(1472)))
+    charged = {}
+    for setup in ("endbox_sgx", "endbox_sim"):
+        gateway = _endbox_client(setup).endbox.gateway
+        gateway.ledger.drain()
+        gateway.ecall("process_packet", packet, "egress", ENC.value, True)
+        charged[setup] = gateway.ledger.drain()
+    assert charged["endbox_sgx"] - charged["endbox_sim"] == pytest.approx(
+        2 * model.enclave_transition + len(packet) * model.epc_per_byte
+    )
+    # §V-G's unbatched price: without the single-ecall optimisation every
+    # egress packet pays UNOPTIMIZED_TRANSITIONS transitions, not two
+    costs = {}
+    for optimized in (True, False):
+        client = _endbox_client("endbox_sgx", single_ecall_optimization=optimized)
+        costs[optimized] = client.process_egress(packet)[2]
+    assert costs[False] - costs[True] == pytest.approx(
+        (UNOPTIMIZED_TRANSITIONS - 2) * model.enclave_transition, rel=1e-9
+    )
 
 
 def test_click_attach_cost_grows_with_oversubscription(model):

@@ -61,7 +61,7 @@ def endbox():
     box = EndBoxEnclave.create(image, platform)
     provision_client(box, platform, ca, SealedStorage(platform.platform_id))
     config = click_configs.nop_config()
-    box.gateway.ecall("initialize", config, "", sim=Simulator(), payload_bytes=len(config))
+    box.gateway.ecall("initialize", config, "", sim=Simulator())
     return box
 
 
@@ -177,19 +177,12 @@ def test_ecall_batch_single_crossing_and_discount(endbox):
 
     gateway.ledger.drain()
     before = gateway.ecalls.value
-    scalar_out = [
-        gateway.ecall("process_packet", p, "egress", MODE, True, payload_bytes=len(p))
-        for p in packets
-    ]
+    scalar_out = [gateway.ecall("process_packet", p, "egress", MODE, True) for p in packets]
     scalar_crossings = gateway.ecalls.value - before
     scalar_cost = gateway.ledger.drain()
 
     before = gateway.ecalls.value
-    batch_out = gateway.ecall_batch(
-        "process_packet",
-        [(p, "egress", MODE, True) for p in packets],
-        payload_bytes=sum(len(p) for p in packets),
-    )
+    batch_out = gateway.ecall_batch("process_packet", [(p, "egress", MODE, True) for p in packets])
     batch_crossings = gateway.ecalls.value - before
     batch_cost = gateway.ledger.drain()
 
@@ -236,7 +229,7 @@ def test_process_packet_batch_firewall_verdicts(endbox):
         "f :: FromDevice(); fw :: IPFilter(deny dst port 23, allow all); "
         "t :: ToDevice(); f -> fw -> t;"
     )
-    endbox.gateway.ecall("initialize", config, "", sim=Simulator(), payload_bytes=len(config))
+    endbox.gateway.ecall("initialize", config, "", sim=Simulator())
     packets = [udp_packet(dport=23), udp_packet(dport=80), udp_packet(dport=23)]
     scalar = [endbox.gateway.ecall("process_packet", p, "egress", MODE, True) for p in packets]
     batched = process_burst(endbox.gateway, packets)
@@ -267,9 +260,9 @@ def test_process_packet_batch_cost_matches_scalar_modulo_discount(endbox):
     packets = burst(16, payload_bytes=700)
     gateway.ledger.drain()
     for p in packets:
-        gateway.ecall("process_packet", p, "egress", MODE, True, payload_bytes=len(p))
+        gateway.ecall("process_packet", p, "egress", MODE, True)
     scalar_cost = gateway.ledger.drain()
-    process_burst(gateway, packets, payload_bytes=sum(len(p) for p in packets))
+    process_burst(gateway, packets)
     batch_cost = gateway.ledger.drain()
     discount = 2 * gateway.transition_cost * (len(packets) - 1)
     assert math.isclose(scalar_cost - batch_cost, discount, rel_tol=1e-9)
@@ -279,9 +272,9 @@ def test_process_packet_batch_single_item_costs_exactly_scalar(endbox):
     gateway = endbox.gateway
     packet = udp_packet(make_payload(700))
     gateway.ledger.drain()
-    gateway.ecall("process_packet", packet, "egress", MODE, True, payload_bytes=len(packet))
+    gateway.ecall("process_packet", packet, "egress", MODE, True)
     scalar_cost = gateway.ledger.drain()
-    process_burst(gateway, [packet], payload_bytes=len(packet))
+    process_burst(gateway, [packet])
     batch_cost = gateway.ledger.drain()
     assert scalar_cost == batch_cost
 

@@ -174,8 +174,8 @@ def test_fleet_announce_config_reaches_every_gateway():
 
 def test_migrate_client_resumes_session_on_target_gateway():
     # a migration is an OpenVPN failover: the source closes the session
-    # and the client, enclave and all, re-handshakes with the target at
-    # its next dead-peer-detection tick
+    # and the client, enclave and all, re-handshakes with the target as
+    # it is retargeted
     world = DeploymentSpec(clients=2, gateways=2, ping_interval=0.2, seed="mig").build()
     world.connect_all()
     client = world.clients[0]
@@ -239,21 +239,19 @@ def test_migration_keeps_enclave_version_past_grace_deadline():
     assert world.gateways[target].stale_admitted_after_grace == 0
 
 
-def test_rollout_then_rolling_restart_refuses_no_handshake():
-    # a version-2 rollout reaches every client and its grace runs out;
-    # then every gateway restarts in turn (4 ms windows).  The migrated
-    # clients re-handshake on the version their enclaves run, so no
-    # gateway refuses them and no client fetches its configuration again.
+def _eight_fw_clients_on_four_gateways():
+    """A connected 8-client FW world on 4 gateways (ping interval 0.2 s)."""
     spec = DeploymentSpec(
         use_case="FW", clients=8, gateways=4, ping_interval=0.2, seed="rollout-roll"
     )
     world = spec.build()
     world.connect_all()
-    announced = world.sim.now
-    _publish_firewall(world, grace_period_s=0.5)
-    world.sim.run(until=announced + 1.0)
-    assert [client.config_version for client in world.clients] == [2] * 8
-    fetched = [len(client.update_timings) for client in world.clients]
+    return world
+
+
+def _restart_under_traffic(world, plan):
+    """Arm ``plan`` while every client sends 400 B datagrams at 0.4 Mbit/s
+    to the internal host, and run 3 s past its last restart; the sink."""
     sink = UdpSink(world.internal, port=4242)
     sources = [
         UdpTrafficSource(host, world.internal.address, 4242, rate_bps=4e5, packet_bytes=400)
@@ -261,12 +259,26 @@ def test_rollout_then_rolling_restart_refuses_no_handshake():
     ]
     for traffic in sources:
         traffic.start()
-    plan = rolling_restart_plan(4)
     world.arm_faults(plan)
     plan_s = max(event.at + event.outage_s for event in plan)
     world.sim.run(until=world.sim.now + plan_s + 3.0)
     for traffic in sources:
         traffic.stop()
+    return sink
+
+
+def test_rollout_then_rolling_restart_refuses_no_handshake():
+    # a version-2 rollout reaches every client and its grace runs out;
+    # then every gateway restarts in turn (4 ms windows).  The migrated
+    # clients re-handshake on the version their enclaves run, so no
+    # gateway refuses them and no client fetches its configuration again.
+    world = _eight_fw_clients_on_four_gateways()
+    announced = world.sim.now
+    _publish_firewall(world, grace_period_s=0.5)
+    world.sim.run(until=announced + 1.0)
+    assert [client.config_version for client in world.clients] == [2] * 8
+    fetched = [len(client.update_timings) for client in world.clients]
+    sink = _restart_under_traffic(world, rolling_restart_plan(4))
     assert _counters(world).get("fleet.balancer.migrations") == 16
     assert [gateway.admissions_denied for gateway in world.gateways] == [0] * 4
     assert [len(client.update_timings) for client in world.clients] == fetched
@@ -275,6 +287,24 @@ def test_rollout_then_rolling_restart_refuses_no_handshake():
     for index in range(8):
         assert _sessions_of(world, index) == [world.homes[index]]
     assert sink.packets > 0
+
+
+@pytest.mark.parametrize("outage_s", [0.0002, 0.0005, 0.001, 0.004])
+def test_migration_rehandshakes_at_once(outage_s):
+    # a migrated client re-handshakes with its target as it is
+    # retargeted, not at its next dead-peer-detection tick: the gateways
+    # refuse at most one datagram per migration sealed under keys they
+    # do not hold.  A retarget that lands while the away handshake is in
+    # flight (outages shorter than a handshake) starts a fresh one home.
+    world = _eight_fw_clients_on_four_gateways()
+    sink = _restart_under_traffic(world, rolling_restart_plan(4, outage_s=outage_s))
+    migrations = _counters(world).get("fleet.balancer.migrations")
+    assert migrations == 16
+    assert sum(gateway.packets_rejected for gateway in world.gateways) <= migrations
+    assert sink.packets > 0
+    assert world.assignment == world.homes
+    for index in range(8):
+        assert _sessions_of(world, index) == [world.homes[index]]
 
 
 def test_rolling_gateway_restart_drains_and_rehomes():

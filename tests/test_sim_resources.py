@@ -206,29 +206,6 @@ def test_fifo_store_preserves_order():
     assert got == [1, 2, 3]
 
 
-def test_fifo_store_bounded_blocks_putter():
-    sim = Simulator()
-    store = FifoStore(sim, capacity=1)
-    timeline = []
-
-    def producer():
-        yield store.put("a")
-        timeline.append(("put-a", sim.now))
-        yield store.put("b")
-        timeline.append(("put-b", sim.now))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        item = yield store.get()
-        timeline.append(("got", item, sim.now))
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert ("put-a", 0.0) in timeline
-    assert ("put-b", 5.0) in timeline
-
-
 def test_fifo_try_get_nonblocking():
     sim = Simulator()
     store = FifoStore(sim)
