@@ -1,10 +1,12 @@
 """Shard-safety lint (SS6xx) and view lifetimes (HP705), machine-checked.
 
-ROADMAP item 1 shards the simulation across parallel workers.  That
-refactor is only sound if everything a shard touches is owned by its
-own :class:`~repro.sim.engine.Simulator` — module globals, class
-attributes and process-wide caches written from sim-driven code are
-shared across shards and diverge or race.  This pass runs the
+Many simulators share one process: the test suite, and the experiment
+runner's experiments run one after another.  Each run is reproducible
+only if everything it touches is owned by its own
+:class:`~repro.sim.engine.Simulator` — module globals, class attributes
+and process-wide caches written from sim-driven code are shared by
+every simulator in the process, so one run changes the next.  This
+pass runs the
 whole-program ownership engine of :mod:`~repro.analysis.ownergraph`
 and reports:
 

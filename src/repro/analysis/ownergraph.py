@@ -1,11 +1,12 @@
 """Whole-program ownership analysis (the SS6xx engine).
 
-ROADMAP item 1 — sharding the simulation across workers — is only
-correct if no state is silently process-global: anything a shard writes
-outside its own :class:`~repro.sim.engine.Simulator` (module globals,
-class attributes, process-wide caches) is shared with every other shard
-and diverges or races the moment two shards run concurrently.  This
-module computes, statically, which functions are **sim-driven**
+Simulators share one process: the test suite builds hundreds, and the
+experiment runner runs its experiments one after another.  A run is
+only reproducible if no state is silently process-global: anything a
+simulator writes outside its own :class:`~repro.sim.engine.Simulator`
+(module globals, class attributes, process-wide caches) is seen by
+every later or interleaved simulator, whose results then depend on
+what ran before it.  This module computes, statically, which functions are **sim-driven**
 (reachable from code executed under a ``Simulator`` run) and which of
 those touch **process-owned** state.
 
@@ -64,7 +65,7 @@ OWNERSHIP_RULES: Dict[str, str] = {
     "SS602": "Simulator-owned object escapes into process-global storage (cross-shard leakage)",
     "SS603": "process-wide cache/registry/counter mutated from sim-driven code (key it per-Simulator)",
     "SS604": "sim-driven instance method mutates a shared class attribute",
-    "SS605": "non-reentrant lazy initialization of shared state (races under parallel shards)",
+    "SS605": "non-reentrant lazy initialization of shared state (the first simulator's object leaks into every later one)",
     "HP705": "memoryview escapes past the point where its backing buffer is reused",
 }
 
@@ -115,9 +116,9 @@ OWNERSHIP: List[Waiver] = [
         contains="_process_root",
         note=(
             "the process root is created once during single-threaded "
-            "bootstrap (first Simulator construction); the sharded runner "
-            "honors this by pre-creating it before forking workers "
-            "(repro.sim.parallel._run_fork)"
+            "bootstrap (first Simulator construction) and then only read: "
+            "every later simulator in the process, interleaved or run one "
+            "after another, parents its registry to that one object"
         ),
     ),
     Waiver(
@@ -128,9 +129,8 @@ OWNERSHIP: List[Waiver] = [
             "the current-registry pointer is the scope machinery itself, "
             "not simulation state: Simulator.run()/step() save and restore "
             "it around every slice, so interleaved sims never observe each "
-            "other's registry; the sharded runner keeps it worker-local — "
-            "fork workers inherit a copy-on-write copy and inline mode "
-            "relies on the run()/step() save-restore (repro.sim.parallel)"
+            "other's registry (tests/test_shard_isolation.py checks this "
+            "against fresh-process runs)"
         ),
     ),
 ]
@@ -585,8 +585,8 @@ class _FunctionScan:
                                     "SS605",
                                     node,
                                     f"non-reentrant lazy initialization of module global "
-                                    f"'{key}'; parallel shards can both observe None and "
-                                    f"initialize twice",
+                                    f"'{key}'; the first simulator to reach it builds the "
+                                    f"object every later one in the process shares",
                                 )
                                 return
                     elif kind == "classattr":
@@ -597,8 +597,8 @@ class _FunctionScan:
                                 "SS605",
                                 node,
                                 f"non-reentrant lazy initialization of shared class "
-                                f"attribute '{key}'; parallel shards can both observe "
-                                f"None and initialize twice",
+                                f"attribute '{key}'; the first simulator to reach it "
+                                f"builds the object every later one in the process shares",
                             )
                             return
 

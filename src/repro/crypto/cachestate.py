@@ -4,8 +4,7 @@ The HMAC pad states (:mod:`repro.crypto.hmac`) are a pure function of
 the key, cached so each MAC costs two hash copies instead of two extra
 SHA-256 compressions.  A module-global dict would be exactly the state
 class the SS6xx shard-safety pass forbids: two Simulators sharing it
-observe each other's entries (warm-start nondeterminism) and, under the
-parallel sim core, race on it.
+observe each other's entries (warm-start nondeterminism).
 
 So the cache is scoped to the owning telemetry
 :class:`~repro.telemetry.registry.Registry` instead: every Simulator
@@ -35,8 +34,8 @@ def current_pads() -> dict:
     own registry is current, so sim-driven MACs land in a per-simulator
     cache; outside any simulator this falls back to the process root.
     The cache is stored as an attribute on the registry object so it
-    dies with it; single-shard code owns its registry outright, so the
-    create-on-miss here is not a cross-shard race.
+    dies with it; each simulator owns its registry outright, so the
+    create-on-miss here is not a race between simulators.
     """
     registry = Registry.current()
     pads = getattr(registry, "_hmac_pads", None)

@@ -5,11 +5,10 @@ hash-ring-balanced gateway fleet through a *rolling restart*: a
 :class:`~repro.faults.FaultPlan` of :class:`~repro.faults.GatewayRestart`
 events takes each gateway down in turn while a fleet-wide config
 announcement's grace deadline (§III-E) is in flight.  The experiment
-reports the determinism evidence the sharded engine promises — the
-merged trace digest of the inline and fork runs must equal the serial
-reference byte-for-byte — plus the fleet counters the acceptance bar
-names: migrations during the restarts, stale rejections after the
-deadline, and the ``stale_admitted`` tripwire at 0.
+reports the admitted goodput, the run's trace digest and the fleet
+counters the acceptance bar names: migrations during the restarts,
+stale rejections after the deadline, and the ``stale_admitted``
+counter at 0.
 
 Its oracle, :func:`compare_fleets`, runs the same spec and plan through
 the packet-level fleet, whose restarts drive the real migration path
@@ -26,9 +25,10 @@ truth for both the packet-granularity and the swarm arm.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.experiments.common import ExperimentResult
+from repro.faults.injector import trace_digest
 from repro.faults.plan import FaultPlan, GatewayRestart
 from repro.fleet.spec import DeploymentSpec
 from repro.fleet.swarm import (
@@ -40,7 +40,6 @@ from repro.fleet.swarm import (
     fleet_goodput_bps,
     run_fleet_swarm,
 )
-from repro.sim.parallel import ShardRunResult, fork_available
 
 
 def rolling_restart_plan(
@@ -101,14 +100,14 @@ def compare_fleets(spec: DeploymentSpec, params: FleetSwarmParams) -> Dict[str, 
     The packet-level fleet is ``spec`` built, connected, armed with
     ``arm_faults()`` and run ``params.horizon_s`` on; the swarm runs
     ``params``, which must describe the same fleet (as
-    :func:`swarm_params_from_spec` builds it), serially.
+    :func:`swarm_params_from_spec` builds it).
     """
     world = spec.build()
     world.connect_all()
     world.arm_faults()
     world.sim.run(until=world.sim.now + params.horizon_s)
     packet = world.sim.telemetry.counter
-    swarm = run_fleet_swarm(params, n_shards=1, mode="serial")
+    swarm = run_fleet_swarm(params).telemetry.value
     return {
         "clients": spec.clients,
         "packet": {
@@ -117,9 +116,9 @@ def compare_fleets(spec: DeploymentSpec, params: FleetSwarmParams) -> Dict[str, 
             "stale_admitted_after_grace": sum(g.stale_admitted_after_grace for g in world.gateways),
         },
         "swarm": {
-            "remaps": swarm.counter(REMAPS_NAME),
-            "migrations": swarm.counter(MIGRATIONS_NAME),
-            "stale_admitted_after_grace": swarm.counter(STALE_ADMITTED_NAME),
+            "remaps": swarm(REMAPS_NAME),
+            "migrations": swarm(MIGRATIONS_NAME),
+            "stale_admitted_after_grace": swarm(STALE_ADMITTED_NAME),
         },
         "all_home": world.assignment == world.homes,
     }
@@ -127,50 +126,33 @@ def compare_fleets(spec: DeploymentSpec, params: FleetSwarmParams) -> Dict[str, 
 
 def run_fleet_rollout(
     spec: Optional[DeploymentSpec] = None,
-    n_shards: int = 5,
-    modes: Sequence[str] = ("inline", "fork"),
     params: Optional[FleetSwarmParams] = None,
 ) -> ExperimentResult:
-    """Run the rolling-restart fleet scenario in every requested mode.
+    """Run the rolling-restart fleet scenario once, next to its oracle.
 
-    Each sharded mode is compared against the serial reference digest;
-    ``metadata["digest_matches_serial"]`` must be all-True and
-    ``metadata["stale_admitted_after_grace"]`` must be 0 for the
-    scenario to count as passing; ``metadata["oracle"]`` must agree.
+    ``metadata["stale_admitted_after_grace"]`` must be 0 and
+    ``metadata["oracle"]`` must agree for the scenario to count as
+    passing.
     """
     spec = spec or fleet_rollout_spec()
     params = params or swarm_params_from_spec(spec)
-    serial = run_fleet_swarm(params, n_shards, mode="serial")
-    reference = serial.trace_digest()
-    results: Dict[str, ShardRunResult] = {"serial": serial}
-    skipped = []
-    for mode in modes:
-        if mode == "fork" and not fork_available():
-            skipped.append(mode)
-            continue
-        results[mode] = run_fleet_swarm(params, n_shards, mode=mode)
-    digest_ok = {
-        mode: result.trace_digest() == reference for mode, result in results.items()
-    }
-    goodput = {mode: fleet_goodput_bps(result, params) for mode, result in results.items()}
+    sim = run_fleet_swarm(params)
+    counter = sim.telemetry.value
     result = ExperimentResult(
         name="fleet_rollout",
-        title="Fleet rollout: rolling gateway restarts under grace (sharded)",
-        x_label="runner mode",
+        title="Fleet rollout: rolling gateway restarts under grace",
+        x_label="clients",
         unit="Gbps",
-        series={"admitted goodput": {mode: bps / 1e9 for mode, bps in goodput.items()}},
+        series={"admitted goodput": {params.n_clients: fleet_goodput_bps(sim, params) / 1e9}},
         metadata={
             "n_clients": params.n_clients,
             "n_gateways": params.n_gateways,
-            "n_shards": n_shards,
             "fault_plan": (params.fault_plan or FaultPlan("empty")).to_dict(),
-            "digest": reference,
-            "digest_matches_serial": digest_ok,
-            "modes_skipped": skipped,
-            "migrations": serial.counter(MIGRATIONS_NAME),
-            "remaps": serial.counter(REMAPS_NAME),
-            "stale_rejected": serial.counter(STALE_REJECTED_NAME),
-            "stale_admitted_after_grace": serial.counter(STALE_ADMITTED_NAME),
+            "digest": trace_digest(sim.telemetry),
+            "migrations": counter(MIGRATIONS_NAME),
+            "remaps": counter(REMAPS_NAME),
+            "stale_rejected": counter(STALE_REJECTED_NAME),
+            "stale_admitted_after_grace": counter(STALE_ADMITTED_NAME),
             "oracle": compare_fleets(
                 replace(spec, clients=ORACLE_CLIENTS), replace(params, n_clients=ORACLE_CLIENTS)
             ),
@@ -182,13 +164,11 @@ def run_fleet_rollout(
 
 def _render_counters(meta: Dict[str, Any]) -> str:
     """The digest, migration, stale and oracle lines under the table."""
-    matches = ", ".join(f"{mode}: {ok}" for mode, ok in meta["digest_matches_serial"].items())
-    skipped = f" (skipped: {', '.join(meta['modes_skipped'])})" if meta["modes_skipped"] else ""
     oracle = meta["oracle"]
     packet, swarm = oracle["packet"], oracle["swarm"]
     pairs = ", ".join(f"{key} {packet[key]} / {swarm[key]}" for key in packet)
     return (
-        f"digest {meta['digest'][:16]}: matches serial {{{matches}}}{skipped}\n"
+        f"digest {meta['digest'][:16]}\n"
         f"migrations / remaps: {meta['migrations']} / {meta['remaps']}\n"
         f"stale_rejected after grace: {meta['stale_rejected']}; "
         f"stale_admitted_after_grace: {meta['stale_admitted_after_grace']}\n"

@@ -18,9 +18,9 @@ demonstrates for shielded Click instances:
   hold across every gateway) and client migration, which is an OpenVPN
   failover: the client re-handshakes with its new gateway and keeps its
   enclave and configuration version.
-* :mod:`repro.fleet.swarm` — the flow-level client swarms and fleet
-  dispatcher of the 10k-client rolling-restart scenario, the one
-  scenario on the sharded runner.
+* :mod:`repro.fleet.swarm` — the flow-level client swarm and fleet
+  dispatcher of the 10k-client rolling-restart scenario, run in one
+  simulator.
 """
 
 from repro.fleet.balancer import HashRing

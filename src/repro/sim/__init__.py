@@ -38,26 +38,11 @@ from repro.sim.randomness import SeededRng
 __all__ = [
     "CPU",
     "CpuCores",
-    "CrossShardFabric",
     "Event",
     "FifoStore",
     "Process",
     "SeededRng",
-    "ShardContext",
-    "ShardPlan",
-    "ShardRunResult",
     "SimulationError",
     "Simulator",
     "Timeout",
-    "run_serial",
-    "run_sharded",
 ]
-
-from repro.sim.parallel import (  # noqa: E402 - needs Simulator defined above
-    CrossShardFabric,
-    ShardContext,
-    ShardPlan,
-    ShardRunResult,
-    run_serial,
-    run_sharded,
-)

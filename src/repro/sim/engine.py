@@ -27,15 +27,6 @@ class SimulationError(RuntimeError):
     """Raised for illegal simulator usage (e.g. negative delays)."""
 
 
-#: seed of the external-injection sequence space.  Entries scheduled via
-#: :meth:`Simulator.schedule_external` draw monotonically increasing seqs
-#: from here; because every value is negative they sort *before* any
-#: locally scheduled entry at the same timestamp, in injection order —
-#: the property the sharded runner relies on to keep cross-shard
-#: deliveries deterministic regardless of what the local heap already
-#: contains (see :mod:`repro.sim.parallel`).
-_EXTERNAL_SEQ_START = -(1 << 62)
-
 #: :meth:`Simulator.schedule`'s "no argument" marker (None is a valid one)
 _NO_ARG = object()
 
@@ -287,7 +278,6 @@ class Simulator:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, int, Any]] = []
         self._seq = 0
-        self._ext_seq = _EXTERNAL_SEQ_START
         self._running = False
         #: heap entries executed so far (perf harness / bench metadata)
         self.events_executed = 0
@@ -320,25 +310,6 @@ class Simulator:
             heapq.heappush(self._heap, (self.now + delay, self._seq, 0, callback))
         else:
             heapq.heappush(self._heap, (self.now + delay, self._seq, 3, (callback, arg)))
-
-    def schedule_external(self, when: float, callback: Callable[[], None]) -> None:
-        """Inject ``callback`` at absolute time ``when`` from *outside* the run.
-
-        The injection primitive of the sharded runner: between two
-        bounded :meth:`run` slices, the coordinator schedules every
-        cross-shard delivery through here.  Externally injected entries
-        execute *before* any locally scheduled entry carrying the same
-        timestamp — in injection order — so a shard's execution order
-        does not depend on how far its local heap had been built when
-        the frames arrived.  Callers must pre-sort each injection batch
-        canonically; this method only preserves that order.
-        """
-        if when < self.now:
-            raise SimulationError(
-                f"external event at t={when!r} is in the past (now={self.now!r})"
-            )
-        self._ext_seq += 1
-        heapq.heappush(self._heap, (when, self._ext_seq, 0, callback))
 
     def _schedule_event(self, when: float, event: Event, value: Any) -> None:
         self._seq += 1
@@ -459,8 +430,8 @@ class Simulator:
                     callback(arg)
                 executed += 1
                 if executed >= max_events and heap:
-                    # a silent return here would leave a hung shard
-                    # barrier undiagnosable: name what is still pending
+                    # a silent return here would leave a runaway run
+                    # undiagnosable: name what is still pending
                     raise SimulationError(
                         f"run() exhausted max_events={max_events} at t={self.now:g} "
                         f"with {len(heap)} events still pending "

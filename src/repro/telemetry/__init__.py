@@ -37,7 +37,6 @@ from repro.telemetry.export import (
     write_csv,
     write_json,
 )
-from repro.telemetry.merge import merge_snapshots, merged_trace_digest
 from repro.telemetry.names import (
     NameInfo,
     TelemetryNameError,
@@ -67,8 +66,6 @@ __all__ = [
     "fork_isolated",
     "info",
     "is_registered",
-    "merge_snapshots",
-    "merged_trace_digest",
     "register",
     "session",
     "summary",

@@ -149,13 +149,15 @@ register("netsim.link.queue_depth", "histogram", "frames", "queue occupancy samp
 # assignment changes forced by gateway health, and "migrations" counts
 # executed client migrations (close, retarget, re-handshake); on the
 # gateway side "stale_rejected" counts stale-version traffic refused
-# after its grace deadline.  Help strings enter telemetry artifacts and
+# after its grace deadline, and "drops.all_gateways_down" counts
+# packets that found every gateway down.  Help strings enter telemetry artifacts and
 # trace digests, so rewording one changes every digest it appears in.
 register("fleet.balancer.picks", "counter", "lookups", "client->gateway balancer lookups")
 register("fleet.balancer.remaps", "counter", "clients", "client->gateway assignment changes")
 register("fleet.balancer.migrations", "counter", "clients", "client migrations executed (each one re-handshake)")
 register("fleet.gateway.stale_rejected", "counter", "packets", "stale-version traffic rejected after the grace deadline")
 register("fleet.gateway.stale_admitted", "counter", "packets", "stale-version traffic admitted after the grace deadline (tripwire; must stay 0)")
+register("fleet.drops.all_gateways_down", "counter", "packets", "packets dropped because every gateway was down")
 
 # spans
 register("experiment.runner.run", "span", "seconds", "one experiment end to end")

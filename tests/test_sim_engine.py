@@ -241,8 +241,8 @@ def test_peek_empty_after_queue_drains():
 
 
 def test_all_of_child_failure_while_others_pending():
-    """A failing child must fail the composite while siblings still sleep
-    — the barrier-wait path the shard runner leans on."""
+    """A failing child must fail the composite while siblings still
+    sleep."""
     sim = Simulator()
     caught = []
 
@@ -312,23 +312,6 @@ def test_run_max_events_exact_drain_does_not_raise():
         sim.schedule(float(i), lambda i=i: fired.append(i))
     sim.run(max_events=5)  # queue drains on the final allowed event
     assert fired == [0, 1, 2, 3, 4]
-
-
-def test_schedule_external_runs_before_same_time_local_events():
-    sim = Simulator()
-    order = []
-    sim.schedule(1.0, lambda: order.append("local"))
-    sim.schedule_external(1.0, lambda: order.append("ext1"))
-    sim.schedule_external(1.0, lambda: order.append("ext2"))
-    sim.run()
-    assert order == ["ext1", "ext2", "local"]
-
-
-def test_schedule_external_rejects_past_timestamps():
-    sim = Simulator()
-    sim.run(until=2.0)
-    with pytest.raises(SimulationError):
-        sim.schedule_external(1.0, lambda: None)
 
 
 def iter_timeout(sim, delay):
