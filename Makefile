@@ -20,11 +20,13 @@ lint:
 # end-to-end benchmark's own tests (a src/ rename that breaks its span
 # wrappers or counter reads fails here), a figure-10 byte-identity
 # smoke, the telemetry differential smoke (recording on vs off must not
-# change a single packet byte), the swarm determinism smoke (a swarm's
-# digest repeats in one process and in a fresh interpreter), the fleet
-# rolling-restart and all-gateways-down smokes (every frame handed to
-# the fleet is delivered, rejected as stale or counted as dropped), the
-# fleet oracle (the swarm and the packet-level fleet must count the
+# change a single packet byte) and the runner's telemetry artifact test
+# (`--telemetry` records per-element Click counters and queue depths,
+# and two runs write the same bytes), the swarm determinism smoke (a
+# swarm's digest repeats in one process and in a fresh interpreter),
+# the fleet rolling-restart and all-gateways-down smokes (every frame
+# handed to the fleet is delivered, rejected as stale or counted as
+# dropped), the fleet oracle (the swarm and the packet-level fleet must count the
 # same migrations on four restart plans) and the three migration tests
 # (a migrated client keeps its enclave's configuration version past a
 # grace deadline; a rollout then a rolling restart refuses no handshake
@@ -39,7 +41,7 @@ check:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --collect-only -q
 	PYTHONPATH=src $(PYTHON) -m pytest bench/tests -q
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_experiments_smoke.py -q -k "fig10 or deterministic"
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_telemetry.py -q -k "identical_with_telemetry"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_telemetry.py -q -k "identical_with_telemetry or telemetry_artifact"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_faults.py -q -k "deterministic or byte_identical"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py -q -k "digest_repeats"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py tests/test_fleet.py -q -k "rolling_restart_smoke or every_gateway_is_down or fleets_agree or keeps_enclave_version or refuses_no_handshake or rehandshakes_at_once"

@@ -10,23 +10,23 @@ regeneration.  Run with::
 
 import pytest
 
-from repro.telemetry import Registry
+from repro import telemetry
 
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run a deterministic experiment exactly once under the harness.
 
-    Wall-clock alone says little about a simulation bench, so the
-    process-root telemetry registry is snapshotted around the run and the
-    derived ops/sec rates are attached as ``extra_info`` — they land in
-    ``--benchmark-json`` output next to the timing stats.
+    Wall-clock alone says little about a simulation bench, so the run
+    executes inside a telemetry session, whose summed counts of the
+    run's simulators give the ops/sec rates attached as ``extra_info`` —
+    they land in ``--benchmark-json`` output next to the timing stats.
     """
-    root = Registry.process_root()
-    events_before = root.value("sim.engine.events")
-    packets_before = root.value("click.router.packets")
-    result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0)
-    events = root.value("sim.engine.events") - events_before
-    packets = root.value("click.router.packets") - packets_before
+    with telemetry.session() as collected:
+        result = benchmark.pedantic(
+            fn, args=args, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0
+        )
+    events = collected.value("sim.engine.events")
+    packets = collected.value("click.router.packets")
     benchmark.extra_info["sim_events_executed"] = events
     benchmark.extra_info["click_packets_processed"] = packets
     elapsed = getattr(getattr(benchmark, "stats", None), "stats", None)

@@ -33,7 +33,7 @@ def main() -> None:
     print(f"\nport 8080 (allowed): {web.packets} packets delivered")
     print(f"port   23 (denied) : {telnet.packets} packets delivered")
     print(f"dropped by in-enclave Click: {client.packets_dropped_by_click}")
-    print(f"enclave ecalls (one per packet): {client.endbox.gateway.ecalls.value}")
+    print(f"enclave ecalls (one per packet): {client.endbox.gateway.ecalls}")
     assert web.packets > 0 and telnet.packets == 0
     print("\nEndBox enforced the firewall on the client - no server CPU spent on it.")
 

@@ -27,10 +27,10 @@ This package makes them machine-checked on every tree:
   trace/log events, exception messages, packet payloads, artifact
   writers), cut only by declared sanitizers or explicit
   ``declassify`` annotations.
-* **Shard safety and view lifetimes**
+* **State ownership and view lifetimes**
   (:mod:`~repro.analysis.checkers.ownership`): sim-driven code must not
-  mutate process-global state, and no function may let a
-  ``memoryview`` over a reused buffer escape.
+  mutate state shared by the simulators of one process, and no function
+  may let a ``memoryview`` over a reused buffer escape.
 
 The taint and ownership passes share one
 :class:`~repro.analysis.callgraph.CallGraph` per run.  Run it as

@@ -5,7 +5,8 @@
 * ``interface`` — gateway/Iago interface audit (IF201)
 * ``clickgraph`` — Click configuration graph validation (CG3xx)
 * ``taint`` — interprocedural secret-flow analysis (TF5xx)
-* ``ownership`` — whole-program shard-safety / state ownership (SS6xx)
+* ``ownership`` — whole-program state ownership across the simulators
+  of one process (SS6xx)
   and memoryview lifetimes (HP705)
 
 ``taint`` and ``ownership`` read the one

@@ -1,4 +1,4 @@
-"""Shard-safety lint (SS6xx) and view lifetimes (HP705), machine-checked.
+"""State-ownership lint (SS6xx) and view lifetimes (HP705), machine-checked.
 
 Many simulators share one process: the test suite, and the experiment
 runner's experiments run one after another.  Each run is reproducible
@@ -12,9 +12,10 @@ and reports:
 
 * **SS601** — module-level mutable globals mutated from sim-driven code.
 * **SS602** — Simulator-owned objects escaping into process-global
-  storage (cross-shard leakage).
+  storage, where every later simulator in the process can reach them.
 * **SS603** — process-wide caches/registries/counters touched on sim
-  paths (the fix is per-Simulator or telemetry-registry scoping).
+  paths (the fix is per-Simulator state; a pure memo of its key may
+  be waived).
 * **SS604** — shared class attributes mutated from instance methods.
 * **SS605** — non-reentrant lazy initialisation of shared state.
 * **HP705** — a ``memoryview`` over a reused or mutated buffer escaping

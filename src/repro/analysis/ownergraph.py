@@ -22,7 +22,8 @@ Five rules are reported over the sim-driven set:
 
 * **SS601** — mutation of a module-level mutable global.
 * **SS602** — a Simulator-owned object stored into process-global
-  state (module global or class attribute): cross-shard leakage.
+  state (module global or class attribute), where every later
+  simulator in the process can reach it.
 * **SS603** — mutation of a process-wide cache/registry/counter (the
   name-based specialisation of SS601 that points at the per-Simulator
   migration instead of a generic "don't do that").
@@ -62,7 +63,7 @@ from repro.analysis.findings import Waiver
 # ----------------------------------------------------------------------
 OWNERSHIP_RULES: Dict[str, str] = {
     "SS601": "sim-driven code mutates a module-level mutable global",
-    "SS602": "Simulator-owned object escapes into process-global storage (cross-shard leakage)",
+    "SS602": "Simulator-owned object escapes into process-global storage (later simulators can reach it)",
     "SS603": "process-wide cache/registry/counter mutated from sim-driven code (key it per-Simulator)",
     "SS604": "sim-driven instance method mutates a shared class attribute",
     "SS605": "non-reentrant lazy initialization of shared state (the first simulator's object leaks into every later one)",
@@ -84,7 +85,7 @@ OWNERSHIP: List[Waiver] = [
         note=(
             "the instrument-name registry holds metadata (kind/unit/help), "
             "never counts; registration is idempotent and conflict-checked, "
-            "so concurrent shards registering the same name converge"
+            "so simulators registering the same name converge"
         ),
     ),
     Waiver(
@@ -94,7 +95,7 @@ OWNERSHIP: List[Waiver] = [
         note=(
             "pure memo of key generation keyed by (bits, seed), holding "
             "(n, d, p, q) so private-key operations can run by CRT; the "
-            "value is a deterministic function of the key, so shards "
+            "value is a deterministic function of the key, so simulators "
             "sharing it cannot diverge, and the IAS and platform keys "
             "(seeded by provisioning order) hit it on every later build"
         ),
@@ -106,19 +107,8 @@ OWNERSHIP: List[Waiver] = [
         note=(
             "the address intern table is a pure memo keyed by the 32-bit "
             "value; an entry is a deterministic function of its key, so "
-            "shards sharing it cannot diverge, and interning is what keeps "
+            "simulators sharing it cannot diverge, and interning is what keeps "
             "per-packet address lookup allocation-free on the parse path"
-        ),
-    ),
-    Waiver(
-        rule="SS605",
-        path="repro/telemetry/registry.py",
-        contains="_process_root",
-        note=(
-            "the process root is created once during single-threaded "
-            "bootstrap (first Simulator construction) and then only read: "
-            "every later simulator in the process, interleaved or run one "
-            "after another, parents its registry to that one object"
         ),
     ),
     Waiver(
@@ -288,7 +278,7 @@ class OwnershipAnalysis:
         by_id: Dict[int, FunctionInfo] = {id(fn): fn for fn in self.functions}
         for fn in self.functions:
             if fn.qualname == "<module>":
-                continue  # import-time code runs before any shard exists
+                continue  # import-time code runs before any simulator exists
             out: Set[int] = set()
             for node in ast.walk(fn.node):
                 if not isinstance(node, ast.Call):
@@ -516,7 +506,7 @@ class _FunctionScan:
                 "SS603",
                 node,
                 f"process-wide cache/registry '{dotted}' mutated from sim-driven "
-                f"code; key it per-Simulator or move it to telemetry-registry scope",
+                f"code; key it per-Simulator (a pure memo of its key may be waived)",
             )
         else:
             self._report(
@@ -540,7 +530,7 @@ class _FunctionScan:
             "SS604",
             node,
             f"sim-driven method mutates shared class attribute '{label}' "
-            f"(shared by every instance across shards)",
+            f"(shared by every instance in every simulator)",
         )
 
     # -- the walk -----------------------------------------------------

@@ -69,8 +69,6 @@ SECRET_ATTRIBUTES: Dict[str, str] = {
     "_midstate": "keystream key schedule (SHAKE-128 state with the key absorbed)",
     "_hmac_key": "data-channel HMAC key",
     "_mac_key": "record-layer MAC key",
-    # per-registry HMAC pad-state cache (repro.crypto.cachestate)
-    "_hmac_pads": "cached HMAC pad states",
     # private scalars / generic key slots (DRBG, x25519 holders)
     "_key": "private key material",
     "_value": "DRBG internal state",
@@ -95,9 +93,9 @@ SECRET_ATTRIBUTES: Dict[str, str] = {
 }
 
 #: module-level globals holding secrets.  Empty: the one crypto cache
-#: (HMAC pad states) lives on the telemetry registry (see
-#: ``repro.crypto.cachestate`` and SECRET_ATTRIBUTES above) for shard
-#: safety; the table stays for future globals.
+#: (HMAC pad states) is the ``lru_cache`` of ``repro.crypto.hmac``'s
+#: ``_keyed_state``, whose result SECRET_METHODS already marks as a
+#: source; the table stays for future globals.
 SECRET_GLOBALS: Dict[str, str] = {}
 
 #: parameter names that carry secrets *in trusted-domain code* (the

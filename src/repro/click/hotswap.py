@@ -101,16 +101,15 @@ class HotSwapManager:
         is replaced, so a rejected configuration leaves the running one
         untouched.
         """
-        with self.router.telemetry.span("click.hotswap.swap"):
-            self._validate(new_config)
-            new_router = rebuild_router(
-                self.router, new_config, self.cost_model, self.ledger, self.context
-            )
-            hotswap_s = hotswap_duration(self.cost_model, new_config, self.in_memory)
-            if self.ledger is not None:
-                self.ledger.add(hotswap_s)
-            self.router = new_router
-            self.swaps_performed += 1
-            timings = SwapTimings(hotswap_s=hotswap_s)
-            self.last_timings = timings
+        self._validate(new_config)
+        new_router = rebuild_router(
+            self.router, new_config, self.cost_model, self.ledger, self.context
+        )
+        hotswap_s = hotswap_duration(self.cost_model, new_config, self.in_memory)
+        if self.ledger is not None:
+            self.ledger.add(hotswap_s)
+        self.router = new_router
+        self.swaps_performed += 1
+        timings = SwapTimings(hotswap_s=hotswap_s)
+        self.last_timings = timings
         return timings

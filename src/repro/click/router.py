@@ -68,20 +68,15 @@ class Router:
         self.elements: Dict[str, Element] = {}
         self._entry: Optional[Element] = None
         self.packets_processed = 0
-        #: the registry this router reports into; fixed at construction
-        #: so hot-swapped replacements built inside the same simulator
-        #: attach to the same scope.
-        self.telemetry = Registry.current()
-        self._tm_packets = self.telemetry.counter("click.router.packets", private=True)
+        registry = Registry.current()
+        self._tm_packets = registry.counter("click.router.packets")
         self._build(parse_config(config_text))
         # only when recording: every element class's (packets, seconds)
         # counters, registered up front so charge() never formats a name
         self._tm_elements: Optional[Dict[type, Tuple[Counter, Counter]]] = None
-        if self.telemetry.recording:
+        if registry.recording:
             classes = dict.fromkeys(type(element) for element in self.elements.values())
-            self._tm_elements = {
-                cls: element_instruments(self.telemetry, cls) for cls in classes
-            }
+            self._tm_elements = {cls: element_instruments(registry, cls) for cls in classes}
 
     # ------------------------------------------------------------------
     def _build(self, parsed: ParsedConfig) -> None:

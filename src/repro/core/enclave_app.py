@@ -174,7 +174,7 @@ def ecall_process_packet(
         if paging > 0.0:
             pages_touched = size // 4096 + 4  # payload + code/stack working set
             ledger.add(paging * pages_touched * model.epc_page_fault)
-            gateway.epc_faults.inc(paging * pages_touched)
+            gateway._tm_epc_faults.inc(paging * pages_touched)
     mode = _PROTECTION_MODES[mode_value]
     ledger.add(crypto_cost(model, size, mode))  # data-channel crypto runs in here
     if direction == "ingress" and c2c_flagging and packet.tos == ENDBOX_PROCESSED_TOS:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro import telemetry
 from repro.click import configs as click_configs
 from repro.ids.community_rules import ruleset_text
 
@@ -178,15 +179,15 @@ def run_chaos_rollout(
     """
     from repro.fleet import DeploymentSpec
 
-    deployment = DeploymentSpec(
-        setup="endbox_sgx",
-        use_case=use_case,
-        clients=n_clients,
-        ping_interval=ping_interval,
-        charge_cpu=charge_cpu,
-        telemetry_recording=True,
-        seed=seed.decode("latin-1"),
-    ).build()
+    with telemetry.session(recording=True):
+        deployment = DeploymentSpec(
+            setup="endbox_sgx",
+            use_case=use_case,
+            clients=n_clients,
+            ping_interval=ping_interval,
+            charge_cpu=charge_cpu,
+            seed=seed.decode("latin-1"),
+        ).build()
     sim = deployment.sim
 
     # importing lazily keeps repro.core importable without repro.faults

@@ -1,41 +1,41 @@
 """HMAC-SHA256 helpers with constant-time verification.
 
-The inner/outer pad states depend only on the key, so a per-key HMAC
-object is cached and ``copy()``-ed per message instead of redoing the
-key-block hashing (two SHA-256 compressions) on every call — the same
-trick OpenSSL's ``HMAC_Init_ex`` reuse gives C callers.  Digests are
+The inner/outer pad states depend only on the key, so they are memoised
+per key and ``copy()``-ed per message instead of redoing the key-block
+hashing (two SHA-256 compressions) on every call — the same trick
+OpenSSL's ``HMAC_Init_ex`` reuse gives C callers.  Digests are
 byte-identical to a fresh ``hmac.new`` per call.
+
+The memo is process-wide and bounded at :data:`HMAC_PAD_CACHE_ENTRIES`
+keys.  Every entry is a pure function of its key, so simulators sharing
+it cannot diverge, and which keys it holds never changes a byte —
+the policy of the RSA key-pair memo and the address intern table.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
 
-from repro.crypto.cachestate import HMAC_PAD_CACHE_ENTRIES, current_pads
+#: keys whose pad states the memo holds at most.
+HMAC_PAD_CACHE_ENTRIES = 4096
 
 
+@functools.lru_cache(maxsize=HMAC_PAD_CACHE_ENTRIES)
 def _keyed_state(key: bytes):
-    """The cached ``(inner, outer)`` pad-state pair for ``key``.
+    """The memoised ``(inner, outer)`` pad-state pair for ``key``.
 
     Raw ``hashlib`` objects rather than an ``hmac.HMAC`` instance: the
     per-message cost is then exactly two C-level hash copies, with no
     Python-object bookkeeping on top.
     """
-    cache = current_pads()
-    pair = cache.get(key)
-    if pair is None:
-        block_key = hashlib.sha256(key).digest() if len(key) > 64 else key
-        block_key = block_key.ljust(64, b"\x00")
-        pair = (
-            hashlib.sha256(bytes(b ^ 0x36 for b in block_key)),
-            hashlib.sha256(bytes(b ^ 0x5C for b in block_key)),
-        )
-        if len(cache) >= HMAC_PAD_CACHE_ENTRIES:
-            # deterministic FIFO eviction of the oldest-inserted key
-            del cache[next(iter(cache))]
-        cache[bytes(key)] = pair
-    return pair
+    block_key = hashlib.sha256(key).digest() if len(key) > 64 else key
+    block_key = block_key.ljust(64, b"\x00")
+    return (
+        hashlib.sha256(bytes(b ^ 0x36 for b in block_key)),
+        hashlib.sha256(bytes(b ^ 0x5C for b in block_key)),
+    )
 
 
 def hmac_sha256(key: bytes, *chunks: bytes) -> bytes:

@@ -151,8 +151,8 @@ class ExperimentResult:
     * ``paper`` — the published values in the same shape as ``series``;
     * ``metadata`` — scalar facts and derived quantities that are not a
       series (CPU columns, ratios, sample lists, pass/fail flags);
-    * ``telemetry`` — a :meth:`repro.telemetry.Registry.snapshot` taken
-      around the run when the runner was invoked with ``--telemetry``;
+    * ``telemetry`` — a :meth:`repro.telemetry.Session.snapshot` of the
+      run's simulators when the runner was invoked with ``--telemetry``;
     * ``text`` — the pre-rendered report block; :meth:`to_text` falls
       back to :func:`render_series_tables` when a module leaves it empty.
     """

@@ -12,11 +12,13 @@ so the full suite finishes in a couple of minutes; the default settings
 match what EXPERIMENTS.md records.
 
 ``--telemetry [DIR]`` wraps every experiment in a recording
-:func:`repro.telemetry.session`, attaches the registry snapshot to each
+:func:`repro.telemetry.session`, attaches the session's snapshot (the
+registries of the experiment's simulators, summed) to each
 :class:`~repro.experiments.common.ExperimentResult`, and writes a
 ``telemetry_<name>.json`` artifact per experiment (ecall/ocall
 transition counts, EPC paging events, per-element Click timings, VPN
-byte counters, link/queue occupancy).
+byte counters, link/queue occupancy).  The artifact holds only
+simulated quantities, so two runs write the same bytes.
 """
 
 from __future__ import annotations
@@ -143,17 +145,16 @@ def run_experiment(
     """Run one named experiment; returns its :class:`ExperimentResult` list.
 
     With ``with_telemetry`` the whole run executes inside a recording
-    :func:`repro.telemetry.session` (every Simulator the experiment
-    builds parents its registry to the session root) and the session
-    snapshot is attached to each result's ``telemetry`` field.
+    :func:`repro.telemetry.session`, which collects the registry of every
+    Simulator the experiment builds, and the session snapshot is
+    attached to each result's ``telemetry`` field.
     """
     runner = EXPERIMENTS[name]
     if not with_telemetry:
         return runner(quick)
-    with telemetry.session(recording=True, clock=time.monotonic, label=name) as registry:
-        with registry.span("experiment.runner.run"):
-            results = runner(quick)
-        snapshot = registry.snapshot()
+    with telemetry.session(recording=True, label=name) as collected:
+        results = runner(quick)
+    snapshot = collected.snapshot()
     for result in results:
         result.telemetry = snapshot
     return results

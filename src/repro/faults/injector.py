@@ -5,10 +5,9 @@ offset, applies the fault through the target component's public fault
 hooks (``Link.set_down``, ``OpenVpnServer.begin_outage``,
 ``OpenVpnClient.suspend``, ``ConfigFileServer.set_down``,
 ``EnclavePageCache.allocate``, ...), holds it for the event's window and
-then restores the previous state.  Every applied event is recorded via
-``repro.telemetry`` (a ``faults.injector.events`` counter, a per-kind
-span covering the fault window when recording is on) and appended to
-the injector's plain-data ``timeline``, so experiments can report fault
+then restores the previous state.  Every applied event is counted in
+``repro.telemetry`` (``faults.injector.events``) and appended to the
+injector's plain-data ``timeline``, so experiments can report fault
 schedules next to their results.
 
 Determinism: the injector consumes no randomness and no wall clock;
@@ -41,32 +40,6 @@ from repro.telemetry.registry import Registry
 
 _names.register("faults.injector.events", "counter", "events", "fault events applied")
 _names.register("faults.injector.plans", "counter", "plans", "fault plans armed")
-
-#: event kind -> span name covering the fault window.
-SPAN_NAMES: Dict[str, str] = {
-    LinkLoss.kind: _names.register("faults.link.loss", "span", "seconds", "loss window on a link"),
-    LinkPartition.kind: _names.register(
-        "faults.link.partition", "span", "seconds", "partition window on a link"
-    ),
-    LatencySpike.kind: _names.register(
-        "faults.link.latency", "span", "seconds", "latency-spike window on a link"
-    ),
-    ServerRestart.kind: _names.register(
-        "faults.server.restart", "span", "seconds", "VPN-server outage window"
-    ),
-    GatewayRestart.kind: _names.register(
-        "faults.gateway.restart", "span", "seconds", "fleet gateway drain + outage window"
-    ),
-    ClientCrash.kind: _names.register(
-        "faults.client.crash", "span", "seconds", "client crash/restore window"
-    ),
-    ConfigServerOutage.kind: _names.register(
-        "faults.config.outage", "span", "seconds", "config file-server outage window"
-    ),
-    EpcPressure.kind: _names.register(
-        "faults.epc.pressure", "span", "seconds", "EPC pressure window"
-    ),
-}
 
 #: owner label used for EPC pressure allocations.
 _EPC_OWNER = "faults:epc-pressure"
@@ -105,7 +78,6 @@ class FaultInjector:
         config_server=None,
         platforms: Sequence[Any] = (),
         storages: Sequence[Any] = (),
-        registry: Optional[Registry] = None,
         gateways: Sequence[Any] = (),
         fleet=None,
     ) -> None:
@@ -123,15 +95,14 @@ class FaultInjector:
         #: object with on_gateway_outage/on_gateway_restored hooks (a
         #: FleetDeployment, or any duck-typed drain coordinator)
         self.fleet = fleet
-        self.registry = registry if registry is not None else sim.telemetry
         #: plain-data record of applied events: {"at", "kind", ...}.
         self.timeline: List[Dict[str, Any]] = []
         self.events_applied = 0
-        self._tm_events = self.registry.counter("faults.injector.events")
-        self._tm_plans = self.registry.counter("faults.injector.plans")
+        self._tm_events = sim.telemetry.counter("faults.injector.events")
+        self._tm_plans = sim.telemetry.counter("faults.injector.plans")
 
     @classmethod
-    def from_deployment(cls, deployment, registry: Optional[Registry] = None) -> "FaultInjector":
+    def from_deployment(cls, deployment) -> "FaultInjector":
         """Wire an injector to every target a deployment exposes.
 
         The gateway list and the drain hooks
@@ -147,7 +118,6 @@ class FaultInjector:
             config_server=deployment.config_server,
             platforms=deployment.platforms,
             storages=deployment.storages,
-            registry=registry,
             gateways=deployment.gateways,
             fleet=deployment,
         )
@@ -237,23 +207,22 @@ class FaultInjector:
         if event.at > 0:
             yield self.sim.timeout(event.at)
         self._record(event)
-        with self.registry.span(SPAN_NAMES[event.kind]):
-            if isinstance(event, LinkLoss):
-                yield from self._apply_link_loss(event)
-            elif isinstance(event, LinkPartition):
-                yield from self._apply_partition(event)
-            elif isinstance(event, LatencySpike):
-                yield from self._apply_latency(event)
-            elif isinstance(event, ServerRestart):
-                yield from self._apply_server_restart(event)
-            elif isinstance(event, GatewayRestart):
-                yield from self._apply_gateway_restart(event)
-            elif isinstance(event, ClientCrash):
-                yield from self._apply_client_crash(event)
-            elif isinstance(event, ConfigServerOutage):
-                yield from self._apply_config_outage(event)
-            elif isinstance(event, EpcPressure):
-                yield from self._apply_epc_pressure(event)
+        if isinstance(event, LinkLoss):
+            yield from self._apply_link_loss(event)
+        elif isinstance(event, LinkPartition):
+            yield from self._apply_partition(event)
+        elif isinstance(event, LatencySpike):
+            yield from self._apply_latency(event)
+        elif isinstance(event, ServerRestart):
+            yield from self._apply_server_restart(event)
+        elif isinstance(event, GatewayRestart):
+            yield from self._apply_gateway_restart(event)
+        elif isinstance(event, ClientCrash):
+            yield from self._apply_client_crash(event)
+        elif isinstance(event, ConfigServerOutage):
+            yield from self._apply_config_outage(event)
+        elif isinstance(event, EpcPressure):
+            yield from self._apply_epc_pressure(event)
 
     def _apply_link_loss(self, event: LinkLoss):
         """Raise a link's loss rate; restore the old rate after the window."""
@@ -344,5 +313,5 @@ class FaultInjector:
     # reporting
     # ------------------------------------------------------------------
     def trace_digest(self) -> str:
-        """Digest of this injector's registry (see module-level helper)."""
-        return trace_digest(self.registry)
+        """Digest of the simulator's registry (see module-level helper)."""
+        return trace_digest(self.sim.telemetry)

@@ -7,8 +7,8 @@ demonstrates for shielded Click instances:
 
 * :class:`~repro.fleet.spec.DeploymentSpec` — the plain-data, JSON-
   round-trippable description of a whole world (topology, gateway
-  count, use-case pipeline, client population, fault plan, telemetry
-  scoping), in the same design language as
+  count, use-case pipeline, client population, fault plan, seed), in
+  the same design language as
   :class:`~repro.faults.plan.FaultPlan`, built with ``spec.build()``.
 * :class:`~repro.fleet.balancer.HashRing` — consistent-hash
   client→gateway assignment, ring failover around down gateways, and

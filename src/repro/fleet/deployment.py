@@ -247,14 +247,14 @@ class FleetDeployment:
     # ------------------------------------------------------------------
     # fault-plan arming
     # ------------------------------------------------------------------
-    def arm_faults(self, plan=None, registry=None):
+    def arm_faults(self, plan=None):
         """Arm a fault plan (default: the spec's) against this world;
         returns the armed :class:`~repro.faults.injector.FaultInjector`."""
         if plan is None:
             plan = self.spec.fault_plan
         if plan is None:
             raise FleetError("no fault plan: none passed and the spec embeds none")
-        return FaultInjector.from_deployment(self, registry=registry).arm(plan)
+        return FaultInjector.from_deployment(self).arm(plan)
 
 
 def build_fleet(spec: DeploymentSpec, cost_model=None) -> FleetDeployment:
@@ -268,7 +268,6 @@ def build_fleet(spec: DeploymentSpec, cost_model=None) -> FleetDeployment:
         raise FleetError(f"build_fleet needs a DeploymentSpec, got {spec!r}")
     model = cost_model or default_cost_model()
     sim = Simulator()
-    sim.telemetry.recording = spec.telemetry_recording
     topo = StarTopology(sim, network=MANAGED_NET)
     ias = IntelAttestationService()
     ca = CertificateAuthority(ias, seed=spec.seed_bytes + b"-ca")

@@ -2,7 +2,7 @@
 
 A :class:`DeploymentSpec` describes a whole simulated world as plain
 data — topology scenario, gateway count, use-case pipeline, client
-population, optional fault plan and telemetry scoping — in the same
+population, optional fault plan and seed — in the same
 design language as :class:`~repro.faults.plan.FaultPlan`: a frozen,
 validated dataclass that round-trips through ``to_dict``/``from_dict``
 (and JSON) and carries no object references.
@@ -54,8 +54,8 @@ class DeploymentSpec:
       ``ecall_batching``, ``isp_no_encryption``;
     * timing/cost — ``ping_interval``, ``charge_cpu``,
       ``connect_timeout_s`` (the deadline ``connect_all`` derives);
-    * scoping — ``telemetry_recording`` (rich traces on or off) and
-      ``seed`` (a string; encoded latin-1 for the world's DRBG tree);
+    * seeding — ``seed`` (a string; encoded latin-1 for the world's
+      DRBG tree);
     * chaos — ``fault_plan``, an optional embedded
       :class:`~repro.faults.plan.FaultPlan` armed by the scenario
       drivers that opt in.
@@ -76,7 +76,6 @@ class DeploymentSpec:
     ping_interval: float = 1.0
     charge_cpu: bool = True
     connect_timeout_s: float = 10.0
-    telemetry_recording: bool = False
     seed: str = "deployment"
     fault_plan: Optional[FaultPlan] = None
 

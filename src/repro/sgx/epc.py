@@ -36,8 +36,8 @@ class EnclavePageCache:
         self._allocations: Dict[str, int] = {}
         self._enclave_seq = 0
         registry = Registry.current()
-        self._tm_allocated = registry.counter("sgx.epc.pages_allocated", private=True)
-        self._tm_freed = registry.counter("sgx.epc.pages_freed", private=True)
+        self._tm_allocated = registry.counter("sgx.epc.pages_allocated")
+        self._tm_freed = registry.counter("sgx.epc.pages_freed")
         # created eagerly so every telemetry artifact reports EPC fault
         # counts, zero included
         registry.counter("sgx.epc.page_faults")

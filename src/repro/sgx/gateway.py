@@ -60,10 +60,9 @@ class CostLedger:
 class EnclaveGateway:
     """Untrusted <-> trusted call boundary for one enclave.
 
-    Every transition is counted through :mod:`repro.telemetry`: the
-    public :attr:`ecalls` / :attr:`ocalls` counters are *private
-    instruments* — their ``.value`` reflects this gateway alone — that
-    mirror into the owning registry's shared ``sgx.gateway.*`` totals.
+    Every transition is counted twice: in this gateway's own
+    :attr:`ecalls` / :attr:`ocalls` and in the current registry's
+    ``sgx.gateway.*`` totals (:mod:`repro.telemetry`).
     """
 
     def __init__(
@@ -75,13 +74,15 @@ class EnclaveGateway:
         self.enclave = enclave
         self.ledger = ledger or CostLedger()
         self.transition_cost = transition_cost
+        #: crossings made through this gateway (an ecall_batch is one)
+        self.ecalls = 0
+        self.ocalls = 0
         registry = Registry.current()
-        self.telemetry = registry
-        self.ecalls = registry.counter("sgx.gateway.ecalls", private=True)
-        self.ocalls = registry.counter("sgx.gateway.ocalls", private=True)
-        #: shared expected-EPC-fault counter; the cost-accounting ecalls
-        #: (repro.core.enclave_app) add their charged fault counts here
-        self.epc_faults = registry.counter("sgx.epc.page_faults")
+        self._tm_ecalls = registry.counter("sgx.gateway.ecalls")
+        self._tm_ocalls = registry.counter("sgx.gateway.ocalls")
+        #: the registry's expected-EPC-fault total; the cost-accounting
+        #: ecalls (repro.core.enclave_app) add their charged faults here
+        self._tm_epc_faults = registry.counter("sgx.epc.page_faults")
         self._ocalls: Dict[str, Callable] = {}
         # separate per-direction tables keyed by bare name: the hot
         # ecall/ocall paths look validators up per crossing, and a
@@ -144,7 +145,8 @@ class EnclaveGateway:
         if validator is not None and not validator(*args, **kwargs):
             raise InterfaceViolation(f"ecall {name!r}: argument sanity check failed")
         handler = self.enclave._enter(name)
-        self.ecalls.inc()
+        self.ecalls += 1
+        self._tm_ecalls.inc()
         self._charge_transition()
         try:
             return handler(self.enclave, self, *args, **kwargs)
@@ -172,7 +174,8 @@ class EnclaveGateway:
                 if not validator(*args, **kwargs):
                     raise InterfaceViolation(f"ecall {name!r}: argument sanity check failed")
         handler = self.enclave._enter(name)
-        self.ecalls.inc()
+        self.ecalls += 1
+        self._tm_ecalls.inc()
         self._charge_transition()
         try:
             enclave = self.enclave
@@ -189,7 +192,8 @@ class EnclaveGateway:
         handler = self._ocalls.get(name)
         if handler is None:
             raise EnclaveError(f"undeclared ocall {name!r}")
-        self.ocalls.inc()
+        self.ocalls += 1
+        self._tm_ocalls.inc()
         self._charge_transition()
         result = handler(*args, **kwargs)
         validator = self._ocall_validators.get(name)

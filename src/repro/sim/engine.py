@@ -20,7 +20,7 @@ import functools
 import heapq
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-from repro.telemetry.registry import Registry, _set_current, _swap_current
+from repro.telemetry.registry import _set_current, _swap_current, simulator_registry
 
 
 class SimulationError(RuntimeError):
@@ -257,7 +257,8 @@ class Simulator:
     """Deterministic discrete-event simulator.
 
     Each instance owns a fresh :class:`~repro.telemetry.registry.Registry`
-    (``self.telemetry``) parented to the current aggregation root, so its
+    (``self.telemetry``), collected by the active
+    :func:`~repro.telemetry.registry.session` if there is one, so its
     counters start at zero and die with it; components built after the
     simulator attach to it via ``Registry.current()``.
 
@@ -271,7 +272,7 @@ class Simulator:
     now:
         Current simulation time in seconds.
     telemetry:
-        This simulator's metrics registry (clocked by ``self.now``).
+        This simulator's metrics registry.
     """
 
     def __init__(self) -> None:
@@ -281,10 +282,8 @@ class Simulator:
         self._running = False
         #: heap entries executed so far (perf harness / bench metadata)
         self.events_executed = 0
-        self.telemetry = Registry(
-            clock=lambda: self.now, parent=Registry.root(), label="simulator"
-        )
-        self._tm_events = self.telemetry.counter("sim.engine.events", private=True)
+        self.telemetry = simulator_registry()
+        self._tm_events = self.telemetry.counter("sim.engine.events")
         _set_current(self.telemetry)
 
     # ------------------------------------------------------------------

@@ -1,42 +1,34 @@
-"""Unified observability layer: deterministic metrics + tracing.
+"""Unified observability layer: deterministic counters and histograms.
 
 ``repro.telemetry`` replaces the ad-hoc counters that used to live in
 ``sim/engine``, ``sgx/gateway``, ``crypto/stream``, ``vpn/channel`` and
 ``benchmarks/conftest`` with one substrate:
 
-* **instruments** — :class:`~repro.telemetry.registry.Counter`,
-  :class:`~repro.telemetry.registry.Gauge`,
-  :class:`~repro.telemetry.registry.Histogram`, and nestable spans —
-  keyed by a canonical ``subsystem.object.event`` name registry
-  (:mod:`repro.telemetry.names`);
-* **registries** (:class:`~repro.telemetry.registry.Registry`) forming a
-  mirror tree — per-simulator → session → process root — which gives
-  counters the lifetime of the component that owns them while keeping
-  aggregate views free;
+* **instruments** — :class:`~repro.telemetry.registry.Counter` and
+  :class:`~repro.telemetry.registry.Histogram`, keyed by a canonical
+  ``subsystem.object.event`` name registry (:mod:`repro.telemetry.names`);
+* **registries** (:class:`~repro.telemetry.registry.Registry`), one flat
+  registry per Simulator, so an increment is one add and a fresh
+  simulator starts from zero;
+* **sessions** (:func:`~repro.telemetry.registry.session`), which
+  collect the registries of the simulators built inside them and sum
+  them at read time;
 * **exporters** (:mod:`repro.telemetry.export`) rendering any snapshot
-  as a JSON artifact, CSV, or a one-shot text summary.
+  as a JSON artifact.
 
 Quickstart::
 
     from repro import telemetry
-    with telemetry.session(recording=True) as reg:
-        run_experiment()                       # Simulators attach automatically
-        print(telemetry.summary(reg))
-        telemetry.write_json(reg, "telemetry.json")
+    with telemetry.session(recording=True) as collected:
+        run_experiment()                       # Simulators are collected
+    print(collected.value("sim.engine.events"))
+    telemetry.write_json(collected, "telemetry.json")
 
-Everything is deterministic: span timestamps come from the simulated
-clock, never the wall clock, and the module is *not* on the DET4xx
-allowlist — it lints clean on its own.
+Everything is deterministic: nothing here reads a clock, and the module
+is *not* on the DET4xx allowlist — it lints clean on its own.
 """
 
-from repro.telemetry.export import (
-    build_artifact,
-    summary,
-    to_csv,
-    to_json,
-    write_csv,
-    write_json,
-)
+from repro.telemetry.export import build_artifact, to_json, write_json
 from repro.telemetry.names import (
     NameInfo,
     TelemetryNameError,
@@ -46,31 +38,26 @@ from repro.telemetry.names import (
 )
 from repro.telemetry.registry import (
     Counter,
-    Gauge,
     Histogram,
     Registry,
+    Session,
     TelemetryError,
-    fork_isolated,
     session,
 )
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "NameInfo",
     "Registry",
+    "Session",
     "TelemetryError",
     "TelemetryNameError",
     "build_artifact",
-    "fork_isolated",
     "info",
     "is_registered",
     "register",
     "session",
-    "summary",
-    "to_csv",
     "to_json",
-    "write_csv",
     "write_json",
 ]

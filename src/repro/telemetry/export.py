@@ -1,21 +1,20 @@
-"""Exporters: JSON artifact, CSV, and a one-shot text summary.
+"""Exporter: the self-describing JSON artifact.
 
-All three render the same plain-data snapshot produced by
-:meth:`repro.telemetry.registry.Registry.snapshot`.  Only registered
+It renders the plain-data snapshot produced by
+:meth:`repro.telemetry.registry.Registry.snapshot` or
+:meth:`repro.telemetry.registry.Session.snapshot`.  Only registered
 numeric instrument values leave this module — no payloads, no key
 material — which is what keeps the artifacts clean under the TF5xx
 taint pass; determinism (DET4xx) holds because nothing here reads a
-clock: timestamps, when present, came from the simulated clock injected
-into the registry.
+clock.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.telemetry import names as _names
-from repro.telemetry.registry import Registry
 
 #: schema version stamped into every artifact.
 ARTIFACT_VERSION = 1
@@ -23,14 +22,12 @@ ARTIFACT_VERSION = 1
 Snapshot = Dict[str, Any]
 
 
-def _as_snapshot(source: Union[Registry, Snapshot]) -> Snapshot:
-    """Accept either a registry or an already-taken snapshot."""
-    if isinstance(source, Registry):
-        return source.snapshot()
-    return source
+def _as_snapshot(source: Any) -> Snapshot:
+    """Accept a registry, a session or an already-taken snapshot."""
+    return source if isinstance(source, dict) else source.snapshot()
 
 
-def build_artifact(source: Union[Registry, Snapshot], meta: Optional[Dict[str, Any]] = None) -> Snapshot:
+def build_artifact(source: Any, meta: Optional[Dict[str, Any]] = None) -> Snapshot:
     """Wrap a snapshot into a self-describing artifact document.
 
     Adds the schema version, caller-supplied metadata, and per-name
@@ -38,9 +35,7 @@ def build_artifact(source: Union[Registry, Snapshot], meta: Optional[Dict[str, A
     """
     snap = _as_snapshot(source)
     present = set(snap.get("counters", {}))
-    present.update(snap.get("gauges", {}))
     present.update(snap.get("histograms", {}))
-    present.update(record.get("name", "") for record in snap.get("spans", []))
     annotations = {}
     for name in sorted(present):
         if _names.is_registered(name):
@@ -54,86 +49,13 @@ def build_artifact(source: Union[Registry, Snapshot], meta: Optional[Dict[str, A
     }
 
 
-def to_json(source: Union[Registry, Snapshot], meta: Optional[Dict[str, Any]] = None) -> str:
+def to_json(source: Any, meta: Optional[Dict[str, Any]] = None) -> str:
     """Render an artifact document as deterministic (sorted-key) JSON."""
     return json.dumps(build_artifact(source, meta), indent=2, sort_keys=True)
 
 
-def write_json(source: Union[Registry, Snapshot], path: str, meta: Optional[Dict[str, Any]] = None) -> None:
+def write_json(source: Any, path: str, meta: Optional[Dict[str, Any]] = None) -> None:
     """Write the JSON artifact to *path*."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(to_json(source, meta))
         fh.write("\n")
-
-
-def to_csv(source: Union[Registry, Snapshot]) -> str:
-    """Render counters/gauges/histograms as ``name,kind,field,value`` CSV.
-
-    Histograms flatten to one row per summary field (count/sum/min/max)
-    plus one per bucket (``le_<bound>`` and ``overflow``).  Spans are a
-    trace, not a table, and are omitted — use the JSON artifact.
-    """
-    snap = _as_snapshot(source)
-    rows: List[str] = ["name,kind,field,value"]
-    for name, value in sorted(snap.get("counters", {}).items()):
-        rows.append(f"{name},counter,value,{value}")
-    for name, value in sorted(snap.get("gauges", {}).items()):
-        rows.append(f"{name},gauge,value,{value}")
-    for name, hist in sorted(snap.get("histograms", {}).items()):
-        for field in ("count", "sum", "min", "max"):
-            rows.append(f"{name},histogram,{field},{hist[field]}")
-        bounds = hist["bounds"]
-        for bound, count in zip(bounds, hist["counts"]):
-            rows.append(f"{name},histogram,le_{bound:g},{count}")
-        rows.append(f"{name},histogram,overflow,{hist['counts'][len(bounds)]}")
-    return "\n".join(rows) + "\n"
-
-
-def write_csv(source: Union[Registry, Snapshot], path: str) -> None:
-    """Write the CSV rendering to *path*."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_csv(source))
-
-
-def summary(source: Union[Registry, Snapshot]) -> str:
-    """One-shot human-readable text summary of a snapshot."""
-    snap = _as_snapshot(source)
-    lines: List[str] = [f"telemetry summary ({snap.get('label', 'registry')})"]
-    counters = snap.get("counters", {})
-    if counters:
-        lines.append("  counters:")
-        width = max(len(name) for name in counters)
-        for name, value in sorted(counters.items()):
-            unit = _names.info(name).unit if _names.is_registered(name) else ""
-            lines.append(f"    {name:<{width}}  {value:>12} {unit}".rstrip())
-    gauges = snap.get("gauges", {})
-    if gauges:
-        lines.append("  gauges:")
-        width = max(len(name) for name in gauges)
-        for name, value in sorted(gauges.items()):
-            unit = _names.info(name).unit if _names.is_registered(name) else ""
-            lines.append(f"    {name:<{width}}  {value:>12.4g} {unit}".rstrip())
-    histograms = snap.get("histograms", {})
-    if histograms:
-        lines.append("  histograms:")
-        for name, hist in sorted(histograms.items()):
-            mean = hist["sum"] / hist["count"] if hist["count"] else 0.0
-            lines.append(
-                f"    {name}  n={hist['count']} mean={mean:.4g} "
-                f"min={hist['min']} max={hist['max']}"
-            )
-    spans = snap.get("spans", [])
-    if spans:
-        lines.append(f"  spans: {len(spans)} recorded")
-        for record in spans[:20]:
-            indent = "  " * record.get("depth", 0)
-            start, end = record.get("start"), record.get("end")
-            if start is not None and end is not None:
-                lines.append(f"    {indent}{record['name']}  [{start:.6g} .. {end:.6g}]")
-            else:
-                lines.append(f"    {indent}{record['name']}")
-        if len(spans) > 20:
-            lines.append(f"    ... {len(spans) - 20} more")
-    if len(lines) == 1:
-        lines.append("  (empty)")
-    return "\n".join(lines)

@@ -16,8 +16,8 @@ components fighting over one name.
 The names used by the core instrumentation (sim engine, Click router,
 SGX gateway/EPC, crypto caches, VPN channels, netsim links) are
 registered at import time at the bottom of this module; dynamically
-shaped names (per-Click-element counters, perf-stage gauges) are
-registered by their owners when first needed.
+shaped names (per-Click-element counters) are registered by their
+owners when first needed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Dict, Tuple
 NAME_PATTERN = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*){2,}$")
 
 #: the instrument kinds a name may be registered as.
-KINDS: Tuple[str, ...] = ("counter", "gauge", "histogram", "span")
+KINDS: Tuple[str, ...] = ("counter", "histogram")
 
 
 class TelemetryNameError(ValueError):
@@ -158,7 +158,3 @@ register("fleet.balancer.migrations", "counter", "clients", "client migrations e
 register("fleet.gateway.stale_rejected", "counter", "packets", "stale-version traffic rejected after the grace deadline")
 register("fleet.gateway.stale_admitted", "counter", "packets", "stale-version traffic admitted after the grace deadline (tripwire; must stay 0)")
 register("fleet.drops.all_gateways_down", "counter", "packets", "packets dropped because every gateway was down")
-
-# spans
-register("experiment.runner.run", "span", "seconds", "one experiment end to end")
-register("click.hotswap.swap", "span", "seconds", "one hot-swap reconfiguration")

@@ -53,11 +53,8 @@ class ProtectionMode(enum.Enum):
 class DataChannel:
     """Symmetric protection for one VPN session direction.
 
-    Packet and byte tallies report through :mod:`repro.telemetry`: the
-    public :attr:`protected` / :attr:`rejected` /
-    :attr:`bytes_protected` / :attr:`bytes_unprotected` counters are
-    private instruments (per-channel ``.value``) mirroring into the
-    owning registry's shared ``vpn.channel.*`` totals.
+    Packet and byte tallies count into the current registry's
+    ``vpn.channel.*`` totals (:mod:`repro.telemetry`).
     """
 
     def __init__(self, cipher_key: bytes, hmac_key: bytes, mode: ProtectionMode = ProtectionMode.ENCRYPT_AND_MAC) -> None:
@@ -67,11 +64,10 @@ class DataChannel:
         self._hmac_key = hmac_key
         self.mode = mode
         registry = Registry.current()
-        self.telemetry = registry
-        self.protected = registry.counter("vpn.channel.packets_protected", private=True)
-        self.rejected = registry.counter("vpn.channel.packets_rejected", private=True)
-        self.bytes_protected = registry.counter("vpn.channel.bytes_protected", private=True)
-        self.bytes_unprotected = registry.counter("vpn.channel.bytes_unprotected", private=True)
+        self._tm_protected = registry.counter("vpn.channel.packets_protected")
+        self._tm_rejected = registry.counter("vpn.channel.packets_rejected")
+        self._tm_bytes_protected = registry.counter("vpn.channel.bytes_protected")
+        self._tm_bytes_unprotected = registry.counter("vpn.channel.bytes_unprotected")
 
     # ------------------------------------------------------------------
     def _nonce(self, session_id: int, packet_id: int) -> bytes:
@@ -87,8 +83,8 @@ class DataChannel:
             payload = plaintext
         tag = hmac_sha256(self._hmac_key, packet.auth_header(), payload)[:TAG_LEN]
         packet.body = payload + tag
-        self.protected.inc()
-        self.bytes_protected.inc(len(plaintext))
+        self._tm_protected.inc()
+        self._tm_bytes_protected.inc(len(plaintext))
         return packet
 
     def protect_batch(self, items) -> list:
@@ -116,7 +112,7 @@ class DataChannel:
         tail = packet.body
         boundary = len(tail) - TAG_LEN
         if boundary < 0:
-            self.rejected.inc()
+            self._tm_rejected.inc()
             raise ChannelError("data packet too short")
         # split ciphertext and tag as zero-copy views — the body may
         # itself be a view over the datagram buffer (see module docs)
@@ -127,9 +123,9 @@ class DataChannel:
         # input is (header, ciphertext) fed as chunks — no throwaway
         # packet object and no header+payload concat on the packet path
         if not hmac_verify(self._hmac_key, packet.auth_header(), sealed, mac):
-            self.rejected.inc()
+            self._tm_rejected.inc()
             raise ChannelError("data packet failed authentication")
-        self.bytes_unprotected.inc(boundary)
+        self._tm_bytes_unprotected.inc(boundary)
         if self.mode is ProtectionMode.ENCRYPT_AND_MAC:
             return self._cipher.decrypt(self._nonce(packet.session_id, packet.packet_id), sealed)
         return bytes(sealed)

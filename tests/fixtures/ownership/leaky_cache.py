@@ -1,12 +1,12 @@
 # module: repro.netsim.fixture_cache
 # expect: SS603
-"""Seeded shard-safety leak: a process-wide cache filled on a sim path."""
+"""Seeded ownership leak: a process-wide cache filled on a sim path."""
 
 _ROUTE_CACHE = {}
 
 
 def best_route(dst):
-    """Classic process-global memo; shards warm each other's entries."""
+    """Classic process-global memo; simulators warm each other's entries."""
     route = _ROUTE_CACHE.get(dst)
     if route is None:
         route = [dst]

@@ -1,10 +1,10 @@
 # module: repro.netsim.fixture_classattr
 # expect: SS604
-"""Seeded shard-safety leak: instance method mutates a class attribute."""
+"""Seeded ownership leak: instance method mutates a class attribute."""
 
 
 class FlowTracker:
-    #: shared by every instance — and therefore by every shard
+    #: shared by every instance — and therefore by every simulator
     observed = []
 
     def note_packet(self, packet):

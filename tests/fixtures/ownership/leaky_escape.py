@@ -1,12 +1,12 @@
 # module: repro.netsim.fixture_escape
 # expect: SS602
-"""Seeded shard-safety leak: a Simulator escapes into global storage."""
+"""Seeded ownership leak: a Simulator escapes into global storage."""
 
 _ACTIVE_WORLDS = {}
 
 
 def announce(sim, name):
-    """Stores the simulator itself process-wide: cross-shard leakage."""
+    """Stores the simulator itself process-wide, where later simulators reach it."""
     _ACTIVE_WORLDS[name] = sim
 
 

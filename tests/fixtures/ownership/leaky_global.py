@@ -1,6 +1,6 @@
 # module: repro.netsim.fixture_global
 # expect: SS601
-"""Seeded shard-safety leak: sim-driven code mutates a module global."""
+"""Seeded ownership leak: sim-driven code mutates a module global."""
 
 _DELIVERED = []
 

@@ -1,12 +1,12 @@
 # module: repro.netsim.fixture_lazyinit
 # expect: SS605
-"""Seeded shard-safety leak: non-reentrant lazy init of shared state."""
+"""Seeded ownership leak: non-reentrant lazy init of shared state."""
 
 _PORT_TABLE = None
 
 
 def port_table():
-    """Two shards can both observe None and build the table twice."""
+    """The first simulator to call this builds the table every later one uses."""
     global _PORT_TABLE
     if _PORT_TABLE is None:
         _PORT_TABLE = {"http": 80, "https": 443}

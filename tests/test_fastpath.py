@@ -8,18 +8,19 @@ burst of N packets pays one EENTER/EEXIT transition pair on the gateway
 ledger where the scalar path pays N.
 """
 
+import functools
 import math
 import random
 
 import pytest
 
+from repro import telemetry
 from repro.click import Router, configs as click_configs
 from repro.core.ca import CertificateAuthority
 from repro.core.enclave_app import EndBoxEnclave, build_endbox_image
 from repro.core.endbox_client import ECALL_BATCH_LIMIT
 from repro.core.provisioning import provision_client
 from repro.crypto import hmac as crypto_hmac
-from repro.crypto.cachestate import HMAC_PAD_CACHE_ENTRIES, current_pads
 from repro.faults import trace_digest
 from repro.fleet import DeploymentSpec
 from repro.costs import default_cost_model
@@ -29,7 +30,6 @@ from repro.netsim.traffic import UdpSink, UdpTrafficSource, make_payload
 from repro.sgx import IntelAttestationService, SealedStorage, SgxPlatform
 from repro.sgx.gateway import CostLedger, InterfaceViolation
 from repro.sim import Simulator
-from repro.telemetry.registry import fork_isolated
 from repro.tlslib.record import RecordProtection, TYPE_APPLICATION_DATA, parse_records
 from repro.vpn import channel as vpn_channel_module
 from repro.vpn.channel import ChannelError, DataChannel, ProtectionMode
@@ -76,6 +76,7 @@ def channel_pair():
 
 
 def test_protect_batch_ciphertexts_identical():
+    sim = Simulator()
     tx_scalar, _ = channel_pair()
     tx_batch, _ = channel_pair()
     payloads = [make_payload(n) for n in (1, 63, 64, 65, 700)]
@@ -83,10 +84,11 @@ def test_protect_batch_ciphertexts_identical():
         tx_scalar.protect(VpnPacket(OP_DATA, 9, pid), payload).serialize()
         for pid, payload in enumerate(payloads, start=1)
     ]
+    assert sim.telemetry.value("vpn.channel.packets_protected") == len(payloads)
     items = [(VpnPacket(OP_DATA, 9, pid), p) for pid, p in enumerate(payloads, start=1)]
     batch_wire = [p.serialize() for p in tx_batch.protect_batch(items)]
     assert batch_wire == scalar_wire
-    assert tx_batch.protected.value == tx_scalar.protected.value == len(payloads)
+    assert sim.telemetry.value("vpn.channel.packets_protected") == 2 * len(payloads)
 
 
 def test_protect_batch_rejects_non_data_opcode():
@@ -96,6 +98,7 @@ def test_protect_batch_rejects_non_data_opcode():
 
 
 def test_unprotect_batch_isolates_forged_packet():
+    sim = Simulator()
     tx, rx = channel_pair()
     payloads = [b"first", b"second", b"third"]
     packets = tx.protect_batch(
@@ -104,7 +107,7 @@ def test_unprotect_batch_isolates_forged_packet():
     packets[1].body = b"\x00" * len(packets[1].body)  # forge the middle one
     out = rx.unprotect_batch(packets)
     assert out == [b"first", None, b"third"]
-    assert rx.rejected.value == 1
+    assert sim.telemetry.value("vpn.channel.packets_rejected") == 1
 
 
 def test_batch_receiver_verifies_every_record(monkeypatch):
@@ -119,20 +122,20 @@ def test_batch_receiver_verifies_every_record(monkeypatch):
         return real_verify(*args)
 
     monkeypatch.setattr(vpn_channel_module, "hmac_verify", counting_verify)
-    with fork_isolated():
-        tx, rx = channel_pair()
-        payloads = [make_payload(n) for n in (1, 64, 700, 1400)]
-        items = [(VpnPacket(OP_DATA, 9, pid), p) for pid, p in enumerate(payloads, start=1)]
-        assert rx.unprotect_batch(tx.protect_batch(items)) == payloads
-        assert len(calls) == len(payloads)
+    sim = Simulator()
+    tx, rx = channel_pair()
+    payloads = [make_payload(n) for n in (1, 64, 700, 1400)]
+    items = [(VpnPacket(OP_DATA, 9, pid), p) for pid, p in enumerate(payloads, start=1)]
+    assert rx.unprotect_batch(tx.protect_batch(items)) == payloads
+    assert len(calls) == len(payloads)
 
-        forged = tx.protect_batch([(VpnPacket(OP_DATA, 9, 10), b"genuine")])
-        body = bytearray(forged[0].body)
-        body[-1] ^= 0x01  # flip one tag bit
-        forged[0].body = bytes(body)
-        assert rx.unprotect_batch(forged) == [None]
-        assert len(calls) == len(payloads) + 1
-        assert rx.rejected.value == 1
+    forged = tx.protect_batch([(VpnPacket(OP_DATA, 9, 10), b"genuine")])
+    body = bytearray(forged[0].body)
+    body[-1] ^= 0x01  # flip one tag bit
+    forged[0].body = bytes(body)
+    assert rx.unprotect_batch(forged) == [None]
+    assert len(calls) == len(payloads) + 1
+    assert sim.telemetry.value("vpn.channel.packets_rejected") == 1
 
 
 # ----------------------------------------------------------------------
@@ -176,14 +179,14 @@ def test_ecall_batch_single_crossing_and_discount(endbox):
     packets = burst(8)
 
     gateway.ledger.drain()
-    before = gateway.ecalls.value
+    before = gateway.ecalls
     scalar_out = [gateway.ecall("process_packet", p, "egress", MODE, True) for p in packets]
-    scalar_crossings = gateway.ecalls.value - before
+    scalar_crossings = gateway.ecalls - before
     scalar_cost = gateway.ledger.drain()
 
-    before = gateway.ecalls.value
+    before = gateway.ecalls
     batch_out = gateway.ecall_batch("process_packet", [(p, "egress", MODE, True) for p in packets])
-    batch_crossings = gateway.ecalls.value - before
+    batch_crossings = gateway.ecalls - before
     batch_cost = gateway.ledger.drain()
 
     assert scalar_crossings == len(packets)
@@ -199,10 +202,10 @@ def test_ecall_batch_validates_every_item_before_entering(endbox):
     gateway = endbox.gateway
     good = udp_packet()
     calls = [(good, "egress", MODE, True), (b"not-a-packet", "egress", MODE, True)]
-    before = gateway.ecalls.value
+    before = gateway.ecalls
     with pytest.raises(InterfaceViolation):
         gateway.ecall_batch("process_packet", calls)
-    assert gateway.ecalls.value == before  # the enclave was never entered
+    assert gateway.ecalls == before  # the enclave was never entered
 
 
 # ----------------------------------------------------------------------
@@ -282,7 +285,7 @@ def test_process_packet_batch_single_item_costs_exactly_scalar(endbox):
 def test_process_packet_batch_validator_rejects(endbox):
     gateway = endbox.gateway
     good = udp_packet()
-    before = gateway.ecalls.value
+    before = gateway.ecalls
     for bad in (
         (b"junk", "egress", MODE, True),
         (good, "sideways", MODE, True),
@@ -291,7 +294,7 @@ def test_process_packet_batch_validator_rejects(endbox):
     ):
         with pytest.raises(InterfaceViolation):
             gateway.ecall_batch("process_packet", [(good, "egress", MODE, True), bad])
-    assert gateway.ecalls.value == before  # the enclave was never entered
+    assert gateway.ecalls == before  # the enclave was never entered
 
 
 # ----------------------------------------------------------------------
@@ -426,29 +429,30 @@ def test_tls_record_zero_copy_framing_and_unprotect():
 
 
 # ----------------------------------------------------------------------
-# bounded HMAC pad-state cache (deterministic FIFO eviction)
+# bounded HMAC pad-state memo
 # ----------------------------------------------------------------------
 def test_channel_caches_stay_bounded_under_churn():
-    with fork_isolated():
-        overflow = 50
-        hmac_keys = [b"hmac-key-%08d" % index for index in range(HMAC_PAD_CACHE_ENTRIES + overflow)]
-        for pid, hmac_key in enumerate(hmac_keys):
-            tx = DataChannel(b"cipher-key-cipher", hmac_key)
-            rx = DataChannel(b"cipher-key-cipher", hmac_key)
-            packet = tx.protect(VpnPacket(OP_DATA, 2, pid), b"churn-payload")
-            assert rx.unprotect(packet) == b"churn-payload"
-        cache = current_pads()
-        assert len(cache) == HMAC_PAD_CACHE_ENTRIES
-        # strictly FIFO: exactly the oldest keys were evicted
-        assert all(key not in cache for key in hmac_keys[:overflow])
-        assert all(key in cache for key in hmac_keys[overflow:])
+    entries = crypto_hmac.HMAC_PAD_CACHE_ENTRIES
+    hmac_keys = [b"hmac-key-%08d" % index for index in range(entries + 50)]
+    for pid, hmac_key in enumerate(hmac_keys):
+        tx = DataChannel(b"cipher-key-cipher", hmac_key)
+        rx = DataChannel(b"cipher-key-cipher", hmac_key)
+        packet = tx.protect(VpnPacket(OP_DATA, 2, pid), b"churn-payload")
+        assert rx.unprotect(packet) == b"churn-payload"
+    memo = crypto_hmac._keyed_state.cache_info()
+    assert memo.maxsize == memo.currsize == entries
+    # the newest key is still memoised, the oldest was evicted
+    crypto_hmac.hmac_sha256(hmac_keys[-1], b"again")
+    assert crypto_hmac._keyed_state.cache_info().hits == memo.hits + 1
+    crypto_hmac.hmac_sha256(hmac_keys[0], b"again")
+    assert crypto_hmac._keyed_state.cache_info().misses == memo.misses + 1
 
 
 def _vpn_digest_run():
-    world = DeploymentSpec(
-        clients=1, setup="endbox_sgx", use_case="NOP", ping_interval=0.25, charge_cpu=False
-    ).build()
-    world.sim.telemetry.recording = True
+    with telemetry.session(recording=True):
+        world = DeploymentSpec(
+            clients=1, setup="endbox_sgx", use_case="NOP", ping_interval=0.25, charge_cpu=False
+        ).build()
     world.connect_all()
     sink = UdpSink(world.internal, 6003)
     UdpTrafficSource(
@@ -459,10 +463,12 @@ def _vpn_digest_run():
 
 
 def test_tiny_cache_caps_leave_trace_digest_unchanged(monkeypatch):
-    """Eviction policy is invisible: every cached pad state is a pure
-    function of its key, so starving the cache must not move a byte."""
+    """Eviction policy is invisible: every memoised pad state is a pure
+    function of its key, so starving the memo must not move a byte."""
     baseline_digest, baseline_packets = _vpn_digest_run()
-    monkeypatch.setattr(crypto_hmac, "HMAC_PAD_CACHE_ENTRIES", 1)
+    tiny = functools.lru_cache(maxsize=1)(crypto_hmac._keyed_state.__wrapped__)
+    monkeypatch.setattr(crypto_hmac, "_keyed_state", tiny)
     tiny_digest, tiny_packets = _vpn_digest_run()
+    assert tiny.cache_info().misses > tiny.cache_info().currsize == 1
     assert tiny_packets == baseline_packets > 0
     assert tiny_digest == baseline_digest

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.fleet import DeploymentSpec
 from repro.core.scenarios import run_chaos_rollout
 from repro.faults import (
@@ -297,10 +298,10 @@ def test_epc_pressure_window_raises_paging_then_releases():
 # determinism
 # ----------------------------------------------------------------------
 def injected_run_digest():
-    world = DeploymentSpec(
-        clients=1, setup="endbox_sgx", use_case="NOP", ping_interval=0.25, charge_cpu=False
-    ).build()
-    world.sim.telemetry.recording = True
+    with telemetry.session(recording=True):
+        world = DeploymentSpec(
+            clients=1, setup="endbox_sgx", use_case="NOP", ping_interval=0.25, charge_cpu=False
+        ).build()
     world.connect_all()
     sink = UdpSink(world.internal, 6002)
     UdpTrafficSource(

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro import telemetry
 from repro.core.scenarios import SETUPS, ClientConnectError, use_case_configs
 from repro.experiments.fleet_rollout import rolling_restart_plan
 from repro.faults import FaultPlan, GatewayRestart, trace_digest
@@ -60,11 +61,12 @@ def test_spec_round_trips_embedded_fault_plan():
 
 
 def test_spec_json_round_trip_builds_identical_world():
-    spec = DeploymentSpec(clients=2, telemetry_recording=True, seed="rt-digest")
+    spec = DeploymentSpec(clients=2, seed="rt-digest")
     clone = DeploymentSpec.from_json(spec.to_json())
 
     def digest(s):
-        world = s.build()
+        with telemetry.session(recording=True):
+            world = s.build()
         world.connect_all()
         world.sim.run(until=12.0)
         return trace_digest(world.sim.telemetry)

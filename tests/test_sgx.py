@@ -140,7 +140,7 @@ def test_epc_within_budget_no_paging():
 def test_ecall_dispatch_and_counting(enclave):
     gateway = EnclaveGateway(enclave)
     assert gateway.ecall("echo", 42) == ("echo", 42)
-    assert gateway.ecalls.value == 1
+    assert gateway.ecalls == 1
 
 
 def test_undeclared_ecall_rejected(enclave):
@@ -439,7 +439,7 @@ def test_rejected_ecall_still_counts_the_attempted_transition(enclave):
         gateway.ecall("store", 123, 1)
     # the validator fires before EENTER: no transition happened, the
     # enclave was never entered, and the handler never ran
-    assert gateway.ecalls.value == 0
+    assert gateway.ecalls == 0
     assert 123 not in enclave.trusted_state
 
 
@@ -450,7 +450,7 @@ def test_rejected_ocall_return_counts_the_completed_exit(enclave):
         gateway.ocall("lie")
     # the untrusted handler DID run (the exit happened); only the return
     # value was stopped at the boundary on the way back in
-    assert gateway.ocalls.value == 1
+    assert gateway.ocalls == 1
 
 
 def test_ledger_drain_is_idempotent_until_new_costs():

@@ -5,7 +5,10 @@ here: two Simulators stepped *interleaved in one process* must produce
 ``trace_digest()``s byte-identical to the same workloads run alone in
 fresh interpreter processes.  Any process-global state leaking between
 sims (warm caches changing telemetry, a stolen current-registry
-pointer, class-attribute crosstalk) breaks the equality.
+pointer, class-attribute crosstalk) breaks the equality.  The
+process-wide pure memos (the HMAC pad states, RSA key pairs, interned
+addresses) are shared and warm in the interleaved runs and cold in the
+fresh ones, so the equality also shows they change no byte.
 
 The module doubles as its own subprocess worker: ``python -m
 tests.test_shard_isolation <rate_bps>`` prints the digest of one
@@ -16,6 +19,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro import telemetry
 from repro.fleet import DeploymentSpec
 from repro.faults import trace_digest
 from repro.netsim.traffic import UdpSink, UdpTrafficSource
@@ -32,15 +36,15 @@ UNTIL = 12.0
 
 
 def build_world(rate_bps):
-    """One deployment with a UDP source/sink pair at ``rate_bps``."""
-    world = DeploymentSpec(
-        clients=1,
-        setup="endbox_sgx",
-        use_case="NOP",
-        ping_interval=0.25,
-        charge_cpu=False,
-    ).build()
-    world.sim.telemetry.recording = True
+    """One recording deployment with a UDP source/sink pair at ``rate_bps``."""
+    with telemetry.session(recording=True):
+        world = DeploymentSpec(
+            clients=1,
+            setup="endbox_sgx",
+            use_case="NOP",
+            ping_interval=0.25,
+            charge_cpu=False,
+        ).build()
     world.connect_all()
     sink = UdpSink(world.internal, 6002)
     UdpTrafficSource(

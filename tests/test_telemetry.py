@@ -1,12 +1,12 @@
-"""repro.telemetry: registry lifecycle, spans, exporters, zero-overhead.
+"""repro.telemetry: registry lifecycle, sessions, exporter, zero-overhead.
 
 Covers the observability layer's contract: canonical name registration,
-the mirror tree (component -> simulator -> session -> process root),
-registry-lifetime reset semantics, ``fork_isolated`` for tests, span
-nesting under an injected clock, histogram bucketing, the three
-exporters, the recording gate on the Click router's per-element
-counters, and the differential guarantee that turning telemetry on does not change
-a single packet byte.
+one flat registry per simulator that starts from zero, sessions that
+sum their simulators at read time and pass on ``recording``, histogram
+bucketing, the JSON exporter and the runner's ``--telemetry`` artifact,
+the recording gate on the Click router's per-element counters, and the
+differential guarantee that turning telemetry on does not change a
+single packet byte.
 """
 
 import json
@@ -20,23 +20,14 @@ from repro.click import Router, configs
 from repro.costs import default_cost_model
 from repro.netsim.traffic import make_payload
 from repro.sim import Simulator
-from repro.telemetry import (
-    Registry,
-    TelemetryError,
-    TelemetryNameError,
-    fork_isolated,
-    session,
-)
+from repro.telemetry import Registry, TelemetryError, TelemetryNameError, session
 from repro.telemetry import names as tm_names
 from repro.vpn.channel import DataChannel, ProtectionMode
 from repro.vpn.protocol import OP_DATA, VpnPacket
 
 # names used only by this test file
 tm_names.register("test.counter.hits", "counter", "hits", "test counter")
-tm_names.register("test.gauge.level", "gauge", "units", "test gauge")
 tm_names.register("test.hist.sizes", "histogram", "bytes", "test histogram")
-tm_names.register("test.span.outer", "span", "seconds", "test span")
-tm_names.register("test.span.inner", "span", "seconds", "test span")
 
 
 # ----------------------------------------------------------------------
@@ -45,7 +36,7 @@ tm_names.register("test.span.inner", "span", "seconds", "test span")
 def test_register_is_idempotent_and_conflicts_raise():
     tm_names.register("test.counter.hits", "counter")  # identical: fine
     with pytest.raises(TelemetryNameError):
-        tm_names.register("test.counter.hits", "gauge")  # kind conflict
+        tm_names.register("test.counter.hits", "histogram")  # kind conflict
 
 
 @pytest.mark.parametrize("bad", ["one", "two.segments", "Caps.not.ok", "trailing.dot."])
@@ -72,75 +63,52 @@ def test_fleet_names_registered_with_metadata():
 
 
 def test_unregistered_names_rejected_by_registry():
-    with fork_isolated() as reg:
-        with pytest.raises(TelemetryNameError):
-            reg.counter("never.registered.name")
-        with pytest.raises(TelemetryNameError):
-            reg.gauge("test.counter.hits")  # registered, but as a counter
+    reg = Registry()
+    with pytest.raises(TelemetryNameError):
+        reg.counter("never.registered.name")
+    with pytest.raises(TelemetryNameError):
+        reg.histogram("test.counter.hits")  # registered, but as a counter
 
 
 # ----------------------------------------------------------------------
-# the mirror tree and lifecycle
+# lifecycle and sessions
 # ----------------------------------------------------------------------
-def test_counter_mirrors_up_the_chain():
-    with fork_isolated(label="outer") as outer:
-        child = Registry(parent=outer, label="child")
-        child.counter("test.counter.hits").inc(3)
-        assert child.value("test.counter.hits") == 3
-        assert outer.value("test.counter.hits") == 3
-        # a sibling starts at zero but shares the outer aggregate
-        sibling = Registry(parent=outer, label="sibling")
-        sibling.counter("test.counter.hits").inc()
-        assert sibling.value("test.counter.hits") == 1
-        assert outer.value("test.counter.hits") == 4
+def _one_tick(sim):
+    yield sim.timeout(0.001)
 
 
-def test_private_counter_is_exact_per_owner():
-    with fork_isolated() as reg:
-        a = reg.counter("test.counter.hits", private=True)
-        b = reg.counter("test.counter.hits", private=True)
-        a.inc(5)
-        b.inc(2)
-        assert (a.value, b.value) == (5, 2)  # per-owner reads stay exact
-        assert reg.value("test.counter.hits") == 7  # shared aggregate
+def test_fresh_simulator_starts_from_zero():
+    sim1 = Simulator()
+    sim1.process(_one_tick(sim1))
+    sim1.run()
+    assert sim1.telemetry.value("sim.engine.events") == sim1.events_executed > 0
+    # the old bug class was counts surviving across simulator instances
+    sim2 = Simulator()
+    assert sim2.telemetry.value("sim.engine.events") == 0
+    assert sim2.telemetry is not sim1.telemetry
 
 
-def test_fresh_simulator_resets_counts_process_root_accumulates():
-    with fork_isolated(label="root-standin") as root:
-        def one_tick(sim):
-            yield sim.timeout(0.001)
-
-        sim1 = Simulator()
-        sim1.process(one_tick(sim1))
-        sim1.run()
-        first = sim1.telemetry.value("sim.engine.events")
-        assert first > 0
-        # a fresh Simulator starts from zero — the old bug class was
-        # counts surviving across simulator instances
-        sim2 = Simulator()
-        assert sim2.telemetry.value("sim.engine.events") == 0
-        sim2.process(one_tick(sim2))
-        sim2.run()
-        # while the enclosing root keeps the whole-process view
-        assert root.value("sim.engine.events") == first + sim2.telemetry.value(
-            "sim.engine.events"
-        )
-
-
-def test_fork_isolated_never_touches_process_root():
-    root = Registry.process_root()
-    before = root.value("test.counter.hits")
-    with fork_isolated() as reg:
-        reg.counter("test.counter.hits").inc(100)
-        assert reg.value("test.counter.hits") == 100
-    assert root.value("test.counter.hits") == before
-
-
-def test_session_mirrors_into_process_root():
-    before = Registry.process_root().value("test.counter.hits")
-    with session(label="mirrored") as reg:
-        reg.counter("test.counter.hits").inc(2)
-    assert Registry.process_root().value("test.counter.hits") == before + 2
+def test_session_sums_the_simulators_built_inside_it():
+    outside = Simulator()
+    outside.process(_one_tick(outside))
+    with session(label="summed") as collected:
+        sims = [Simulator(), Simulator()]
+        for sim in sims:
+            sim.process(_one_tick(sim))
+            sim.run()
+        sims[0].telemetry.histogram("test.hist.sizes", bounds=(10, 100)).observe(5)
+        sims[1].telemetry.histogram("test.hist.sizes", bounds=(10, 100)).observe(500)
+    outside.run()
+    assert collected.registries == [sim.telemetry for sim in sims]
+    events = sum(sim.events_executed for sim in sims)
+    assert collected.value("sim.engine.events") == events > 0
+    snap = collected.snapshot()
+    assert snap["label"] == "summed"
+    assert snap["counters"]["sim.engine.events"] == events
+    hist = snap["histograms"]["test.hist.sizes"]
+    assert (hist["counts"], hist["min"], hist["max"]) == ([1, 0, 1], 5, 500)
+    # reads are sums taken now: the registries themselves are untouched
+    assert sims[0].telemetry.value("sim.engine.events") == sims[0].events_executed
 
 
 def test_simulator_inside_session_inherits_recording():
@@ -148,55 +116,16 @@ def test_simulator_inside_session_inherits_recording():
         assert Simulator().telemetry.recording
     with session(recording=False):
         assert not Simulator().telemetry.recording
-
-
-def test_reset_zeroes_instruments_without_touching_mirrors():
-    with fork_isolated() as outer:
-        child = Registry(parent=outer)
-        child.counter("test.counter.hits").inc(4)
-        child.reset()
-        assert child.value("test.counter.hits") == 0
-        assert outer.value("test.counter.hits") == 4  # mirrors unaffected
-
-
-# ----------------------------------------------------------------------
-# spans
-# ----------------------------------------------------------------------
-def test_span_nesting_depth_order_and_injected_clock():
-    ticks = iter(range(100))
-    with fork_isolated(recording=True, clock=lambda: next(ticks)) as reg:
-        with reg.span("test.span.outer"):
-            with reg.span("test.span.inner"):
-                pass
-    inner, outer = reg.spans  # closed inner-first
-    assert (inner["name"], inner["depth"]) == ("test.span.inner", 1)
-    assert (outer["name"], outer["depth"]) == ("test.span.outer", 0)
-    assert outer["start"] < inner["start"] < inner["end"] < outer["end"]
-
-
-def test_spans_are_noop_unless_recording():
-    with fork_isolated(recording=False) as reg:
-        with reg.span("test.span.outer"):
-            pass
-    assert reg.spans == []
-
-
-def test_span_without_clock_records_structure_only():
-    with fork_isolated(recording=True) as reg:
-        with reg.span("test.span.outer"):
-            pass
-    (record,) = reg.spans
-    assert record["start"] is None and record["end"] is None
+    assert not Simulator().telemetry.recording  # no session: plain registry
 
 
 # ----------------------------------------------------------------------
 # histograms
 # ----------------------------------------------------------------------
 def test_histogram_bucketing_overflow_and_stats():
-    with fork_isolated() as reg:
-        hist = reg.histogram("test.hist.sizes", bounds=(10, 100))
-        for value in (1, 10, 11, 100, 5000):
-            hist.observe(value)
+    hist = Registry().histogram("test.hist.sizes", bounds=(10, 100))
+    for value in (1, 10, 11, 100, 5000):
+        hist.observe(value)
     data = hist.to_dict()
     # buckets: <=10, <=100, overflow — upper bounds inclusive
     assert data["counts"] == [2, 2, 1]
@@ -206,22 +135,19 @@ def test_histogram_bucketing_overflow_and_stats():
 
 
 def test_histogram_bounds_must_agree_across_a_chain():
-    with fork_isolated() as reg:
-        reg.histogram("test.hist.sizes", bounds=(1, 2))
-        with pytest.raises(TelemetryError):
-            reg.histogram("test.hist.sizes", bounds=(3, 4))
+    reg = Registry()
+    reg.histogram("test.hist.sizes", bounds=(1, 2))
+    with pytest.raises(TelemetryError):
+        reg.histogram("test.hist.sizes", bounds=(3, 4))
 
 
 # ----------------------------------------------------------------------
 # exporters
 # ----------------------------------------------------------------------
 def _populated_registry():
-    reg = Registry(label="golden", recording=True)
+    reg = Registry(recording=True, label="golden")
     reg.counter("test.counter.hits").inc(7)
-    reg.gauge("test.gauge.level").set(2.5)
     reg.histogram("test.hist.sizes", bounds=(10, 100)).observe(42)
-    with reg.span("test.span.outer"):
-        pass
     return reg
 
 
@@ -229,6 +155,7 @@ def test_artifact_golden():
     doc = telemetry.build_artifact(_populated_registry(), meta={"experiment": "golden"})
     assert doc["version"] == 1
     assert doc["meta"] == {"experiment": "golden"}
+    assert sorted(doc["telemetry"]) == ["counters", "histograms", "label", "recording"]
     assert doc["telemetry"]["counters"] == {"test.counter.hits": 7}
     assert doc["names"]["test.counter.hits"] == {
         "kind": "counter",
@@ -239,34 +166,29 @@ def test_artifact_golden():
     assert telemetry.to_json(doc["telemetry"]) == telemetry.to_json(doc["telemetry"])
 
 
-def test_csv_golden():
-    csv = telemetry.to_csv(_populated_registry())
-    assert csv.splitlines() == [
-        "name,kind,field,value",
-        "test.counter.hits,counter,value,7",
-        "test.gauge.level,gauge,value,2.5",
-        "test.hist.sizes,histogram,count,1",
-        "test.hist.sizes,histogram,sum,42.0",
-        "test.hist.sizes,histogram,min,42",
-        "test.hist.sizes,histogram,max,42",
-        "test.hist.sizes,histogram,le_10,0",
-        "test.hist.sizes,histogram,le_100,1",
-        "test.hist.sizes,histogram,overflow,0",
-    ]
-
-
-def test_summary_mentions_every_instrument():
-    text = telemetry.summary(_populated_registry())
-    for needle in ("test.counter.hits", "test.gauge.level", "test.hist.sizes", "test.span.outer"):
-        assert needle in text
-
-
 def test_write_json_round_trip(tmp_path):
     path = tmp_path / "telemetry.json"
     telemetry.write_json(_populated_registry(), str(path), meta={"k": "v"})
     doc = json.loads(path.read_text())
     assert doc["meta"] == {"k": "v"}
     assert doc["telemetry"]["counters"]["test.counter.hits"] == 7
+
+
+def test_runner_telemetry_artifact_records_and_repeats():
+    """``runner --telemetry`` records what it claims (per-element Click
+    counters and the link queue-depth histogram, which only a recording
+    registry keeps) and writes the same bytes on every run."""
+    from repro.experiments.runner import run_experiment
+
+    def artifact():
+        (result,) = run_experiment("fig7", quick=True, with_telemetry=True)
+        return result.telemetry, telemetry.to_json(result.telemetry, meta={"experiment": "fig7"})
+
+    snap, first = artifact()
+    assert snap["recording"] is True
+    assert snap["counters"]["click.fromdevice.packets"] > 0
+    assert snap["histograms"]["netsim.link.queue_depth"]["count"] > 0
+    assert artifact()[1] == first
 
 
 # ----------------------------------------------------------------------
@@ -280,10 +202,13 @@ def test_instrumented_and_plain_dispatch_agree_on_output():
         for i in range(8)
     ]
     model = default_cost_model()
-    with fork_isolated(recording=False):
+    with session(recording=False):
+        Simulator()
         plain = Router(configs.firewall_config(), model).process_batch(packets)
-    with fork_isolated(recording=True):
+    with session(recording=True) as collected:
+        Simulator()
         traced = Router(configs.firewall_config(), model).process_batch(packets)
+    assert collected.value("click.fromdevice.packets") == len(packets)
     assert [a for a, _ in plain] == [a for a, _ in traced]
     assert [p.serialize() for _, p in plain] == [p.serialize() for _, p in traced]
 
@@ -292,7 +217,8 @@ def test_instrumented_and_plain_dispatch_agree_on_output():
 # differential: telemetry on vs off is byte-identical (fig10 smoke)
 # ----------------------------------------------------------------------
 def _channel_wire_bytes(recording):
-    with fork_isolated(recording=recording):
+    with session(recording=recording):
+        Simulator()
         tx = DataChannel(b"c" * 16, b"h" * 16, ProtectionMode.ENCRYPT_AND_MAC)
         items = [(VpnPacket(OP_DATA, 7, pid), make_payload(64)) for pid in range(1, 9)]
         return [p.serialize() for p in tx.protect_batch(items)]
@@ -306,7 +232,7 @@ def test_fig10_smoke_identical_with_telemetry():
     from repro.experiments import fig10_scalability
 
     def run(recording):
-        with fork_isolated(recording=recording):
+        with session(recording=recording):
             return fig10_scalability.run_fig10a(counts=(1,), duration=0.02)
 
     off, on = run(False), run(True)
@@ -320,7 +246,7 @@ def test_fig10_smoke_identical_with_telemetry():
 def test_telemetry_is_shared_and_not_determinism_exempt():
     assert trust_domain("repro.telemetry") is TrustDomain.SHARED
     assert trust_domain("repro.telemetry.registry") is TrustDomain.SHARED
-    # no wall-clock privileges: the registry must take an injected clock
+    # no wall-clock privileges: nothing in the registry reads a clock
     assert not determinism_exempt("repro.telemetry")
     assert not determinism_exempt("repro.telemetry.export")
 
