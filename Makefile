@@ -34,7 +34,12 @@ lint:
 # once, so the gateways refuse at most one datagram per migration), and
 # the key-batch identity tests (a batch of RSA keys searched across
 # forked children is bit for bit the serial one, and no child outlives
-# it).
+# it), the header-classifier differential tests (IPFilter and
+# IPClassifier send, judge and count every random packet as a first-match
+# walk over their rule text does, rule lists past 64 included) and the
+# two config-rejection tests (a bundle whose classifier rule can never
+# match or does not parse is refused and the version kept; a refused
+# bundle leaves the enclave's rules and graph as they were).
 check:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src/ benchmarks/ examples/ --sarif-out lint.sarif --budget 5
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
@@ -46,6 +51,7 @@ check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py -q -k "digest_repeats"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py tests/test_fleet.py -q -k "rolling_restart_smoke or every_gateway_is_down or fleets_agree or keeps_enclave_version or refuses_no_handshake or rehandshakes_at_once"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_crypto.py tests/test_sgx.py -q -k "keypairs or provision_platforms or cold_fleet_build"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_click_headermatch.py tests/test_core_enclave_app.py -q -k "reference_walk or rejects_classifier_rule or rejected_bundle"
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -16,7 +16,10 @@ inside the enclave; this package reproduces the Click programming model:
 * the **standard elements** the paper uses (IPFilter, RoundRobinSwitch,
   Classifier, Counter, Queue, FromDevice/ToDevice) and EndBox's custom
   ones (IDSMatcher, TrustedSplitter, UntrustedSplitter, TLSDecrypt)
-  under :mod:`~repro.click.elements`.
+  under :mod:`~repro.click.elements`,
+* the one first-match **header classifier** that IPFilter and
+  IPClassifier compile their rule lists into
+  (:mod:`~repro.click.headermatch`).
 
 The paper's five evaluation configurations (NOP, LB, FW, IDPS, DDoS,
 §V-B) are provided by :mod:`~repro.click.configs`.

@@ -1,23 +1,35 @@
 """IPClassifier: route packets to outputs by protocol/port patterns.
 
-Supported patterns (one per output, comma-separated arguments)::
+Supported patterns (one per output, comma-separated arguments); the
+tokens of one pattern are a conjunction::
 
     tcp | udp | icmp            protocol match
     tcp dst port 443            protocol + destination port
-    src port 1194               source port
-    tos 0xeb                    TOS byte match (EndBox's c2c flag)
+    src port 1194               source port (0-65535)
+    tos 0xeb                    TOS byte match (0-255; EndBox's c2c flag)
     -                           catch-all
+
+A packet leaves on the output of the first pattern it matches, and is
+rejected when it matches none.  A port pattern never holds for a packet
+without ports (ICMP, an IP fragment).  Configure compiles the patterns
+into one :class:`~repro.click.headermatch.HeaderClassifier`, so ``push``
+is a single classifier call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import List
 
 from repro.click.element import Element, ElementError, Packet
+from repro.click.headermatch import (
+    PROTOCOLS,
+    HeaderClassifier,
+    Test,
+    port_test,
+    protocol_test,
+    tos_test,
+)
 from repro.click.registry import register_element
-from repro.netsim.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
-
-_PROTOS = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
 
 
 @register_element("IPClassifier")
@@ -27,44 +39,38 @@ class IPClassifier(Element):
     def configure(self, args: List[str]) -> None:
         if not args:
             raise ElementError(f"{self.name}: IPClassifier needs at least one pattern")
-        self._predicates: List[Callable[[Packet], bool]] = [
-            self._compile(pattern.strip()) for pattern in args
-        ]
+        self._classifier = HeaderClassifier([self._parse(pattern.strip()) for pattern in args])
 
-    def _compile(self, pattern: str) -> Callable[[Packet], bool]:
+    def _parse(self, pattern: str) -> List[Test]:
         if pattern == "-":
-            return lambda packet: True
+            return []
         tokens = pattern.split()
-        checks: List[Callable[[Packet], bool]] = []
+        tests: List[Test] = []
         index = 0
         while index < len(tokens):
             token = tokens[index]
-            if token in _PROTOS:
-                proto = _PROTOS[token]
-                checks.append(lambda p, proto=proto: p.ip.protocol == proto)
+            if token in PROTOCOLS:
+                tests.append(protocol_test(token))
                 index += 1
             elif token in ("src", "dst") and index + 2 < len(tokens) and tokens[index + 1] == "port":
-                side = token
-                port = int(tokens[index + 2])
-                attr = "src_port" if side == "src" else "dst_port"
-                checks.append(lambda p, attr=attr, port=port: getattr(p.ip.l4, attr, None) == port)
+                port = tokens[index + 2]
+                tests.append(port_test(token, port, port))
                 index += 3
             elif token == "tos" and index + 1 < len(tokens):
-                tos = int(tokens[index + 1], 0)
-                checks.append(lambda p, tos=tos: p.ip.tos == tos)
+                tests.append(tos_test(tokens[index + 1]))
                 index += 2
             else:
                 raise ElementError(f"{self.name}: cannot parse pattern {pattern!r}")
-        return lambda packet: all(check(packet) for check in checks)
+        return tests
 
     def push(self, port: int, packet: Packet) -> None:
-        for out_port, predicate in enumerate(self._predicates):
-            if predicate(packet):
-                self.output(out_port, packet)
-                return
-        packet.verdict = packet.verdict or "reject"
+        out_port = self._classifier.match(packet.ip)
+        if out_port < 0:
+            packet.verdict = packet.verdict or "reject"
+            return
+        self.output(out_port, packet)
 
     def check_wiring(self) -> None:
-        for out_port in range(len(self._predicates)):
+        for out_port in range(self._classifier.rule_count):
             if out_port >= len(self._outputs) or self._outputs[out_port] is None:
                 raise ElementError(f"{self.name}: pattern output {out_port} not connected")

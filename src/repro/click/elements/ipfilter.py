@@ -1,74 +1,70 @@
 """IPFilter: rule-based firewall element (the FW use case, §V-B).
 
 Each configuration argument is ``<action> <expression>`` where action is
-``allow`` or ``deny`` and the expression is a conjunction (``&&``) of:
+``allow``, ``deny`` or ``drop`` (an alias of ``deny``) and the
+expression is a conjunction (``&&``) of:
 
 * ``all``
 * ``proto tcp|udp|icmp``
 * ``src host A.B.C.D`` / ``dst host A.B.C.D``
 * ``src net CIDR``      / ``dst net CIDR``
-* ``src port N[-M]``    / ``dst port N[-M]``
+* ``src port N[-M]``    / ``dst port N[-M]``  (0-65535, N <= M)
 
 Rules are evaluated in order; the first match decides.  Allowed packets
 leave on output 0, denied packets on output 1 (or are rejected if
-output 1 is unconnected) — Click's IPFilter semantics.  The paper's FW
-configuration uses 16 rules that match no benchmark packet; see
+output 1 is unconnected), and a packet no rule matches is rejected —
+Click's IPFilter semantics.  A port test never holds for a packet
+without ports (ICMP, an IP fragment).
+
+Configure compiles the whole rule list into one
+:class:`~repro.click.headermatch.HeaderClassifier`, so ``push`` costs
+one ``bisect`` per tested header field whatever the rule count.  The
+modeled cost still charges ``ipfilter_per_rule`` per rule, as the
+paper's linear IPFilter does.  The paper's FW configuration uses 16
+rules that match no benchmark packet; see
 :func:`repro.click.configs.firewall_config`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.click.element import Element, ElementError, Packet
+from repro.click.headermatch import (
+    HeaderClassifier,
+    Test,
+    host_test,
+    net_test,
+    port_test,
+    protocol_test,
+)
 from repro.click.registry import register_element
-from repro.netsim.addresses import IPv4Address, IPv4Network
-from repro.netsim.packet import PROTO_ICMP, PROTO_TCP, PROTO_UDP
-
-_PROTOS = {"tcp": PROTO_TCP, "udp": PROTO_UDP, "icmp": PROTO_ICMP}
 
 
 @dataclass
 class FilterRule:
+    """One configured rule: its action, its header tests and its text."""
+
     allow: bool
-    predicate: Callable[[Packet], bool]
+    tests: Tuple[Test, ...]
     text: str
 
 
-def _compile_term(tokens: List[str]) -> Callable[[Packet], bool]:
+def _parse_term(tokens: List[str]) -> Optional[Test]:
     if tokens == ["all"]:
-        return lambda packet: True
+        return None
     if len(tokens) == 2 and tokens[0] == "proto":
-        proto = _PROTOS.get(tokens[1])
-        if proto is None:
-            raise ElementError(f"unknown protocol {tokens[1]!r}")
-        return lambda packet: packet.ip.protocol == proto
+        return protocol_test(tokens[1])
     if len(tokens) == 3 and tokens[0] in ("src", "dst"):
         side, kind, value = tokens
         if kind == "host":
-            address = IPv4Address(value)
-            if side == "src":
-                return lambda packet: packet.ip.src == address
-            return lambda packet: packet.ip.dst == address
+            return host_test(side, value)
         if kind == "net":
-            network = IPv4Network(value)
-            if side == "src":
-                return lambda packet: packet.ip.src in network
-            return lambda packet: packet.ip.dst in network
+            return net_test(side, value)
         if kind == "port":
-            if "-" in value:
-                low_text, high_text = value.split("-", 1)
-                low, high = int(low_text), int(high_text)
-            else:
-                low = high = int(value)
-            attr = "src_port" if side == "src" else "dst_port"
-
-            def port_check(packet: Packet, attr=attr, low=low, high=high) -> bool:
-                port = getattr(packet.ip.l4, attr, None)
-                return port is not None and low <= port <= high
-
-            return port_check
+            low, dash, high = value.partition("-")
+            return port_test(side, low, high if dash else low)
     raise ElementError(f"cannot parse filter term {' '.join(tokens)!r}")
 
 
@@ -85,28 +81,21 @@ class IPFilter(Element):
             if len(parts) != 2 or parts[0] not in ("allow", "deny", "drop"):
                 raise ElementError(f"{self.name}: bad rule {arg!r}")
             action, expression = parts
-            terms = [term.strip().split() for term in expression.split("&&")]
-            predicates = [_compile_term(term) for term in terms]
-            self.rules.append(
-                FilterRule(
-                    allow=(action == "allow"),
-                    predicate=lambda p, preds=predicates: all(pred(p) for pred in preds),
-                    text=arg,
-                )
-            )
+            terms = [_parse_term(term.split()) for term in expression.split("&&")]
+            tests = tuple(test for test in terms if test is not None)
+            self.rules.append(FilterRule(allow=(action == "allow"), tests=tests, text=arg))
+        self._classifier = HeaderClassifier([rule.tests for rule in self.rules])
         self.matched_counts = [0] * len(self.rules)
 
     def push(self, port: int, packet: Packet) -> None:
-        for index, rule in enumerate(self.rules):
-            if rule.predicate(packet):
-                self.matched_counts[index] += 1
-                if rule.allow:
-                    self.output(0, packet)
-                else:
-                    self.output(1, packet)  # unconnected output 1 rejects
-                return
-        # Click's IPFilter default: packets matching no rule are dropped.
-        packet.verdict = packet.verdict or "reject"
+        index = self._classifier.match(packet.ip)
+        if index < 0:
+            # Click's IPFilter default: packets matching no rule are dropped.
+            packet.verdict = packet.verdict or "reject"
+            return
+        self.matched_counts[index] += 1
+        allow = self.rules[index].allow
+        self.output(0 if allow else 1, packet)  # unconnected output 1 rejects
 
     def check_wiring(self) -> None:
         if not self._outputs or self._outputs[0] is None:

@@ -25,7 +25,7 @@ from repro.crypto.hashes import sha256
 from repro.crypto.rsa import RsaPublicKey
 from repro.crypto.stream import KeystreamCipher
 from repro.crypto.x25519 import X25519PrivateKey, x25519
-from repro.ids.snort_rules import parse_rules
+from repro.ids.snort_rules import RuleSyntaxError, parse_rules
 from repro.netsim.packet import ENDBOX_PROCESSED_TOS, IPv4Packet
 from repro.sgx.enclave import Enclave, EnclaveError, EnclaveImage, EnclaveMode
 from repro.sgx.gateway import CostLedger, EnclaveGateway
@@ -38,6 +38,9 @@ from repro.vpn.channel import ProtectionMode
 # value -> member, resolved once at import: the per-packet ecall must not
 # re-run the Enum constructor for every crossing
 _PROTECTION_MODES = {m.value: m for m in ProtectionMode}
+
+#: the Snort variables every in-enclave rule set is parsed with
+_RULE_VARIABLES = {"HOME_NET": "10.0.0.0/8", "EXTERNAL_NET": "any"}
 
 
 class ProvisioningError(EnclaveError):
@@ -73,9 +76,7 @@ def ecall_initialize(enclave, gateway, click_config: str, ruleset_text: str = ""
     if sim is not None:
         context["trusted_time"] = TrustedTime(sim, ledger)
     if ruleset_text:
-        context["ruleset"] = parse_rules(
-            ruleset_text, variables={"HOME_NET": "10.0.0.0/8", "EXTERNAL_NET": "any"}
-        )
+        context["ruleset"] = parse_rules(ruleset_text, variables=_RULE_VARIABLES)
     state["click"] = HotSwapManager(
         click_config, state["cost_model"], ledger, in_memory=True, context=context
     )
@@ -223,16 +224,20 @@ def ecall_apply_config(enclave, gateway, blob: bytes) -> Tuple[int, SwapTimings]
     except (ValueError, KeyError, UnicodeDecodeError) as exc:
         raise ConfigError(f"undecodable configuration payload: {exc}") from exc
     ruleset_text = content.get("ruleset", "")
-    if ruleset_text:
-        state["click_context"]["ruleset"] = parse_rules(
-            ruleset_text, variables={"HOME_NET": "10.0.0.0/8", "EXTERNAL_NET": "any"}
-        )
     manager: HotSwapManager = state["click"]
+    context = state["click_context"]
+    previous_context = dict(context)
     try:
-        # the hot-swap manager statically validates the graph (port
-        # arities, cycles, unknown elements) before committing the swap
+        # the bundle's rules and graph commit together: the new graph's
+        # IDSMatcher reads the rules from the context, and the hot-swap
+        # manager statically validates the graph (port arities, cycles,
+        # unknown elements) before committing the swap
+        if ruleset_text:
+            context["ruleset"] = parse_rules(ruleset_text, variables=_RULE_VARIABLES)
         timings = manager.hotswap(click_config)
-    except (ClickSyntaxError, ElementError) as exc:
+    except (ClickSyntaxError, ElementError, RuleSyntaxError) as exc:
+        context.clear()
+        context.update(previous_context)
         raise ConfigError(f"configuration rejected before swap: {exc}") from exc
     timings.decrypt_s = decrypt_s
     state["config_version"] = version

@@ -254,6 +254,44 @@ def test_apply_config_updates_ruleset(initialized, world):
     assert accepted
 
 
+@pytest.mark.parametrize(
+    "rule",
+    ["deny dst port 23-22", "deny dst port 70000", "deny dst port 2x3", "deny src net 10.0.0.0/33"],
+)
+def test_apply_config_rejects_classifier_rule_that_cannot_match_or_parse(initialized, world, rule):
+    endbox, _sim = initialized
+    _ias, ca, *_ = world
+    config = f"f :: FromDevice(); fw :: IPFilter({rule}, allow all); t :: ToDevice(); f -> fw -> t;"
+    with pytest.raises(ConfigError, match="rejected before swap"):
+        endbox.gateway.ecall("apply_config", make_bundle(ca, 2, config=config).blob)
+    assert endbox.enclave.trusted_state["config_version"] == 1
+    accepted, _ = endbox.gateway.ecall("process_packet", udp_packet(dport=23), "egress", "encrypt+mac", True)
+    assert accepted  # the running NOP configuration still forwards
+
+
+def test_apply_config_rejected_bundle_leaves_rules_and_graph_as_they_were(world):
+    _ias, ca, _image, platform, endbox, storage = world
+    provision_client(endbox, platform, ca, storage)
+    installed = 'alert udp any any -> any 5001 (msg:"x"; content:"forbidden"; sid:1;)'
+    endbox.gateway.ecall("initialize", click_configs.idps_config(), installed, sim=Simulator())
+    state = endbox.enclave.trusted_state
+    context_before = dict(state["click_context"])
+    rejected = 'alert udp any any -> any 5001 (msg:"y"; content:"smuggled"; sid:9;)'
+    bad_graph = "from :: FromDevice();\nx :: NoSuchElement();\nfrom -> x;\n"
+    with pytest.raises(ConfigError, match="rejected before swap"):
+        endbox.gateway.ecall("apply_config", make_bundle(ca, 2, config=bad_graph, rules=rejected).blob)
+    with pytest.raises(ConfigError, match="rejected before swap"):
+        endbox.gateway.ecall("apply_config", make_bundle(ca, 2, rules="this is not a rule").blob)
+    assert state["click_context"] == context_before
+    assert state["config_version"] == 1
+    # a later bundle without rules text builds its IDSMatcher from the installed rules
+    endbox.gateway.ecall("apply_config", make_bundle(ca, 3, config=click_configs.idps_config()).blob)
+    assert [rule.sid for rule in state["click_context"]["ruleset"]] == [1]
+    for payload, verdict in ((b"smuggled", True), (b"forbidden", False)):
+        accepted, _ = endbox.gateway.ecall("process_packet", udp_packet(payload), "egress", "encrypt+mac", True)
+        assert accepted == verdict
+
+
 def test_simulation_mode_charges_no_transitions(world):
     ias, ca, image, _platform, _endbox, _storage = world
     platform = SgxPlatform(ias)
