@@ -39,7 +39,13 @@ lint:
 # walk over their rule text does, rule lists past 64 included) and the
 # two config-rejection tests (a bundle whose classifier rule can never
 # match or does not parse is refused and the version kept; a refused
-# bundle leaves the enclave's rules and graph as they were).
+# bundle leaves the enclave's rules and graph as they were), and the VPN
+# worker tests (CPU jobs from callbacks and processes share one FIFO; a
+# closed session worker gives back its core or queue place at the close
+# and drops later items; a worker's first entry stands where its process
+# kickoff was) with the four tests that drive the workers' run handlers
+# and queue directly (forged and hostile datagrams handed over as one
+# burst, a stale item queued across a rekey).
 check:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis src/ benchmarks/ examples/ --sarif-out lint.sarif --budget 5
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q
@@ -52,6 +58,7 @@ check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_fleet_scenario.py tests/test_fleet.py -q -k "rolling_restart_smoke or every_gateway_is_down or fleets_agree or keeps_enclave_version or refuses_no_handshake or rehandshakes_at_once"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_crypto.py tests/test_sgx.py -q -k "keypairs or provision_platforms or cold_fleet_build"
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_click_headermatch.py tests/test_core_enclave_app.py -q -k "reference_walk or rejects_classifier_rule or rejected_bundle"
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_vpn_workers.py tests/test_forged_datagrams.py tests/test_vpn_failure_paths.py -q -k "test_vpn_workers or burst_spares or leaves_the_client_working or refused_unallocated_at_the_client or stale_queued"
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -105,10 +105,11 @@ OWNERSHIP: List[Waiver] = [
         path="repro/netsim/addresses.py",
         contains="_intern",
         note=(
-            "the address intern table is a pure memo keyed by the 32-bit "
-            "value; an entry is a deterministic function of its key, so "
-            "simulators sharing it cannot diverge, and interning is what keeps "
-            "per-packet address lookup allocation-free on the parse path"
+            "the address intern table is a bounded pure memo keyed by the "
+            "32-bit value; an entry is a deterministic function of its key and "
+            "addresses compare by value, so simulators sharing it cannot "
+            "diverge, and interning is what keeps per-packet address lookup "
+            "allocation-free on the parse path"
         ),
     ),
     Waiver(

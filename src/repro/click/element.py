@@ -75,13 +75,21 @@ class Element:
         self._outputs: List[Optional[Tuple["Element", int]]] = []
         self.packets_in = 0
         self.packets_out = 0
-        self.configure(args)
+        try:
+            self.configure(args)
+        except ValueError as exc:
+            # an argument that does not parse (``int("many")``) is a
+            # configuration error like any other
+            raise ElementError(f"{name}: bad argument: {exc}") from exc
 
     # ------------------------------------------------------------------
     # configuration & wiring
     # ------------------------------------------------------------------
     def configure(self, args: List[str]) -> None:
-        """Parse configuration-string arguments (override as needed)."""
+        """Parse configuration-string arguments (override as needed).
+
+        A ``ValueError`` raised here reaches the caller as
+        :class:`ElementError`."""
 
     def initialize(self, router: "Router") -> None:
         """Called once after the whole graph is wired."""

@@ -210,27 +210,31 @@ class EndBoxClient(OpenVpnClient):
     # ------------------------------------------------------------------
     # batched data plane (opt-in, §IV-A batching in burst form)
     # ------------------------------------------------------------------
-    def _handle_egress_run(self, inners):
+    def _handle_egress_run(self, inners, done) -> None:
         """A run of egress packets from the base worker (at most
         ``burst_limit``).  A run of one keeps the scalar path (``ecall``
         and ``process_egress``), so ``ecall_bursts`` counts only real
         bursts; a longer run crosses the enclave once and is charged
         once, then seals each accepted packet."""
         if len(inners) == 1:
-            yield from self._handle_egress(inners[0])
+            self._handle_egress(inners[0], done)
             return
         base = sum(self._egress_cost(inner) for inner in inners)
         results, enclave_cost = self._enclave_batch(inners, "egress")
-        yield from self._charge(base + enclave_cost)
+        self._charge_then(base + enclave_cost, self._send_accepted, (results, done))
+
+    def _send_accepted(self, step) -> None:
+        results, done = step
         for accepted, inner in results:
             if accepted:
                 self._send_inner(inner)
+        done(None)
 
-    def _handle_data_run(self, packets):
+    def _handle_data_run(self, packets, done) -> None:
         """A run of DATA datagrams: open and reassemble each in arrival
         order, then cross once for the completed inner packets."""
         if len(packets) == 1:
-            yield from self._handle_data(packets[0])
+            self._handle_data(packets[0], done)
             return
         tunnel = self.tunnel
         fragment_cost = 0.0
@@ -251,16 +255,22 @@ class EndBoxClient(OpenVpnClient):
             if inner is not None:
                 inners.append(inner)
         if not inners:
-            yield from self._charge(fragment_cost)
+            self._charge_then(fragment_cost, done, None)
             return
         sizes = [len(inner) for inner in inners]
         base = sum(self._ingress_cost(inner) for inner in inners)
         results, enclave_cost = self._enclave_batch(inners, "ingress")
-        yield from self._charge(fragment_cost + base + enclave_cost)
+        self._charge_then(
+            fragment_cost + base + enclave_cost, self._write_accepted, (results, sizes, done)
+        )
+
+    def _write_accepted(self, step) -> None:
+        results, sizes, done = step
         for (accepted, inner), size in zip(results, sizes):
             if accepted:
                 self.inner_bytes_received += size
                 self.tun.write(inner)
+        done(None)
 
     # ------------------------------------------------------------------
     # TLS key intake (§III-D)

@@ -2,7 +2,10 @@
 
 A dedicated class (rather than :mod:`ipaddress`) keeps packet hot paths
 cheap: addresses are interned 32-bit integers with precomputed string
-forms.
+forms.  The intern table is bounded (:data:`INTERN_LIMIT`): past it a
+new address is built fresh each time, so packets from or to ever new
+addresses cannot grow memory, and equal addresses need not be the same
+object.  Compare addresses with ``==`` or ``.value``, never ``is``.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 from typing import Dict, Union
 
 AddressLike = Union["IPv4Address", str, int]
+
+#: most addresses the intern table holds
+INTERN_LIMIT = 1 << 15
 
 
 class IPv4Address:
@@ -43,7 +49,8 @@ class IPv4Address:
         self = super().__new__(cls)
         self.value = number
         self._text = ".".join(str((number >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-        cls._intern[number] = self
+        if len(cls._intern) < INTERN_LIMIT:
+            cls._intern[number] = self
         return self
 
     def __str__(self) -> str:
@@ -92,12 +99,11 @@ class IPv4Address:
 
 
 def as_address(value: AddressLike) -> "IPv4Address":
-    """Coerce ``value`` to an interned :class:`IPv4Address`.
+    """Coerce ``value`` to an :class:`IPv4Address`.
 
     The common case on packet paths — the value already is an address —
     returns it without entering the constructor; everything else goes
-    through the interning constructor, which allocates at most once per
-    distinct address for the life of the process.
+    through the interning constructor.
     """
     if type(value) is IPv4Address:
         return value

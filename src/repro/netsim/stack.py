@@ -157,9 +157,10 @@ class NetworkStack:
         """True when the address belongs to this stack."""
         if type(address) is not IPv4Address:
             address = as_address(address)
-        # addresses are interned, so identity comparison suffices
+        value = address.value
         for itf in self.interfaces:
-            if itf.address is address:
+            local = itf.address
+            if local is not None and local.value == value:
                 return True
         return False
 
@@ -198,9 +199,9 @@ class NetworkStack:
         itf = self.route_for(destination)
         preferred = getattr(self, "_preferred_source", None)
         if itf is not None and itf.address is not None:
-            if preferred is None or preferred is itf.address:
+            if preferred is None or preferred == itf.address:
                 return itf.address
-            if any(o.address is preferred for o in self.interfaces if o is not itf):
+            if any(o.address == preferred for o in self.interfaces if o is not itf):
                 return itf.address
         return self.primary_address()
 

@@ -13,8 +13,10 @@ Python generators that ``yield`` *commands*:
 * ``yield sim.process(gen)`` — wait for a child process to finish,
 * ``yield from cpu.execute(dt)`` — occupy a core for ``dt`` seconds.
 
-Hand-offs that take no CPU time are plain heap callbacks instead:
-``sim.schedule(dt, callback, arg)`` runs ``callback(arg)`` after ``dt``.
+Work on the packet path is plain heap callbacks instead:
+``sim.schedule(dt, callback, arg)`` runs ``callback(arg)`` after ``dt``,
+and ``cpu.run(dt, callback, arg)`` occupies a core for ``dt`` seconds,
+then runs ``callback(arg)``.
 
 Example
 -------

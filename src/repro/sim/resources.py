@@ -12,7 +12,7 @@ quantum.  That penalty is what makes the paper's ``OpenVPN+Click`` curve
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Any, Callable, Deque, Generator
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -20,10 +20,11 @@ from repro.sim.engine import Event, SimulationError, Simulator
 class CpuCores:
     """A pool of CPU cores with utilisation accounting.
 
-    Work is submitted as a *duration* of core time; the :meth:`execute`
-    generator blocks the calling process until a core is free and the work
-    has run.  Total busy time is tracked so experiments can report CPU
-    usage exactly as the paper does (100 % = all cores busy).
+    Work is submitted as a *duration* of core time: :meth:`run` calls
+    back once a core was free and the work has run, and the
+    :meth:`execute` generator blocks the calling process until then.
+    Total busy time is tracked so experiments can report CPU usage
+    exactly as the paper does (100 % = all cores busy).
 
     Parameters
     ----------
@@ -61,37 +62,60 @@ class CpuCores:
         self._window_busy = 0.0
 
     # ------------------------------------------------------------------
-    def execute(self, duration: float) -> Generator:
-        """Process generator: occupy one core for ``duration`` seconds.
+    def run(self, duration: float, callback: Callable[[Any], None], arg: Any = None) -> "_Job":
+        """Occupy one core for ``duration`` seconds, then call ``callback(arg)``.
 
-        The caller waits on one event.  A free core is granted by a
-        callback scheduled at the current time, and the work ends with a
-        callback ``charged`` seconds after the grant; jobs that find every
-        core busy wait in FIFO order.  A process interrupted at any point
-        gives back its core or its place in the queue; a callback still
-        on the heap for it then runs as a no-op.
+        A free core is granted by a callback scheduled at the current
+        time, and the work ends with a callback ``charged`` seconds after
+        the grant, which hands the core on and then calls ``callback``;
+        jobs that find every core busy wait in FIFO order.  Returns the
+        job, for :meth:`cancel`.
         """
         if duration < 0:
             raise SimulationError(f"negative CPU duration {duration!r}")
         charged = duration
         if self.context_switch_cost and self.in_use + len(self._waiting) >= self.effective_cores:
             charged += self.context_switch_cost
-        job = _Job(self.sim, charged)
+        job = _Job(charged, callback, arg)
         if self.in_use < self.effective_cores:
             self.in_use += 1
             job.holding = True
             self.sim.schedule(0.0, self._grant, job)
         else:
             self._waiting.append(job)
+        return job
+
+    def execute(self, duration: float) -> Generator:
+        """Process generator: occupy one core for ``duration`` seconds.
+
+        The caller waits on one event, fired by :meth:`run`'s callback.
+        A process interrupted at any point gives back its core or its
+        place in the queue; a callback still on the heap for it then
+        runs as a no-op.
+        """
+        done = Event(self.sim)
+        job = self.run(duration, done.succeed)
         try:
-            yield job
+            yield done
         finally:
-            if not job.triggered:
-                self._cancel(job)
+            if not done.triggered:
+                self.cancel(job)
+
+    def cancel(self, job: "_Job") -> None:
+        """Withdraw ``job``: give back its core or its place in the queue.
+        A job that has already ended is left as it is."""
+        if job.holding:
+            job.holding = False
+            self._release()
+        else:
+            try:
+                self._waiting.remove(job)
+            except ValueError:
+                pass  # ended: its core was handed on then
 
     def _grant(self, job: "_Job") -> None:
         """``job`` holds a core: its work ends ``charged`` seconds on.  The
-        grant entry left on the heap by an interrupted job does nothing."""
+        grant entry left on the heap by a cancelled job does nothing."""
         if not job.holding:
             return
         if job.charged > 0:
@@ -100,14 +124,14 @@ class CpuCores:
             self._end(job)
 
     def _end(self, job: "_Job") -> None:
-        """The work is done: account it, hand the core on, wake the caller."""
+        """The work is done: account it, hand the core on, call back."""
         if not job.holding:
-            return  # interrupted; the core was given back then
+            return  # cancelled; the core was given back then
         job.holding = False
         self.busy_time += job.charged
         self._window_busy += job.charged
         self._release()
-        job.succeed()
+        job.callback(job.arg)
 
     def _release(self) -> None:
         if self._waiting:
@@ -116,13 +140,6 @@ class CpuCores:
             self._grant(job)
         else:
             self.in_use -= 1
-
-    def _cancel(self, job: "_Job") -> None:
-        if job.holding:
-            job.holding = False
-            self._release()
-        else:
-            self._waiting.remove(job)
 
     # ------------------------------------------------------------------
     # utilisation reporting
@@ -147,15 +164,17 @@ class CpuCores:
 CPU = CpuCores
 
 
-class _Job(Event):
-    """One :meth:`CpuCores.execute` call: fires when its work has run."""
+class _Job:
+    """One :meth:`CpuCores.run` call: ``callback(arg)`` runs when its
+    work has."""
 
-    __slots__ = ("charged", "holding")
+    __slots__ = ("charged", "callback", "arg", "holding")
 
-    def __init__(self, sim: Simulator, charged: float) -> None:
-        super().__init__(sim)
+    def __init__(self, charged: float, callback: Callable[[Any], None], arg: Any) -> None:
         self.charged = charged
-        #: True from the grant until the end or an interrupt
+        self.callback = callback
+        self.arg = arg
+        #: True from the grant until the end or a cancel
         self.holding = False
 
 
@@ -219,14 +238,6 @@ class FifoStore:
         if not self._items:
             return None
         return self._items.popleft()
-
-    def peek(self) -> Any:
-        """The next item ``get``/``try_get`` would return, without
-        removing it; None when empty.  Lets a consumer drain only a
-        same-kind run of items (batched dispatch) without reordering."""
-        if self._items:
-            return self._items[0]
-        return None
 
     def __len__(self) -> int:
         return len(self._items)

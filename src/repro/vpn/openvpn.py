@@ -9,10 +9,13 @@ packets via its host stack — including hairpin client-to-client
 forwarding.
 
 Threading model: OpenVPN is single-threaded, and the paper runs *one
-server process per client*.  Each client has one worker process doing
-all per-packet work, and the server has one worker per session; workers
-charge calibrated CPU costs (``repro.vpn.costing``) against their host's
-core pool, which is how throughput saturation, CPU-usage curves and
+server process per client*.  Each client has one worker doing all
+per-packet work, and the server has one worker per session.  A worker
+is a queue, a busy flag and a chain of heap callbacks: it handles one
+work item at a time, charging calibrated CPU costs
+(``repro.vpn.costing``) against its host's core pool with
+:meth:`~repro.sim.resources.CpuCores.run` and going on in the charge's
+end callback.  That is how throughput saturation, CPU-usage curves and
 multi-process contention emerge.
 
 Both ends of a session seal and open DATA datagrams through one
@@ -33,7 +36,8 @@ Subclass hooks (used by EndBox in :mod:`repro.core`):
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.costs.model import CostModel, default_cost_model
 from repro.crypto.drbg import HmacDrbg
@@ -190,9 +194,16 @@ class VpnSession:
         self.packets_dropped_policy = 0
         #: (router, ledger) of an attached Click (OpenVPN+Click baseline)
         self.middlebox = None
-        #: the per-session "OpenVPN process" work queue
-        self.inbox = FifoStore(server.sim, name=f"session-{session_id}.inbox")
-        self.worker = server.sim.process(server._session_worker(self), name=f"session-{session_id}")
+        # the per-session "OpenVPN process": its queued ("rx"|"tx", item)
+        # work, whether it is handling an item (or not yet started), its
+        # CPU job in flight, and whether it was closed
+        self.queue: Deque[Tuple[str, Any]] = deque()
+        self.busy = True
+        self.job = None
+        self.closed = False
+        # the first entry keeps a process kickoff's place in the heap
+        # order (DESIGN.md, "Per-packet engine path")
+        server.sim.schedule(0.0, server._session_ready, self)
 
 
 class OpenVpnServer:
@@ -360,7 +371,7 @@ class OpenVpnServer:
             return
         self.down = True
         for session in list(self.sessions_by_peer.values()):
-            session.worker.interrupt("server restart")
+            self._close_session(session)
         self.sessions_by_peer.clear()
         self.sessions_by_tunnel_ip.clear()
 
@@ -378,18 +389,16 @@ class OpenVpnServer:
         """Close every session of the peer at ``outer_addr`` (a client
         migrating to another gateway of the fleet).
 
-        Each session's worker is interrupted and both lookup tables drop
+        Each session's worker is closed and both lookup tables drop
         the session, so the gateway refuses the peer's traffic until it
         handshakes again.
         """
         for peer, session in list(self.sessions_by_peer.items()):
             if peer[0] == outer_addr:
-                self._drop_session(peer, session, "migrated")
+                self._drop_session(peer, session)
 
-    def _drop_session(
-        self, peer: Tuple[IPv4Address, int], session: VpnSession, reason: str
-    ) -> None:
-        session.worker.interrupt(reason)
+    def _drop_session(self, peer: Tuple[IPv4Address, int], session: VpnSession) -> None:
+        self._close_session(session)
         del self.sessions_by_peer[peer]
         self.sessions_by_tunnel_ip.pop(session.tunnel_ip, None)
 
@@ -414,7 +423,7 @@ class OpenVpnServer:
         if session is None:
             self.packets_rejected += 1
             return
-        session.inbox.put(("rx", packet))
+        self._session_put(session, ("rx", packet))
 
     def _on_tun_packet(self, inner: IPv4Packet) -> None:
         """The TUN device's read handler."""
@@ -424,7 +433,7 @@ class OpenVpnServer:
         session = self.sessions_by_tunnel_ip.get(inner.dst)
         if session is None or not session.established:
             return
-        session.inbox.put(("tx", inner))
+        self._session_put(session, ("tx", inner))
 
     def _ping_loop(self):
         """Keepalive: ping every established session, and retire one
@@ -438,7 +447,7 @@ class OpenVpnServer:
                 continue
             for peer, session in list(self.sessions_by_peer.items()):
                 if self.sim.now - session.last_ping_time >= silent_limit:
-                    self._drop_session(peer, session, "silent")
+                    self._drop_session(peer, session)
                     self.sessions_retired += 1
                 elif session.established:
                     self._send_ping(session)
@@ -462,7 +471,7 @@ class OpenVpnServer:
             return
         existing = self.sessions_by_peer.get((src, src_port))
         if existing is not None:
-            existing.worker.interrupt("superseded")
+            self._close_session(existing)
             self.sessions_by_tunnel_ip.pop(existing.tunnel_ip, None)
             tunnel_ip = existing.tunnel_ip
         else:
@@ -495,42 +504,108 @@ class OpenVpnServer:
     # ------------------------------------------------------------------
     # per-session worker ("one OpenVPN process per client")
     # ------------------------------------------------------------------
-    def _session_worker(self, session: VpnSession):
-        while True:
-            kind, item = yield session.inbox.get()
-            if kind == "rx":
-                yield from self._session_rx(session, item)
-            else:
-                yield from self._session_tx(session, item)
+    # A worker is a chain of heap callbacks that keeps a generator
+    # process's heap order (DESIGN.md, "Per-packet engine path"): a put
+    # to an idle worker runs it inline, a worker that finishes with items
+    # queued schedules the next at now, every charge goes on in its
+    # job's end callback, and a close is one entry at now.
+    def _session_put(self, session: VpnSession, item: Tuple[str, Any]) -> None:
+        """Queue a work item; an idle worker handles it at once."""
+        if session.closed:
+            return
+        session.queue.append(item)
+        if not session.busy:
+            session.busy = True
+            self._session_next(session)
 
-    def _session_rx(self, session: VpnSession, packet: VpnPacket):
+    def _session_next(self, session: VpnSession) -> None:
+        """Handle the next queued work item."""
+        if session.closed:
+            return
+        kind, item = session.queue.popleft()
+        if kind == "rx":
+            self._session_rx(session, item)
+        else:
+            self._session_tx(session, item)
+
+    def _session_ready(self, session: VpnSession) -> None:
+        """The worker has finished an item (or, as its first entry, is
+        starting): schedule the next queued item, or go idle."""
+        if session.closed:
+            return
+        if session.queue:
+            self.sim.schedule(0.0, self._session_next, session)
+        else:
+            session.busy = False
+
+    def _session_charge(
+        self, session: VpnSession, seconds: float, callback: Callable[[Any], None], arg: Any
+    ) -> None:
+        """Charge ``seconds`` to the session's worker, then ``callback(arg)``:
+        at the job's end, or at once when nothing is charged."""
+        if self.charge_cpu and seconds > 0:
+            session.job = self.host.cpu.run(seconds, callback, arg)
+        else:
+            callback(arg)
+
+    def _close_session(self, session: VpnSession) -> None:
+        """Stop the session's worker with one entry at now."""
+        if not session.closed:
+            self.sim.schedule(0.0, self._session_closed, session)
+
+    def _session_closed(self, session: VpnSession) -> None:
+        """Close the worker: give back its core or its place in the CPU
+        queue; later items and callbacks of the worker do nothing."""
+        if session.closed:
+            return
+        session.closed = True
+        session.queue.clear()
+        if session.job is not None:
+            self.host.cpu.cancel(session.job)
+
+    def _session_rx(self, session: VpnSession, packet: VpnPacket) -> None:
         if packet.opcode == OP_PING:
-            yield from self._session_ping(session, packet)
+            self._session_ping(session, packet)
             return
         if packet.opcode != OP_DATA:
+            self._session_ready(session)
             return
         if not session.established:
             self.packets_rejected += 1
+            self._session_ready(session)
             return
         plaintext = session.tunnel.open(packet)
         if plaintext is None:
             self.packets_rejected += 1
+            self._session_ready(session)
             return
         # per-datagram work: socket recv, copy, verify+decrypt
-        yield from self._charge(ingress_fragment_cost(self.model, len(plaintext), self.mode))
+        self._session_charge(
+            session,
+            ingress_fragment_cost(self.model, len(plaintext), self.mode),
+            self._session_rx_opened,
+            (session, packet, plaintext),
+        )
+
+    def _session_rx_opened(self, step: Tuple[VpnSession, VpnPacket, bytes]) -> None:
+        """Reassemble an opened fragment, judge the completed inner
+        packet and charge its completion."""
+        session, packet, plaintext = step
         try:
             inner = session.tunnel.reassemble(packet, plaintext)
         except ValueError:
             self.packets_rejected += 1
+            self._session_ready(session)
             return
         if inner is None:
+            self._session_ready(session)
             return
         size = len(inner)
         if not self.data_policy(session):
             session.packets_dropped_policy += 1
             self.packets_rejected += 1
             self._tm_stale_rejected.inc()
-            yield from self._charge(self.model.vpn_server_fixed)
+            self._session_charge(session, self.model.vpn_server_fixed, self._session_ready, session)
             return
         deadline = self.grace_deadline_for(session.client_version)
         if deadline is not None and self.sim.now >= deadline:
@@ -539,35 +614,51 @@ class OpenVpnServer:
             # assert this stays zero
             self.stale_admitted_after_grace += 1
         accepted, inner, middlebox_cost = self.session_packet_hook(session, inner, inbound=True)
-        yield from self._charge(server_completion_cost(self.model, size) + middlebox_cost)
-        if not accepted:
-            return
+        cost = server_completion_cost(self.model, size) + middlebox_cost
+        if accepted:
+            self._session_charge(session, cost, self._session_deliver, (session, inner, size))
+        else:
+            self._session_charge(session, cost, self._session_ready, session)
+
+    def _session_deliver(self, step: Tuple[VpnSession, IPv4Packet, int]) -> None:
+        session, inner, size = step
         session.inner_bytes_in += size
         self.deliver_inner(session, inner)
+        self._session_ready(session)
 
     def deliver_inner(self, session: VpnSession, inner: IPv4Packet) -> None:
         """Route a decrypted inner packet into the managed network."""
         self.host.stack.inject(inner, self.tun)
 
-    def _session_tx(self, session: VpnSession, inner: IPv4Packet):
+    def _session_tx(self, session: VpnSession, inner: IPv4Packet) -> None:
         accepted, inner, middlebox_cost = self.session_packet_hook(session, inner, inbound=False)
         inner_bytes = inner.serialize()
-        yield from self._charge(
-            server_egress_cost(self.model, len(inner_bytes), self.mode) + middlebox_cost
-        )
-        if not accepted:
-            return
+        cost = server_egress_cost(self.model, len(inner_bytes), self.mode) + middlebox_cost
+        if accepted:
+            self._session_charge(session, cost, self._session_send, (session, inner_bytes))
+        else:
+            self._session_charge(session, cost, self._session_ready, session)
+
+    def _session_send(self, step: Tuple[VpnSession, bytes]) -> None:
+        session, inner_bytes = step
         session.inner_bytes_out += len(inner_bytes)
         for wire in session.tunnel.seal(inner_bytes):
             self.sock.sendto(wire, session.outer_addr, session.outer_port)
+        self._session_ready(session)
 
-    def _session_ping(self, session: VpnSession, packet: VpnPacket):
+    def _session_ping(self, session: VpnSession, packet: VpnPacket) -> None:
         try:
             ping = PingMessage.parse(packet.body, session.secrets.client_hmac)
         except PingError:
             self.packets_rejected += 1
+            self._session_ready(session)
             return
-        yield from self._charge(self.model.vpn_server_fixed)
+        self._session_charge(
+            session, self.model.vpn_server_fixed, self._session_pinged, (session, ping)
+        )
+
+    def _session_pinged(self, step: Tuple[VpnSession, PingMessage]) -> None:
+        session, ping = step
         session.client_version = max(session.client_version, ping.config_version)
         session.last_ping_time = self.sim.now
         if not session.established:
@@ -575,6 +666,7 @@ class OpenVpnServer:
             self._send_session_config(session)
             self.on_session_established(session)
         self._send_ping(session)
+        self._session_ready(session)
 
     def on_session_established(self, session: VpnSession) -> None:
         """Hook: called once the client confirmed the handshake."""
@@ -664,7 +756,11 @@ class OpenVpnClient:
         _registry = Registry.current()
         self._tm_ctrl_packets = _registry.counter("vpn.control.packets_sent")
         self._tm_ctrl_bytes = _registry.counter("vpn.control.bytes_sent")
-        self._work_inbox = FifoStore(self.sim, name=f"{host.name}.vpn-work")
+        # the client's "OpenVPN process": its queued ("rx"|"tx", item,
+        # epoch) work, and whether it is handling an item (or not yet
+        # started)
+        self._work_inbox: Deque[Tuple[str, Any, int]] = deque()
+        self._work_busy = True
         self.connected_event = self.sim.event("vpn-connected")
         self.inner_bytes_sent = 0
         self.inner_bytes_received = 0
@@ -711,6 +807,14 @@ class OpenVpnClient:
         if self.charge_cpu and seconds > 0:
             yield from self.host.execute(seconds)
 
+    def _charge_then(self, seconds: float, callback: Callable[[Any], None], arg: Any) -> None:
+        """Charge ``seconds`` to the worker, then ``callback(arg)``: at the
+        job's end, or at once when nothing is charged."""
+        if self.charge_cpu and seconds > 0:
+            self.host.cpu.run(seconds, callback, arg)
+        else:
+            callback(arg)
+
     # ------------------------------------------------------------------
     # dispatch: one receive handler feeding control + worker queues
     # ------------------------------------------------------------------
@@ -731,7 +835,7 @@ class OpenVpnClient:
         if packet.opcode in (OP_CONTROL_REPLY, OP_REJECT, OP_SESSION_CONFIG):
             self._control_inbox.put(packet)
         elif packet.opcode in (OP_DATA, OP_PING):
-            self._work_inbox.put(("rx", packet, self.channel_epoch))
+            self._work_put(("rx", packet, self.channel_epoch))
 
     def _await_control(self, opcodes, timeout: float):
         """Event-driven wait for a control packet, raced against a timeout.
@@ -845,7 +949,9 @@ class OpenVpnClient:
         self.host.stack.set_preferred_source(self.tunnel_ip)
         self.on_connected(settings)
         self.last_server_rx = self.sim.now
-        self.sim.process(self._worker(), name=f"{self.host.name}.vpn-worker")
+        # the worker's first entry keeps a process kickoff's place in
+        # the heap order
+        self.sim.schedule(0.0, self._work_ready)
         self.sim.process(self._ping_loop(), name=f"{self.host.name}.vpn-ping")
         self._dpd = self.sim.process(self._dpd_loop(), name=f"{self.host.name}.vpn-dpd")
         self.connected_event.succeed(self)
@@ -997,69 +1103,89 @@ class OpenVpnClient:
     # ------------------------------------------------------------------
     # data paths (single worker = single-threaded OpenVPN)
     # ------------------------------------------------------------------
+    # The worker keeps the heap order of the gateway's session workers
+    # (see "per-session worker" above); it is never closed.  A run
+    # handler gets the continuation ``done`` and calls ``done(None)``
+    # once its last charge has ended.
     def _on_tun_packet(self, inner: IPv4Packet) -> None:
         """The TUN device's read handler."""
         if self.suspended:
             return
-        self._work_inbox.put(("tx", inner, self.channel_epoch))
+        self._work_put(("tx", inner, self.channel_epoch))
 
-    def _worker(self):
-        # after waking for one work item, take the contiguous run of
-        # same-kind items already queued, up to ``burst_limit``: egress
-        # packets, or DATA datagrams of the current key generation.
-        # Peeking keeps arrival order, so a ping never jumps ahead of the
-        # run before it, and a run never waits for more traffic.
+    def _work_put(self, item: Tuple[str, Any, int]) -> None:
+        """Queue a work item; an idle worker handles it at once."""
+        self._work_inbox.append(item)
+        if not self._work_busy:
+            self._work_busy = True
+            self._worker()
+
+    def _work_ready(self, _arg: Any = None) -> None:
+        """The worker has finished an item (or, as its first entry, is
+        starting): schedule the next queued item, or go idle."""
+        if self._work_inbox:
+            self.sim.schedule(0.0, self._worker)
+        else:
+            self._work_busy = False
+
+    def _worker(self) -> None:
+        """Handle the next work item and the contiguous run of same-kind
+        items queued behind it, up to ``burst_limit``: egress packets, or
+        DATA datagrams of the current key generation.  Taking only the
+        queue's head keeps arrival order, so a ping never jumps ahead of
+        the run before it, and a run never waits for more traffic."""
         inbox = self._work_inbox
-        while True:
-            kind, item, epoch = yield inbox.get()
-            if kind == "tx":
-                # egress packets are not bound to a key generation: they
-                # are protected with whatever tunnel is current
-                run = [item]
-                while len(run) < self.burst_limit:
-                    pending = inbox.peek()
-                    if pending is None or pending[0] != "tx":
-                        break
-                    run.append(inbox.try_get()[1])
-                yield from self._handle_egress_run(run)
-                continue
-            if epoch != self.channel_epoch:
-                # queued under superseded keys: dropping deliberately
-                # keeps the old high packet ids out of the new replay
-                # window (which they would otherwise wedge)
-                self.packets_dropped_stale += 1
-                continue
-            if item.opcode != OP_DATA:
-                self._handle_ping(item)
-                continue
+        kind, item, epoch = inbox.popleft()
+        if kind == "tx":
+            # egress packets are not bound to a key generation: they
+            # are protected with whatever tunnel is current
             run = [item]
-            while len(run) < self.burst_limit:
-                pending = inbox.peek()
-                if (
-                    pending is None
-                    or pending[0] == "tx"
-                    or pending[2] != self.channel_epoch
-                    or pending[1].opcode != OP_DATA
-                ):
-                    break
-                run.append(inbox.try_get()[1])
-            yield from self._handle_data_run(run)
+            while len(run) < self.burst_limit and inbox and inbox[0][0] == "tx":
+                run.append(inbox.popleft()[1])
+            self._handle_egress_run(run, self._work_ready)
+            return
+        epoch_now = self.channel_epoch
+        if epoch != epoch_now:
+            # queued under superseded keys: dropping deliberately
+            # keeps the old high packet ids out of the new replay
+            # window (which they would otherwise wedge)
+            self.packets_dropped_stale += 1
+            self._work_ready()
+            return
+        if item.opcode != OP_DATA:
+            self._handle_ping(item)
+            self._work_ready()
+            return
+        run = [item]
+        while len(run) < self.burst_limit and inbox:
+            pending = inbox[0]
+            if pending[0] == "tx" or pending[2] != epoch_now or pending[1].opcode != OP_DATA:
+                break
+            run.append(inbox.popleft()[1])
+        self._handle_data_run(run, self._work_ready)
 
-    def _handle_egress_run(self, inners):
-        """A run of egress packets; the vanilla client takes them singly."""
-        for inner in inners:
-            yield from self._handle_egress(inner)
+    def _handle_egress_run(self, inners: List[IPv4Packet], done: Callable[[Any], None]) -> None:
+        """A run of egress packets: the vanilla client's runs hold one
+        (``burst_limit`` is 1)."""
+        (inner,) = inners
+        self._handle_egress(inner, done)
 
-    def _handle_data_run(self, packets):
-        """A run of DATA datagrams; the vanilla client takes them singly."""
-        for packet in packets:
-            yield from self._handle_data(packet)
+    def _handle_data_run(self, packets: List[VpnPacket], done: Callable[[Any], None]) -> None:
+        """A run of DATA datagrams: the vanilla client's runs hold one."""
+        (packet,) = packets
+        self._handle_data(packet, done)
 
-    def _handle_egress(self, inner: IPv4Packet):
+    def _handle_egress(self, inner: IPv4Packet, done: Callable[[Any], None]) -> None:
         accepted, inner, cost = self.process_egress(inner)
-        yield from self._charge(cost)
         if accepted:
-            self._send_inner(inner)
+            self._charge_then(cost, self._send_then, (inner, done))
+        else:
+            self._charge_then(cost, done, None)
+
+    def _send_then(self, step: Tuple[IPv4Packet, Callable[[Any], None]]) -> None:
+        inner, done = step
+        self._send_inner(inner)
+        done(None)
 
     def _send_inner(self, inner: IPv4Packet) -> None:
         inner_bytes = inner.serialize()
@@ -1076,28 +1202,42 @@ class OpenVpnClient:
             return
         self.sock.sendto(wire, self.server_addr, self.server_port)
 
-    def _handle_data(self, packet: VpnPacket):
+    def _handle_data(self, packet: VpnPacket, done: Callable[[Any], None]) -> None:
         plaintext = self.tunnel.open(packet)
         if plaintext is None:
             self.packets_rejected += 1
+            done(None)
             return
-        yield from self._charge(
-            ingress_fragment_cost(self.model, len(plaintext), self.fragment_crypto_mode())
+        self._charge_then(
+            ingress_fragment_cost(self.model, len(plaintext), self.fragment_crypto_mode()),
+            self._data_opened,
+            (packet, plaintext, done),
         )
+
+    def _data_opened(self, step: Tuple[VpnPacket, bytes, Callable[[Any], None]]) -> None:
+        """Reassemble an opened fragment and complete the inner packet."""
+        packet, plaintext, done = step
         try:
             inner = self.tunnel.reassemble(packet, plaintext)
         except ValueError:
             self.packets_rejected += 1
+            done(None)
             return
         if inner is None:
+            done(None)
             return
         size = len(inner)
         accepted, inner, cost = self.process_ingress(inner)
-        yield from self._charge(cost)
-        if not accepted:
-            return
+        if accepted:
+            self._charge_then(cost, self._write_then, (inner, size, done))
+        else:
+            self._charge_then(cost, done, None)
+
+    def _write_then(self, step: Tuple[IPv4Packet, int, Callable[[Any], None]]) -> None:
+        inner, size, done = step
         self.inner_bytes_received += size
         self.tun.write(inner)
+        done(None)
 
     def _handle_ping(self, packet: VpnPacket) -> None:
         try:

@@ -186,6 +186,25 @@ def test_ipfilter_bad_rule_rejected():
         Router("f :: FromDevice(); fw :: IPFilter(frobnicate all); t :: ToDevice(); f -> fw -> t;")
 
 
+@pytest.mark.parametrize(
+    "element",
+    [
+        "Queue(many)",
+        "Paint(red)",
+        "SetTOS(zz)",
+        "Compressor(x)",
+        "Compressor(256, high)",
+        "IPRewriter(10.0.0.1, low)",
+        "IPRewriter(10.0.0.999)",
+        "TrustedSplitter(fast)",
+        "UntrustedSplitter(8000, often)",
+    ],
+)
+def test_element_argument_that_does_not_parse_raises_element_error(element):
+    with pytest.raises(ElementError, match="bad argument"):
+        Router(f"f :: FromDevice(); x :: {element}; t :: ToDevice(); f -> x -> t;")
+
+
 # ----------------------------------------------------------------------
 # IDSMatcher
 # ----------------------------------------------------------------------

@@ -269,6 +269,18 @@ def test_apply_config_rejects_classifier_rule_that_cannot_match_or_parse(initial
     assert accepted  # the running NOP configuration still forwards
 
 
+@pytest.mark.parametrize("element", ["SetTOS(zz)", "Queue(many)", "Paint(red)", "Compressor(x)"])
+def test_apply_config_rejects_element_argument_that_does_not_parse(initialized, world, element):
+    endbox, _sim = initialized
+    _ias, ca, *_ = world
+    config = f"f :: FromDevice(); x :: {element}; t :: ToDevice(); f -> x -> t;"
+    with pytest.raises(ConfigError, match="rejected before swap"):
+        endbox.gateway.ecall("apply_config", make_bundle(ca, 2, config=config).blob)
+    assert endbox.enclave.trusted_state["config_version"] == 1
+    accepted, _ = endbox.gateway.ecall("process_packet", udp_packet(), "egress", "encrypt+mac", True)
+    assert accepted  # the running NOP configuration still forwards
+
+
 def test_apply_config_rejected_bundle_leaves_rules_and_graph_as_they_were(world):
     _ias, ca, _image, platform, endbox, storage = world
     provision_client(endbox, platform, ca, storage)

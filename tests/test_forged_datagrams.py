@@ -135,8 +135,10 @@ def test_forged_datagram_inside_a_burst_spares_the_rest(monkeypatch):
         return real_verify(*args, **kwargs)
 
     monkeypatch.setattr(channel, "hmac_verify", counting_verify)
-    world.sim.process(victim._handle_data_run(burst))
+    finished = []
+    victim._handle_data_run(burst, finished.append)
     world.sim.run(until=world.sim.now + 0.1)
+    assert finished == [None]
     assert sink.packets == LEGIT
     assert victim.packets_rejected == rejected + 2  # the forgery and the copy
     assert len(verified) == LEGIT + 1  # the copy cost no MAC verification
@@ -236,7 +238,7 @@ def _client_receives(setup, ecall_batching, hostile, port):
             # the datagrams trickle in one by one off the link; hand them
             # over as one run, so they take the burst path
             run = [VpnPacket.parse(wire) for wire in wires]
-            world.sim.process(client._handle_data_run(run))
+            client._handle_data_run(run, lambda _arg: None)
         else:
             outer = client.host.stack.interfaces[0].address
             for wire in wires:

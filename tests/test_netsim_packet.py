@@ -1,5 +1,7 @@
 """Packet format tests: serialization round-trips and checksums."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.netsim import (
     UdpDatagram,
     parse_ipv4,
 )
+from repro.netsim.addresses import INTERN_LIMIT
 from repro.netsim.packet import ENDBOX_PROCESSED_TOS, internet_checksum
 
 
@@ -28,6 +31,25 @@ def test_address_parse_and_format():
 
 def test_address_interning_makes_equal_objects_identical():
     assert IPv4Address("10.0.0.1") is IPv4Address("10.0.0.1")
+
+
+def test_address_intern_table_stays_bounded_under_a_source_flood(monkeypatch):
+    # the gateway parses both addresses of every inner packet it opens:
+    # a client sending from ever new (spoofed) sources must not grow
+    # the table for good
+    monkeypatch.setattr(IPv4Address, "_intern", dict(IPv4Address._intern))
+    before = len(IPv4Address._intern)
+    wire = bytearray(
+        IPv4Packet(src="10.8.0.2", dst="10.0.0.2", l4=UdpDatagram(4000, 5000, b"x")).serialize()
+    )
+    rng = random.Random(50_000)
+    for _ in range(50_000):
+        source = rng.getrandbits(32)
+        wire[12:16] = source.to_bytes(4, "big")
+        assert parse_ipv4(bytes(wire)).src.value == source
+    assert len(IPv4Address._intern) - before <= INTERN_LIMIT
+    # past the bound an address is built afresh, equal but not identical
+    assert IPv4Address(source) == IPv4Address(source)
 
 
 def test_address_rejects_garbage():

@@ -85,6 +85,19 @@ def test_packet_path_callbacks_are_sim_driven_on_the_tree():
         "repro.vpn.openvpn.OpenVpnClient._on_tun_packet",
         "repro.sim.resources.CpuCores._grant",
         "repro.sim.resources.CpuCores._end",
+        # the VPN workers: their steps and the continuations of their charges
+        "repro.vpn.openvpn.OpenVpnServer._session_next",
+        "repro.vpn.openvpn.OpenVpnServer._session_ready",
+        "repro.vpn.openvpn.OpenVpnServer._session_closed",
+        "repro.vpn.openvpn.OpenVpnServer._session_rx_opened",
+        "repro.vpn.openvpn.OpenVpnServer._session_deliver",
+        "repro.vpn.openvpn.OpenVpnServer._session_send",
+        "repro.vpn.openvpn.OpenVpnServer._session_pinged",
+        "repro.vpn.openvpn.OpenVpnClient._worker",
+        "repro.vpn.openvpn.OpenVpnClient._work_ready",
+        "repro.vpn.openvpn.OpenVpnClient._send_then",
+        "repro.vpn.openvpn.OpenVpnClient._data_opened",
+        "repro.vpn.openvpn.OpenVpnClient._write_then",
     ):
         assert name in driven, name
 

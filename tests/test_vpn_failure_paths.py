@@ -164,7 +164,7 @@ def test_rekey_drops_stale_queued_packets_without_wedging():
     sim.run(until=sim.now + 2.0)
     assert client.channel_epoch == old_epoch + 1
     # a packet protected under the superseded channels arrives late
-    client._work_inbox.put(("rx", VpnPacket(OP_DATA, client.session_id, 999, b"stale"), old_epoch))
+    client._work_put(("rx", VpnPacket(OP_DATA, client.session_id, 999, b"stale"), old_epoch))
     sim.run(until=sim.now + 0.2)
     assert client.packets_dropped_stale == 1
     assert client.packets_rejected == 0  # dropped deliberately, not as a forgery
@@ -172,6 +172,37 @@ def test_rekey_drops_stale_queued_packets_without_wedging():
     sink = UdpSink(client.host, 7777)
     UdpTrafficSource(world.internal, client.tunnel_ip, 7777, rate_bps=1e6, packet_bytes=300).start()
     sim.run(until=sim.now + 0.5)
+    assert sink.packets > 50
+
+
+def test_rehomed_tun_receives_after_the_intern_table_is_full(monkeypatch):
+    """Past the intern bound every parse builds a fresh address: a TUN
+    re-homed to a tunnel address first seen then still takes the
+    packets sent to it as local."""
+    from tests.test_vpn_integration import VpnWorld
+    from repro.netsim.addresses import INTERN_LIMIT, IPv4Address
+    from repro.netsim.traffic import UdpSink, UdpTrafficSource
+
+    world = VpnWorld(n_clients=1)
+    world.connect_all()
+    client = world.clients[0]
+    client.dpd_timeout = 2.0
+    old_ip = client.tunnel_ip
+    # a full table of addresses nothing in the world uses
+    full = {}
+    monkeypatch.setattr(IPv4Address, "_intern", full)
+    while len(full) < INTERN_LIMIT:
+        IPv4Address(0xC6120000 + len(full))  # 198.18.0.0/15, benchmarking space
+    # the restarted gateway hands the re-handshaking client a new tunnel address
+    world.server.begin_outage()
+    world.server.end_outage()
+    world.sim.run(until=world.sim.now + 6.0)
+    assert client.reconnects == 1
+    assert client.tunnel_ip != old_ip
+    assert client.tun.address is not IPv4Address(str(client.tunnel_ip))  # not interned
+    sink = UdpSink(client.host, 7777)
+    UdpTrafficSource(world.internal, client.tunnel_ip, 7777, rate_bps=1e6, packet_bytes=300).start()
+    world.sim.run(until=world.sim.now + 0.5)
     assert sink.packets > 50
 
 
